@@ -67,6 +67,8 @@ from .spectral import (
     phase,
     phase_derivative,
     propagate,
+    quadrature_row,
+    require_resolution,
     synthesize,
     trapezoid_weights,
     validate_resolution,

@@ -30,9 +30,10 @@ from .rough import CounterexampleSpec, convergence_trace, counterexample_ratio, 
 from .spectral import (
     PropagatorConfig,
     SpaceGrid,
+    evolve_spectral,
     hs_norm,
-    propagate,
-    validate_resolution,
+    require_resolution,
+    synthesize,
 )
 
 SUBCOMMANDS = ("propagate", "counterexample", "khinchine",
@@ -260,8 +261,8 @@ def _run_propagate(params: dict) -> tuple[dict, int]:
         grid = SpaceGrid.spanning(params["x_min"], params["x_max"], params["nx"])
     else:
         grid = observation_grid(p, n=params["nx"])
-    report = validate_resolution(p, cfg)
-    u = propagate(p, cfg, grid)
+    report = require_resolution(p, cfg)
+    u = synthesize(evolve_spectral(p, cfg), grid)
     write_field(u, params["out"])
     block = {"resolution": {"max_phase_increment": report.max_phase_increment,
                             "truncated_mass": report.truncated_mass}}

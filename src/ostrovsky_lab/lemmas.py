@@ -29,12 +29,13 @@ from .spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    _synthesize_rows,
     evolve_spectral,
     hs_norm,
     lp_norm_space,
     phase,
+    require_resolution,
     trapezoid_weights,
-    validate_resolution,
 )
 from .windows import project_low, square_function, wiener_decompose, wiener_project
 
@@ -131,32 +132,6 @@ class LemmaConfig:
         return np.geomspace(self.t_high_min, self.t_high_max, self.n_t_high)
 
 
-class _FieldProbe:
-    """Synthesis basis for one (profile grid, x grid) pair, built once.
-
-    Every deviation check on a profile reuses the same basis matrix, so a
-    corpus run costs one matrix-vector product per measured field instead
-    of re-evaluating the complex exponentials.
-    """
-
-    def __init__(self, p: SpectralProfile, grid: SpaceGrid):
-        self.grid = grid
-        self.basis = np.exp(1j * np.outer(grid.points, p.xi))
-        self.coeff_scale = trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI)
-
-    def field(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.coeff_scale * amplitudes)
-
-    def sup_abs(self, amplitudes: np.ndarray) -> float:
-        return float(np.max(np.abs(self.field(amplitudes))))
-
-
-def _require_resolution(p: SpectralProfile, t: float, sign: str) -> None:
-    report = validate_resolution(p, PropagatorConfig(sign=sign, t=t))
-    if not report.ok:
-        raise ResolutionError(report)
-
-
 def _deviation_multiplier(p: SpectralProfile, t: float, sign: str) -> np.ndarray:
     """Amplitude multiplier of U(t) - I, zero where the profile is zero."""
     out = np.zeros(p.n, dtype=np.complex128)
@@ -166,9 +141,10 @@ def _deviation_multiplier(p: SpectralProfile, t: float, sign: str) -> np.ndarray
     return out
 
 
-def _sup_deviation(p: SpectralProfile, t: float, sign: str, probe: _FieldProbe) -> float:
-    """max over the x grid of |U(t)p - p|, via one synthesis of (U(t)-I)p."""
-    return probe.sup_abs(p.amplitudes * _deviation_multiplier(p, t, sign))
+def _sup_deviations(p: SpectralProfile, ts, sign: str, grid: SpaceGrid) -> np.ndarray:
+    """max over `grid` of |U(t)p - p| per time, from one batched synthesis of (U(t)-I)p."""
+    rows = np.stack([p.amplitudes * _deviation_multiplier(p, float(t), sign) for t in ts])
+    return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
 
 
 def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
@@ -201,7 +177,7 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
                         sign: str = "+", profile_id: str = "profile",
                         constant: float = 1e4, delta: float | None = None,
                         lemma_id: str = "L2_2",
-                        probe: _FieldProbe | None = None,
+                        grid: SpaceGrid | None = None,
                         x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
     """Deviation of the low-frequency part against eps + C*|t|/delta * ||p||.
 
@@ -209,20 +185,24 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
     (lemma id L2_2); passing ``delta=epsilon`` gives the uniform variant
     (lemma id L2_4).  The fitted constant is the smallest C making the
     bound hold; the verdict compares against the calibrated ``constant``.
+    A measured radius of 0 (the fallback for a profile whose zero-exclusion
+    radius is 0) leaves the bound undefined and yields a skip row.
     """
     low = project_low(p, SPLIT_SCALE)
-    _require_resolution(low, t, sign)
-    if probe is None:
-        probe = _FieldProbe(p, observation_grid(p, n=x_points, margin=x_margin))
-    lhs = _sup_deviation(low, t, sign, probe)
+    require_resolution(low, PropagatorConfig(sign=sign, t=t))
+    params = {"epsilon": epsilon, "t": t}
     if delta is None:
         delta = delta_epsilon(p, epsilon)
+        if delta == 0.0:
+            return _skip_report(lemma_id, profile_id, "no_low_mass_radius", params)
+    if grid is None:
+        grid = observation_grid(p, n=x_points, margin=x_margin)
+    lhs = float(_sup_deviations(low, [t], sign, grid)[0])
     norm = hs_norm(p, 0.0)
     rhs = epsilon + constant * abs(t) * norm / delta
     scale = abs(t) * norm / delta
     fitted = max(0.0, lhs - epsilon) / scale if scale > 0 else 0.0
-    params = {"epsilon": epsilon, "t": t, "delta": delta}
-    return _report(lemma_id, profile_id, params, lhs, rhs, fitted)
+    return _report(lemma_id, profile_id, {**params, "delta": delta}, lhs, rhs, fitted)
 
 
 def high_frequency_part(p: SpectralProfile) -> SpectralProfile:
@@ -254,7 +234,7 @@ def high_frequency_majorant(p: SpectralProfile, sign: str = "+") -> float:
 def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
                          profile_id: str = "profile",
                          slope_tolerance: float = 0.05,
-                         probe: _FieldProbe | None = None,
+                         grid: SpaceGrid | None = None,
                          x_points: int = 4096, x_margin: float = 0.5) -> list[LemmaReport]:
     """Linear-in-t deviation of the high-frequency part.
 
@@ -269,11 +249,11 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     high = high_frequency_part(p)
     if not np.any(high.amplitudes != 0.0):
         return [_skip_report("L2_3", profile_id, "zero_high_frequency_part")]
-    _require_resolution(high, float(np.max(ts)), sign)
-    if probe is None:
-        probe = _FieldProbe(p, observation_grid(p, n=x_points, margin=x_margin))
+    require_resolution(high, PropagatorConfig(sign=sign, t=float(np.max(ts))))
+    if grid is None:
+        grid = observation_grid(p, n=x_points, margin=x_margin)
 
-    deviations = np.array([_sup_deviation(high, float(t), sign, probe) for t in ts])
+    deviations = _sup_deviations(high, ts, sign, grid)
     fitted_c = float(np.max(deviations / ts))
     majorant = high_frequency_majorant(p, sign)
     slope = float(np.polyfit(np.log(ts), np.log(deviations), 1)[0])
@@ -289,7 +269,7 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
 def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
                      sign: str = "+", profile_id: str = "profile",
                      constant: float = 1e4,
-                     probe: _FieldProbe | None = None,
+                     grid: SpaceGrid | None = None,
                      x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
     """Deviation of one unit window piece against C*(eps + |t|/eps).
 
@@ -302,10 +282,10 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     piece = wiener_project(p, k)
-    _require_resolution(piece, t, sign)
-    if probe is None:
-        probe = _FieldProbe(p, observation_grid(p, n=x_points, margin=x_margin))
-    lhs = _sup_deviation(piece, t, sign, probe)
+    require_resolution(piece, PropagatorConfig(sign=sign, t=t))
+    if grid is None:
+        grid = observation_grid(p, n=x_points, margin=x_margin)
+    lhs = float(_sup_deviations(piece, [t], sign, grid)[0])
     scale = epsilon + abs(t) / epsilon
     l1_mass = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
     params = {"epsilon": epsilon, "t": t, "k": k, "l1_mass": l1_mass}
@@ -359,7 +339,7 @@ def norm_equivalence_reports(p: SpectralProfile, *, profile_id: str = "profile",
 
 def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
                      constant: float = 2.0,
-                     probe: _FieldProbe | None = None,
+                     grid: SpaceGrid | None = None,
                      x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
     """Largest norm ratio ||piece||_q / ||piece||_r over windows and 2<=r<q<=inf.
 
@@ -367,15 +347,15 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     constant; the empirical corpus maximum is recorded and compared to the
     calibrated cap.
     """
-    if probe is None:
-        probe = _FieldProbe(p, observation_grid(p, n=x_points, margin=x_margin))
-    pieces = wiener_decompose(p)
+    if grid is None:
+        grid = observation_grid(p, n=x_points, margin=x_margin)
+    rows = [piece.amplitudes for piece in wiener_decompose(p).pieces
+            if np.any(piece.amplitudes != 0.0)]
+    fields = _synthesize_rows(p, grid, np.stack(rows)) if rows else []
     worst = 0.0
     measured = 0
-    for piece in pieces.pieces:
-        if not np.any(piece.amplitudes != 0.0):
-            continue
-        fld = _as_field(probe.field(piece.amplitudes), probe.grid)
+    for values in fields:
+        fld = SpaceField(grid.x_min, grid.x_step, values)
         norms = {q: lp_norm_space(fld, q) for q in (2.0, 4.0, math.inf)}
         if norms[2.0] == 0.0:
             continue
@@ -386,10 +366,6 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     if measured == 0:
         return _skip_report("BERNSTEIN", profile_id, "zero_profile")
     return _report("BERNSTEIN", profile_id, {"pieces": measured}, worst, constant, worst)
-
-
-def _as_field(values: np.ndarray, grid: SpaceGrid) -> SpaceField:
-    return SpaceField(x_min=grid.x_min, x_step=grid.x_step, values=values)
 
 
 def _window_indices(p: SpectralProfile) -> list[int]:
@@ -404,7 +380,7 @@ def _window_indices(p: SpectralProfile) -> list[int]:
 def _profile_reports(entry: CorpusEntry, cfg: LemmaConfig) -> list[LemmaReport]:
     p = entry.profile
     pid = entry.profile_id
-    probe = _FieldProbe(p, observation_grid(p, n=cfg.x_points, margin=cfg.x_margin))
+    grid = observation_grid(p, n=cfg.x_points, margin=cfg.x_margin)
     reports: list[LemmaReport] = []
 
     def guarded(lemma_id: str, params: dict, fn: Callable[[], list[LemmaReport]]):
@@ -415,26 +391,26 @@ def _profile_reports(entry: CorpusEntry, cfg: LemmaConfig) -> list[LemmaReport]:
 
     guarded("L2_2", {"t": cfg.t_low}, lambda: [check_low_frequency(
         p, cfg.t_low, cfg.epsilon, sign=cfg.sign, profile_id=pid,
-        constant=cfg.corpus_constant, probe=probe)])
+        constant=cfg.corpus_constant, grid=grid)])
     guarded("L2_3", {}, lambda: check_high_frequency(
         p, cfg.high_times(), sign=cfg.sign, profile_id=pid,
-        slope_tolerance=cfg.slope_tolerance, probe=probe))
+        slope_tolerance=cfg.slope_tolerance, grid=grid))
     guarded("L2_4", {"t": cfg.t_low}, lambda: [check_low_frequency(
         p, cfg.t_low, cfg.epsilon, sign=cfg.sign, profile_id=pid,
-        constant=cfg.corpus_constant, delta=cfg.epsilon, lemma_id="L2_4", probe=probe)])
+        constant=cfg.corpus_constant, delta=cfg.epsilon, lemma_id="L2_4", grid=grid)])
     for k in _window_indices(p):
         guarded("L2_5", {"k": k, "t": cfg.t_low}, lambda k=k: [check_wiener_low(
             p, cfg.t_low, cfg.window_epsilon, k, sign=cfg.sign, profile_id=pid,
-            constant=cfg.corpus_constant, probe=probe)])
+            constant=cfg.corpus_constant, grid=grid)])
     reports.append(check_square_function(
-        p, None, sign=cfg.sign, profile_id=pid, slack=cfg.square_slack, grid=probe.grid))
+        p, None, sign=cfg.sign, profile_id=pid, slack=cfg.square_slack, grid=grid))
     for t in cfg.square_times:
         reports.append(check_square_function(
             p, float(t), sign=cfg.sign, profile_id=pid, slack=cfg.square_slack,
-            grid=probe.grid))
+            grid=grid))
     reports.extend(norm_equivalence_reports(p, profile_id=pid, slack=cfg.norm_equiv_slack))
     reports.append(bernstein_report(
-        p, profile_id=pid, constant=cfg.bernstein_constant, probe=probe))
+        p, profile_id=pid, constant=cfg.bernstein_constant, grid=grid))
     return reports
 
 
@@ -463,7 +439,3 @@ def run_corpus(entries: Sequence[CorpusEntry] | None = None,
     if wanted is not None:
         reports = [r for r in reports if r.lemma_id in wanted]
     return reports
-
-
-def all_passed(reports: Iterable[LemmaReport]) -> bool:
-    return all(r.passed for r in reports)

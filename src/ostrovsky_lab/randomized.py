@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    SQRT_2PI,
     PropagatorConfig,
-    ResolutionError,
     SpectralProfile,
     phase,
-    trapezoid_weights,
-    validate_resolution,
+    quadrature_row,
+    require_resolution,
 )
 from .windows import wiener_decompose
 
@@ -207,8 +205,7 @@ def randomized_point_samples(p: SpectralProfile, x: float, n_samples: int,
         return out
     k_lo, k_hi = _support_k_range(p)
     ks = np.arange(k_lo, k_hi + 1)
-    probe = trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
-    base = probe * p.amplitudes
+    base = quadrature_row(p, x) * p.amplitudes
     idx, d = _floor_offsets(p.xi, k_lo, k_hi)
     block = 4096
     for lo in range(0, n_samples, block):
@@ -278,14 +275,12 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
         raise ValueError("alpha must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    report = validate_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
-    if not report.ok:
-        raise ResolutionError(report)
+    require_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
 
     k_lo, k_hi = _support_k_range(p)
     ks = np.arange(k_lo, k_hi + 1)
     xi = p.xi
-    probe = trapezoid_weights(p.n) * np.exp(1j * x * xi) * (p.xi_step / SQRT_2PI)
+    probe = quadrature_row(p, x)
     nz = p.amplitudes != 0.0
     # last row holds the unevolved baseline; sharing one product keeps a
     # t = 0 entry bit-identical to it, so its exceedance count is exactly 0

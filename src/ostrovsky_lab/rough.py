@@ -18,15 +18,15 @@ import numpy as np
 from .spectral import (
     SQRT_2PI,
     PropagatorConfig,
-    ResolutionError,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
     hs_norm,
     lp_norm_space,
     phase,
+    quadrature_row,
+    require_resolution,
     trapezoid_weights,
-    validate_resolution,
 )
 
 __all__ = [
@@ -124,7 +124,6 @@ class MaximalScan:
     sup_values: np.ndarray
     t_count: int
     t_max: float
-    t_rule: str = "geometric"
 
     @property
     def x(self) -> np.ndarray:
@@ -142,9 +141,7 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     inside the bracket around each point's coarse argmax, which only ever
     raises the sup.
     """
-    report = validate_resolution(p, PropagatorConfig(sign, t_max))
-    if not report.ok:
-        raise ResolutionError(report)
+    require_resolution(p, PropagatorConfig(sign, t_max))
     ts = maximal_time_grid(t_max, n_t)
     xi = p.xi
     coeff = trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI)
@@ -216,11 +213,9 @@ def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+")
         raise ValueError("need a non-empty t sequence")
     if ts.size > 1 and np.any(np.diff(ts) >= 0.0):
         raise ValueError("t_sequence must be strictly decreasing")
-    report = validate_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
-    if not report.ok:
-        raise ResolutionError(report)
+    require_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
     xi = p.xi
-    probe = trapezoid_weights(p.n) * np.exp(1j * x * xi) * (p.xi_step / SQRT_2PI)
+    probe = quadrature_row(p, x)
     nz = p.amplitudes != 0.0
     # last row holds the unevolved baseline; sharing one product keeps a
     # t = 0 entry bit-identical to it, so its deviation is exactly zero

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +41,8 @@ __all__ = [
     "phase",
     "phase_derivative",
     "propagate",
+    "quadrature_row",
+    "require_resolution",
     "synthesize",
     "trapezoid_weights",
     "validate_resolution",
@@ -256,20 +259,86 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+def quadrature_row(p: SpectralProfile, x: float) -> np.ndarray:
+    """Trapezoid synthesis weights at one point: u(x) = quadrature_row(p, x) @ amps."""
+    return trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n (lengths numpy.fft transforms fastest)."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _exact_phases(terms) -> np.ndarray:
+    """exp(i * sum c * k) over pairs (c, k) of an exact rational c and an integer array k.
+
+    Each c is split into a head of 52 - bit_length(max |k|) significant bits,
+    whose products with k are exact doubles and so reach cos/sin unrounded,
+    and a small tail; the tails are summed into one final factor.
+    """
+    out, tail = 1.0, 0.0
+    for coef, index in terms:
+        keep = 52 - int(np.max(np.abs(index))).bit_length()
+        mant, expo = math.frexp(float(coef))
+        head = math.ldexp(round(math.ldexp(mant, keep)), expo - keep)
+        k = index.astype(np.float64)
+        out = out * np.exp(1j * (head * k))
+        tail = tail + float(coef - Fraction(head)) * k
+    return out * np.exp(1j * tail)
+
+
+def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> np.ndarray:
+    """Trapezoid synthesis of amplitude rows on p's xi grid onto `grid`.
+
+    Returns ``(xi_step/sqrt(2*pi)) * sum_j w_j rows[:, j] * exp(i x_m xi_j)``
+    with shape (K, grid.n).  Both grids are uniform, so with a = dx * h the
+    kernel factors by m*j = (m^2 + j^2 - (m - j)^2) / 2 into a pre-chirp, a
+    convolution with exp(-i a k^2 / 2) done by one zero-padded FFT, and a
+    post-chirp (Bluestein's chirp-z algorithm).  Every phase is formed from
+    the exact products of the grid parameters, so no phase loses digits to
+    the size of the index, and the nodes are the exact x_min + m * x_step
+    (``grid.points`` rounds each of them to a double).
+    """
+    rows = np.atleast_2d(rows)
+    n_xi, n_x = p.n, int(grid.n)
+    x0, dx = Fraction(grid.x_min), Fraction(grid.x_step)
+    xi0, h = Fraction(p.xi_min), Fraction(p.xi_step)
+    half_a = dx * h / 2
+    j = np.arange(n_xi, dtype=np.int64)
+    m = np.arange(n_x, dtype=np.int64)
+    k = np.arange(max(n_x, n_xi), dtype=np.int64)
+
+    pre = trapezoid_weights(n_xi) * (p.xi_step / SQRT_2PI) * _exact_phases(
+        [(x0 * h, j), (half_a, j * j)])
+    post = _exact_phases([(x0 * xi0, np.ones(1, dtype=np.int64)),
+                          (dx * xi0, m), (half_a, m * m)])
+    chirp = np.conj(_exact_phases([(half_a, k * k)]))
+
+    length = _fft_length(n_x + n_xi - 1)
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[:n_x] = chirp[:n_x]
+    kernel[length - n_xi + 1:] = chirp[1:n_xi][::-1]
+    spectrum = np.fft.fft(rows * pre, n=length, axis=-1) * np.fft.fft(kernel)
+    return np.fft.ifft(spectrum, axis=-1)[:, :n_x] * post
+
+
 def synthesize(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     """Inverse transform of the sampled profile by trapezoid quadrature.
 
     u(x) = (1/sqrt(2*pi)) * sum_j w_j * exp(i*x*xi_j) * amp_j * xi_step
     """
-    coeff = trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI)
-    xi = p.xi
-    x = grid.points
-    values = np.empty(grid.n, dtype=np.complex128)
-    # chunk the x rows so the exp table stays modest for large grids
-    chunk = max(1, int(4_000_000 // max(p.n, 1)))
-    for lo in range(0, grid.n, chunk):
-        hi = min(lo + chunk, grid.n)
-        values[lo:hi] = np.exp(1j * np.outer(x[lo:hi], xi)) @ coeff
+    values = _synthesize_rows(p, grid, p.amplitudes)[0]
     return SpaceField(grid.x_min, grid.x_step, values)
 
 
@@ -284,6 +353,14 @@ def validate_resolution(p: SpectralProfile, cfg: PropagatorConfig) -> Resolution
     return ResolutionReport(increment, p.truncated_mass, increment <= MAX_PHASE_INCREMENT)
 
 
+def require_resolution(p: SpectralProfile, cfg: PropagatorConfig) -> ResolutionReport:
+    """The resolution report for (p, cfg); raises ResolutionError carrying it on refusal."""
+    report = validate_resolution(p, cfg)
+    if not report.ok:
+        raise ResolutionError(report)
+    return report
+
+
 def propagate(p: SpectralProfile, cfg: PropagatorConfig, grid: SpaceGrid) -> SpaceField:
     """Evolve by the propagator and synthesise on `grid`.
 
@@ -291,9 +368,7 @@ def propagate(p: SpectralProfile, cfg: PropagatorConfig, grid: SpaceGrid) -> Spa
     phase-increment rule fails; at t = 0 the output is bit-identical to
     `synthesize(p, grid)`.
     """
-    report = validate_resolution(p, cfg)
-    if not report.ok:
-        raise ResolutionError(report)
+    require_resolution(p, cfg)
     return synthesize(evolve_spectral(p, cfg), grid)
 
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SQRT_2PI,
-    SpaceField,
-    SpaceGrid,
-    SpectralProfile,
-    trapezoid_weights,
-)
+from .spectral import SpaceField, SpaceGrid, SpectralProfile, _synthesize_rows
 
 __all__ = [
     "WienerDecomposition",
@@ -143,14 +137,6 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     controlled by the L2 norm of `p` with room to spare.
     """
     dec = wiener_decompose(p)
-    coeffs = np.stack([piece.amplitudes for piece in dec.pieces])
-    coeffs = coeffs * (trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI))
-    xi = p.xi
-    x = grid.points
-    out = np.empty(grid.n)
-    chunk = max(1, int(4_000_000 // max(p.n, 1)))
-    for lo in range(0, grid.n, chunk):
-        hi = min(lo + chunk, grid.n)
-        fields = np.exp(1j * np.outer(x[lo:hi], xi)) @ coeffs.T  # (chunk, K)
-        out[lo:hi] = np.sqrt(np.sum(np.abs(fields) ** 2, axis=1))
+    fields = _synthesize_rows(p, grid, np.stack([piece.amplitudes for piece in dec.pieces]))
+    out = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
     return SpaceField(grid.x_min, grid.x_step, out)

@@ -149,6 +149,16 @@ class TestLowFrequency:
         assert report.passed
 
 
+    def test_zero_radius_fallback_skips(self):
+        # all mass sits inside radius 1/2 and the exclusion radius is 0, so
+        # the low-mass radius falls back to 0 and the bound has no value
+        p = SpectralProfile(2**-8, 2**-8, np.full(299, 1e3), zero_exclusion=0.0)
+        assert delta_epsilon(p, 1e-2) == 0.0
+        report = check_low_frequency(p, 1e-5, 1e-2, profile_id="dense_low")
+        assert report.params["skip"] == "no_low_mass_radius"
+        assert report.passed and report.audit()
+
+
 class TestHighFrequency:
     def test_split_is_exact_complement(self, corpus):
         for entry in corpus:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import czt
 
+from ostrovsky_lab.corpus import observation_grid
 from ostrovsky_lab.spectral import (
     DEFAULT_ZERO_EXCLUSION,
     MAX_PHASE_INCREMENT,
@@ -22,7 +24,10 @@ from ostrovsky_lab.spectral import (
     lp_norm_space,
     phase,
     phase_derivative,
+    _synthesize_rows,
     propagate,
+    quadrature_row,
+    require_resolution,
     synthesize,
     trapezoid_weights,
     validate_resolution,
@@ -281,6 +286,118 @@ class TestSynthesize:
         assert np.max(np.abs(combined.values - split)) <= 1e-13 * scale
 
 
+def _node_rounding(grid):
+    """Exact x_min + m * x_step minus grid.points[m], for every m.
+
+    grid.points rounds twice: the product x_step * m and the sum with
+    x_min.  Splitting x_step into 26-bit halves makes each partial product
+    with m < 2**26 exact, and Knuth's two-sum recovers the rounding of the
+    sum, so both errors come back without extended precision.
+    """
+    m = np.arange(grid.n, dtype=np.float64)
+    prod = grid.x_step * m
+    c = 134217729.0 * grid.x_step  # 2**27 + 1
+    hi = c - (c - grid.x_step)
+    lo = grid.x_step - hi
+    prod_err = (hi * m - prod) + lo * m
+    total = grid.x_min + prod
+    assert np.array_equal(total, grid.points)
+    back = total - grid.x_min
+    sum_err = (grid.x_min - (total - back)) + (prod - back)
+    return sum_err + prod_err
+
+
+def _dense_basis(p, grid, rows):
+    """exp(i x xi) at the exact grid nodes x_min + m * x_step.
+
+    The rounding of each node in grid.points alone moves the field of a
+    band profile by ~1e-13 of its sup, so it is applied as a separate
+    factor.  The corpus xi nodes are exact binary fractions.
+    """
+    shift = _node_rounding(grid)[rows]
+    return np.exp(1j * np.outer(grid.points[rows], p.xi)) * np.exp(1j * np.outer(shift, p.xi))
+
+
+def _dense(p, grid, rows, basis=None):
+    """Direct trapezoid sum: the reference the chirp-z synthesis is held to."""
+    if basis is None:
+        basis = _dense_basis(p, grid, rows)
+    return basis @ (trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI))
+
+
+class TestChirpSynthesis:
+    """The chirp-z synthesis against the dense trapezoid sum it replaces."""
+
+    def test_node_rounding_is_exact(self, corpus_by_id):
+        grid = observation_grid(corpus_by_id["band_narrow"].profile, n=4096)
+        shift = _node_rounding(grid)
+        assert np.count_nonzero(shift) > 0
+        for m in range(0, grid.n, 257):
+            exact = Fraction(grid.x_min) + m * Fraction(grid.x_step) - Fraction(grid.points[m])
+            assert shift[m] == float(exact)
+
+    def test_matches_dense_sum_over_corpus(self, corpus):
+        rng = np.random.default_rng(20)
+        for entry in corpus:
+            for n, rows in ((4096, np.arange(4096)),
+                            (65536, np.sort(rng.choice(65536, size=64, replace=False)))):
+                grid = observation_grid(entry.profile, n=n)
+                basis = _dense_basis(entry.profile, grid, rows)
+                for t in (0.0, entry.max_resolved_t):
+                    p = evolve_spectral(entry.profile, PropagatorConfig("+", t))
+                    fast = synthesize(p, grid).values
+                    sup = np.max(np.abs(fast))
+                    err = np.max(np.abs(fast[rows] - _dense(p, grid, rows, basis)))
+                    assert err <= 1e-13 * sup, (entry.profile_id, t, n, err / sup)
+
+    def test_chirp_phase_split_is_needed(self, corpus_by_id):
+        # a narrow band spreads its field over the whole 65536-point grid,
+        # where the chirp phase a*k^2/2 reaches ~1e5 rad; rounding the
+        # product a*k^2 instead of splitting a leaves errors ~4e-12 of sup
+        p = corpus_by_id["band_narrow"].profile
+        grid = observation_grid(p, n=65536)
+        fast = synthesize(p, grid).values
+        rows = np.arange(0, grid.n, 8)
+        err = np.max(np.abs(fast[rows] - _dense(p, grid, rows)))
+        assert err <= 1e-13 * np.max(np.abs(fast))
+
+    def test_matches_scipy_czt(self, corpus_by_id):
+        # a second, independent chirp-z: scipy forms its chirps as complex
+        # powers, whose phase error grows with k^2, so it agrees to ~1e-11
+        p = corpus_by_id["gauss_low"].profile
+        grid = observation_grid(p, n=4096)
+        coeff = trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI)
+        w = np.exp(1j * grid.x_step * p.xi_step)
+        a = np.exp(-1j * grid.x_min * p.xi_step)
+        ref = np.exp(1j * grid.points * p.xi_min) * czt(coeff, grid.n, w, a)
+        fast = synthesize(p, grid).values
+        assert np.max(np.abs(fast - ref)) <= 1e-10 * np.max(np.abs(fast))
+
+    def test_batched_rows_equal_single_calls(self, corpus_by_id):
+        p = corpus_by_id["mix_two_scale"].profile
+        grid = observation_grid(p, n=777)
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((6, p.n)) + 1j * rng.standard_normal((6, p.n))
+        batched = _synthesize_rows(p, grid, rows)
+        single = np.stack([_synthesize_rows(p, grid, row)[0] for row in rows])
+        assert batched.shape == (6, grid.n)
+        assert np.max(np.abs(batched - single)) <= 4 * EPS * np.max(np.abs(single))
+
+    def test_degenerate_sizes(self):
+        # one frequency and one observation point: a 1-point transform
+        p = SpectralProfile(0.75, 0.5, np.array([2.0 - 1.0j]))
+        u = synthesize(p, SpaceGrid(1.25, 1.0, 1))
+        expected = (2.0 - 1.0j) * 0.5 / SQRT_2PI * np.exp(1j * 1.25 * 0.75)
+        assert abs(u.values[0] - expected) <= 4 * EPS * abs(expected)
+
+    def test_quadrature_row_matches_synthesis(self, corpus_by_id):
+        p = corpus_by_id["chirped_mid"].profile
+        grid = SpaceGrid(-0.375, 0.25, 8)  # exact nodes
+        fast = synthesize(p, grid).values
+        points = np.array([quadrature_row(p, x) @ p.amplitudes for x in grid.points])
+        assert np.max(np.abs(fast - points)) <= 1e-13 * np.max(np.abs(fast))
+
+
 # ---------------------------------------------------------------------------
 # resolution rule and propagate
 # ---------------------------------------------------------------------------
@@ -313,6 +430,15 @@ class TestResolution:
         entry = corpus_by_id["gauss_mid"]
         assert validate_resolution(entry.profile, PropagatorConfig("+", entry.max_resolved_t)).ok
         assert not validate_resolution(entry.profile, PropagatorConfig("+", 1.0)).ok
+
+    def test_require_resolution_returns_or_raises_the_report(self, corpus_by_id):
+        p = corpus_by_id["gauss_mid"].profile
+        ok = require_resolution(p, PropagatorConfig("+", 1e-3))
+        assert ok == validate_resolution(p, PropagatorConfig("+", 1e-3)) and ok.ok
+        with pytest.raises(ResolutionError) as err:
+            require_resolution(p, PropagatorConfig("-", 1.0))
+        assert err.value.report == validate_resolution(p, PropagatorConfig("-", 1.0))
+        assert not err.value.report.ok
 
     def test_propagate_refuses_with_report_attached(self, corpus_by_id):
         entry = corpus_by_id["gauss_mid"]

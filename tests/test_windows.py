@@ -199,3 +199,13 @@ class TestSquareFunction:
         p = corpus_by_id["band_unit"].profile
         sf = square_function(p, SpaceGrid.spanning(-30.0, 30.0, 2048))
         assert np.max(sf.values.real) <= hs_norm(p, 0.0) * (1.0 + 1e-6)
+
+    def test_equals_root_sum_of_piece_syntheses(self, corpus_by_id):
+        # the batched synthesis of all pieces agrees with one call per piece
+        p = corpus_by_id["mix_band_gauss_even"].profile
+        grid = SpaceGrid.spanning(-20.0, 20.0, 1500)
+        pieces = wiener_decompose(p).pieces
+        assert len(pieces) > 20
+        direct = np.sqrt(sum(np.abs(synthesize(q, grid).values) ** 2 for q in pieces))
+        sf = square_function(p, grid).values.real
+        assert np.max(np.abs(sf - direct)) <= 4 * EPS * np.max(direct)
