@@ -328,13 +328,13 @@ def _dense(p, grid, rows, basis=None):
 class TestChirpSynthesis:
     """The chirp-z synthesis against the dense trapezoid sum it replaces."""
 
-    def test_node_rounding_is_exact(self, corpus_by_id):
+    def test_node_rounding_matches_fractions(self, corpus_by_id):
         grid = observation_grid(corpus_by_id["band_narrow"].profile, n=4096)
         shift = _node_rounding(grid)
         assert np.count_nonzero(shift) > 0
         for m in range(0, grid.n, 257):
             exact = Fraction(grid.x_min) + m * Fraction(grid.x_step) - Fraction(grid.points[m])
-            assert shift[m] == float(exact)
+            assert abs(shift[m] - float(exact)) <= 2 * EPS * abs(float(exact))
 
     def test_matches_dense_sum_over_corpus(self, corpus):
         rng = np.random.default_rng(20)
