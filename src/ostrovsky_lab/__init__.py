@@ -61,6 +61,7 @@ from .spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    evolution_multipliers,
     evolve_spectral,
     hs_norm,
     lp_norm_space,
@@ -82,6 +83,7 @@ from .windows import (
     square_function,
     wiener_decompose,
     wiener_project,
+    wiener_range,
     wiener_window,
 )
 

@@ -125,18 +125,25 @@ class RunConfig:
         return out
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()!r}")
+    return value
+
+
 def _convert(param: _Param, text: str):
     kind = param.kind
     try:
         if kind == "float":
-            return float(text)
+            return _finite(text)
         if kind == "int":
             return int(text)
         if kind == "floats":
             parts = [piece.strip() for piece in text.split(",") if piece.strip()]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(float(piece) for piece in parts)
+            return tuple(_finite(piece) for piece in parts)
         if kind == "strs":
             return tuple(piece.strip() for piece in text.split(",") if piece.strip())
         if kind == "sign":
@@ -369,10 +376,10 @@ def dispatch(cfg: RunConfig) -> int:
         "wall_clock_s": time.perf_counter() - start,
     }
     meta.update(block)
-    sidecar = f"{cfg.out_path}.meta.json"
-    with open(sidecar, "w", encoding="utf-8", newline="") as handle:
-        json.dump(meta, handle, indent=2)
-        handle.write("\n")
+    # serialised before the file is opened, so a nan or inf leaves no partial sidecar
+    text = json.dumps(meta, indent=2, allow_nan=False)
+    with open(f"{cfg.out_path}.meta.json", "w", encoding="utf-8", newline="") as handle:
+        handle.write(text + "\n")
     return code
 
 

@@ -49,12 +49,17 @@ def write_profile(p: SpectralProfile, path) -> None:
             out.writerow([format_float(xi[j]), format_float(a.real), format_float(a.imag)])
 
 
-def read_profile(path) -> SpectralProfile:
-    """Read a profile table, rejecting non-uniform or non-increasing grids."""
+def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
+    """Parse a table whose first column is a uniform grid: (origin, step, rows).
+
+    Rejects a wrong header, an empty body, unparsable or non-finite cells,
+    ragged rows, and a grid column that is not strictly increasing with
+    uniform spacing within SPACING_RTOL.  A single row gets unit step.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
-    if not rows or rows[0] != PROFILE_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(PROFILE_HEADER)}")
+    if not rows or rows[0] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}")
     body = [row for row in rows[1:] if row]
     if len(body) == 0:
         raise ValueError(f"{path}: no data rows")
@@ -62,19 +67,27 @@ def read_profile(path) -> SpectralProfile:
         table = np.array([[float(cell) for cell in row] for row in body])
     except ValueError as exc:
         raise ValueError(f"{path}: malformed numeric field: {exc}") from exc
-    if table.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns per row")
-    xi = table[:, 0]
-    if xi.size > 1:
-        steps = np.diff(xi)
-        step = float(xi[-1] - xi[0]) / (xi.size - 1)
+    if table.shape[1] != len(header):
+        raise ValueError(f"{path}: expected {len(header)} columns per row")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{path}: every value must be finite")
+    grid, name = table[:, 0], header[0]
+    if grid.size > 1:
+        steps = np.diff(grid)
+        step = float(grid[-1] - grid[0]) / (grid.size - 1)
         if step <= 0.0 or np.any(steps <= 0.0):
-            raise ValueError(f"{path}: xi must be strictly increasing")
+            raise ValueError(f"{path}: {name} must be strictly increasing")
         if float(np.max(np.abs(steps - step))) > SPACING_RTOL * abs(step):
-            raise ValueError(f"{path}: xi spacing is not uniform within {SPACING_RTOL:g} relative")
+            raise ValueError(f"{path}: {name} spacing is not uniform within {SPACING_RTOL:g} relative")
     else:
         step = 1.0
-    return SpectralProfile(xi_min=float(xi[0]), xi_step=step,
+    return float(grid[0]), step, table
+
+
+def read_profile(path) -> SpectralProfile:
+    """Read a profile table, rejecting non-uniform or non-increasing grids."""
+    xi_min, step, table = _read_table(path, PROFILE_HEADER)
+    return SpectralProfile(xi_min=xi_min, xi_step=step,
                            amplitudes=table[:, 1] + 1j * table[:, 2])
 
 
@@ -90,18 +103,9 @@ def write_field(u: SpaceField, path) -> None:
 
 
 def read_field(path) -> SpaceField:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != FIELD_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(FIELD_HEADER)}")
-    body = [row for row in rows[1:] if row]
-    if len(body) == 0:
-        raise ValueError(f"{path}: no data rows")
-    table = np.array([[float(cell) for cell in row] for row in body])
-    x = table[:, 0]
-    step = float(x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 1.0
-    return SpaceField(x_min=float(x[0]), x_step=step,
-                      values=table[:, 1] + 1j * table[:, 2])
+    """Read a field table, rejecting non-uniform or non-increasing grids."""
+    x_min, step, table = _read_table(path, FIELD_HEADER)
+    return SpaceField(x_min=x_min, x_step=step, values=table[:, 1] + 1j * table[:, 2])
 
 
 def write_decomposition(dec: WienerDecomposition, basepath) -> list[Path]:

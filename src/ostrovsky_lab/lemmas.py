@@ -30,6 +30,7 @@ from .spectral import (
     SpaceGrid,
     SpectralProfile,
     _synthesize_rows,
+    evolution_multipliers,
     evolve_spectral,
     hs_norm,
     lp_norm_space,
@@ -132,18 +133,9 @@ class LemmaConfig:
         return np.geomspace(self.t_high_min, self.t_high_max, self.n_t_high)
 
 
-def _deviation_multiplier(p: SpectralProfile, t: float, sign: str) -> np.ndarray:
-    """Amplitude multiplier of U(t) - I, zero where the profile is zero."""
-    out = np.zeros(p.n, dtype=np.complex128)
-    nz = p.amplitudes != 0.0
-    if np.any(nz):
-        out[nz] = np.exp(1j * t * phase(p.xi[nz], sign)) - 1.0
-    return out
-
-
 def _sup_deviations(p: SpectralProfile, ts, sign: str, grid: SpaceGrid) -> np.ndarray:
     """max over `grid` of |U(t)p - p| per time, from one batched synthesis of (U(t)-I)p."""
-    rows = np.stack([p.amplitudes * _deviation_multiplier(p, float(t), sign) for t in ts])
+    rows = p.amplitudes * (evolution_multipliers(p, ts, sign) - 1.0)
     return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
 
 
@@ -349,9 +341,9 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     """
     if grid is None:
         grid = observation_grid(p, n=x_points, margin=x_margin)
-    rows = [piece.amplitudes for piece in wiener_decompose(p).pieces
-            if np.any(piece.amplitudes != 0.0)]
-    fields = _synthesize_rows(p, grid, np.stack(rows)) if rows else []
+    table = wiener_decompose(p).table
+    rows = table[np.any(table != 0.0, axis=1)]
+    fields = _synthesize_rows(p, grid, rows) if rows.size else []
     worst = 0.0
     measured = 0
     for values in fields:
@@ -370,11 +362,9 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
 def _window_indices(p: SpectralProfile) -> list[int]:
     """In-scope window indices whose piece is not identically zero."""
-    ks = []
-    for k in range(-MAX_WINDOW_INDEX, MAX_WINDOW_INDEX + 1):
-        if np.any(wiener_project(p, k).amplitudes != 0.0):
-            ks.append(k)
-    return ks
+    dec = wiener_decompose(p)
+    return [k for k, row in enumerate(dec.table, start=dec.k_min)
+            if abs(k) <= MAX_WINDOW_INDEX and np.any(row != 0.0)]
 
 
 def _profile_reports(entry: CorpusEntry, cfg: LemmaConfig) -> list[LemmaReport]:

@@ -17,19 +17,21 @@ import numpy as np
 from .spectral import (
     PropagatorConfig,
     SpectralProfile,
-    phase,
+    evolution_multipliers,
     quadrature_row,
     require_resolution,
 )
-from .windows import wiener_decompose
+from .windows import wiener_decompose, wiener_range
 
 __all__ = [
     "GaussianDraw",
     "KhinchineResult",
     "TailCurve",
     "gaussian_coefficients",
+    "khinchine_analytic_ratio",
     "khinchine_check",
     "randomize",
+    "randomized_point_samples",
     "sample_draw",
     "stochastic_continuity",
     "tail_bound_curve",
@@ -40,6 +42,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+
+#: Draws per Monte Carlo block: bounds memory whatever the sample count.
+_BLOCK = 4096
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -110,27 +115,16 @@ def sample_draw(k_range: tuple[int, int], seed: int = 0, sample_index: int = 0) 
     return GaussianDraw(k_min, k_max, coeffs, seed, sample_index)
 
 
-def _floor_offsets(xi: np.ndarray, k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window bookkeeping for the two-term hat mix at every grid point.
-
-    Returns (idx, d) with idx the offset of floor(xi) into the coefficient
-    array (clipped so idx + 1 stays in range on zero-amplitude points
-    outside the covered band) and d = xi - floor(xi).
-    """
-    k0 = np.floor(xi).astype(np.int64)
-    d = xi - k0
-    idx = np.clip(k0, k_min, k_max - 1) - k_min
-    return idx, d
-
-
 def randomize(p: SpectralProfile, draw: GaussianDraw) -> SpectralProfile:
     """Multiply each unit-window component of `p` by its draw coefficient.
 
     At every grid point at most the two windows flooring/ceiling xi
-    contribute, with weights (1 - d) and d; their exact sum is 1, so unit
-    coefficients reproduce the input bit for bit.
+    contribute, with weights (1 - d) and d for d = xi - floor(xi); their
+    exact sum is 1, so unit coefficients reproduce the input bit for bit.
+    This per-draw profile is the reference the samplers' linear forms are
+    checked against.
     """
-    dec_lo, dec_hi = _support_k_range(p)
+    dec_lo, dec_hi = wiener_range(p)
     if dec_lo < draw.k_min or dec_hi > draw.k_max:
         raise ValueError(
             f"draw covers windows [{draw.k_min}, {draw.k_max}] but the profile "
@@ -138,16 +132,25 @@ def randomize(p: SpectralProfile, draw: GaussianDraw) -> SpectralProfile:
         )
     if not np.any(p.amplitudes):
         return p.with_amplitudes(p.amplitudes)
-    idx, d = _floor_offsets(p.xi, draw.k_min, draw.k_max)
+    k0 = np.floor(p.xi).astype(np.int64)
+    d = p.xi - k0
+    # clipped so idx + 1 stays in range on zero-amplitude points outside the band
+    idx = np.clip(k0, draw.k_min, draw.k_max - 1) - draw.k_min
     mix = draw.coefficients[idx] * (1.0 - d) + draw.coefficients[idx + 1] * d
     return p.with_amplitudes(p.amplitudes * mix)
 
 
-def _support_k_range(p: SpectralProfile) -> tuple[int, int]:
-    supported = p.xi[p.amplitudes != 0.0]
-    if supported.size == 0:
-        return 0, 0
-    return int(math.floor(supported.min())) - 1, int(math.ceil(supported.max())) + 1
+def _draw_blocks(seed: int, n_samples: int, ks, table: np.ndarray):
+    """Yield (draws, g @ table) over consecutive blocks of draw indices.
+
+    ``draws`` is the slice of sample indices in the block and ``g`` their
+    (block, K) coefficients over the windows `ks`, so each row of the
+    product is one draw's linear form.
+    """
+    for lo in range(0, n_samples, _BLOCK):
+        draws = slice(lo, min(lo + _BLOCK, n_samples))
+        g = gaussian_coefficients(seed, np.arange(draws.start, draws.stop), ks)
+        yield draws, g @ table
 
 
 @dataclass
@@ -173,16 +176,14 @@ def khinchine_check(coefficients, power: float, n_samples: int, seed: int = 0) -
     l2 = float(np.linalg.norm(c))
     if l2 == 0.0:
         raise ValueError("coefficient sequence must not vanish")
-    ks = np.arange(c.size)
     sums = np.empty(n_samples, dtype=np.complex128)
-    block = 4096
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        g = gaussian_coefficients(seed, np.arange(lo, hi), ks)
-        sums[lo:hi] = g @ c
+    for draws, values in _draw_blocks(seed, n_samples, np.arange(c.size), c):
+        sums[draws] = values
     powered = np.abs(sums) ** power
     mean = float(np.mean(powered))
     stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n_samples))
+    if not (mean > 0.0 and math.isfinite(stderr_mean)):
+        raise ValueError(f"moments of order {power} leave the double range for these coefficients")
     moment = mean ** (1.0 / power)
     ratio = moment / (math.sqrt(power) * l2)
     # delta method: d ratio / d mean = ratio / (p * mean)
@@ -195,24 +196,16 @@ def randomized_point_samples(p: SpectralProfile, x: float, n_samples: int,
     """Values of the window-randomized profile at one point, per draw.
 
     Sample ``i`` is the synthesis of ``randomize(p, draw_i)`` evaluated at
-    ``x``, computed without materializing the per-draw profiles.
+    ``x``.  That value is linear in the window coefficients g, so it is
+    formed as ``g @ W`` with ``W[k]`` the point synthesis of window piece
+    k, built once; each draw then costs O(K).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    out = np.zeros(n_samples, dtype=np.complex128)
-    nz = p.amplitudes != 0.0
-    if not np.any(nz):
-        return out
-    k_lo, k_hi = _support_k_range(p)
-    ks = np.arange(k_lo, k_hi + 1)
-    base = quadrature_row(p, x) * p.amplitudes
-    idx, d = _floor_offsets(p.xi, k_lo, k_hi)
-    block = 4096
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        g = gaussian_coefficients(seed, np.arange(lo, hi), ks)
-        mix = g[:, idx] * (1.0 - d) + g[:, idx + 1] * d
-        out[lo:hi] = mix @ base
+    dec = wiener_decompose(p)
+    out = np.empty(n_samples, dtype=np.complex128)
+    for draws, values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ quadrature_row(p, x)):
+        out[draws] = values
     return out
 
 
@@ -263,8 +256,11 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
     """Fraction of draws with |U(t) f^w (x) - f^w (x)| > alpha, per time.
 
     The same `n_samples` draws are reused across every t (common random
-    numbers), and each per-draw value is formed literally as the evolved
-    point value minus the unevolved one, so t = 0 gives exactly zero.
+    numbers).  A deviation is linear in the window coefficients g, so it is
+    formed as ``g @ D`` with ``D[k, t]`` the point synthesis of (U(t) - I)
+    applied to window piece k, built once.  The multiplier ``M - 1`` of
+    U(t) - I is exactly zero in a t = 0 row, so that column of D, every
+    deviation there, and its exceedance count are exactly zero.
     """
     ts = np.asarray(t_values, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
@@ -277,30 +273,11 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
         raise ValueError("need at least one sample")
     require_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
 
-    k_lo, k_hi = _support_k_range(p)
-    ks = np.arange(k_lo, k_hi + 1)
-    xi = p.xi
-    probe = quadrature_row(p, x)
-    nz = p.amplitudes != 0.0
-    # last row holds the unevolved baseline; sharing one product keeps a
-    # t = 0 entry bit-identical to it, so its exceedance count is exactly 0
-    multipliers = np.ones((ts.size + 1, p.n), dtype=np.complex128)
-    if np.any(nz):
-        multipliers[:-1, nz] = np.exp(1j * np.outer(ts, phase(xi[nz], sign)))
-    evolved_probe = probe * multipliers  # (T + 1, n)
-
+    dec = wiener_decompose(p)
+    probe = quadrature_row(p, x) * (evolution_multipliers(p, ts, sign) - 1.0)  # (T, n)
     exceed = np.zeros(ts.size, dtype=np.int64)
-    if np.any(nz):
-        idx, d = _floor_offsets(xi, k_lo, k_hi)
-        block = 256
-        for lo in range(0, n_samples, block):
-            hi = min(lo + block, n_samples)
-            g = gaussian_coefficients(seed, np.arange(lo, hi), ks)  # (block, K)
-            mix = g[:, idx] * (1.0 - d) + g[:, idx + 1] * d
-            amps = mix * p.amplitudes  # (block, n)
-            values = amps @ evolved_probe.T  # (block, T + 1)
-            deviations = np.abs(values[:, :-1] - values[:, -1:])
-            exceed += np.sum(deviations > alpha, axis=0)
+    for _, values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ probe.T):
+        exceed += np.sum(np.abs(values) > alpha, axis=0)
 
     probs = exceed / n_samples
     intervals = np.array([wilson_interval(int(c), n_samples) for c in exceed])

@@ -21,9 +21,9 @@ from .spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    evolution_multipliers,
     hs_norm,
     lp_norm_space,
-    phase,
     quadrature_row,
     require_resolution,
     trapezoid_weights,
@@ -143,14 +143,9 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     """
     require_resolution(p, PropagatorConfig(sign, t_max))
     ts = maximal_time_grid(t_max, n_t)
-    xi = p.xi
     coeff = trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI)
-    nz = coeff != 0.0
-    phi = np.zeros(p.n)
-    if np.any(nz):
-        phi[nz] = phase(xi[nz], sign)
-    basis = np.exp(1j * np.outer(grid.points, xi))  # (n_x, n_xi)
-    fields = (np.exp(1j * np.outer(ts, phi)) * coeff) @ basis.T  # (n_t, n_x)
+    basis = np.exp(1j * np.outer(grid.points, p.xi))  # (n_x, n_xi)
+    fields = (evolution_multipliers(p, ts, sign) * coeff) @ basis.T  # (n_t, n_x)
     magnitudes = np.abs(fields)
     sup = magnitudes.max(axis=0)
 
@@ -162,7 +157,7 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
             # bracket around each point's own argmax: a per-x time, so only
             # the row-wise product with that point's basis row is needed
             tj = t_lo * (t_hi / t_lo) ** ((j + 1) / 9.0)
-            refined = np.einsum("xj,xj->x", np.exp(1j * np.outer(tj, phi)) * coeff, basis)
+            refined = np.einsum("xj,xj->x", evolution_multipliers(p, tj, sign) * coeff, basis)
             sup = np.maximum(sup, np.abs(refined))
     return MaximalScan(grid.x_min, grid.x_step, sup, n_t, t_max)
 
@@ -207,20 +202,17 @@ def scaling_fit(points) -> ScalingFit:
 
 
 def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+") -> np.ndarray:
-    """|U(t) f (x) - f (x)| along a time sequence decreasing towards 0."""
+    """|U(t) f (x) - f (x)| along a time sequence decreasing towards 0.
+
+    Each deviation is the point synthesis of (U(t) - I) f, whose amplitude
+    multiplier ``M - 1`` is exactly zero in a t = 0 row, so a t = 0 entry
+    is exactly 0.0.
+    """
     ts = np.asarray(t_sequence, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("need a non-empty t sequence")
     if ts.size > 1 and np.any(np.diff(ts) >= 0.0):
         raise ValueError("t_sequence must be strictly decreasing")
     require_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
-    xi = p.xi
-    probe = quadrature_row(p, x)
-    nz = p.amplitudes != 0.0
-    # last row holds the unevolved baseline; sharing one product keeps a
-    # t = 0 entry bit-identical to it, so its deviation is exactly zero
-    multipliers = np.ones((ts.size + 1, p.n), dtype=np.complex128)
-    if np.any(nz):
-        multipliers[:-1, nz] = np.exp(1j * np.outer(ts, phase(xi[nz], sign)))
-    values = (multipliers * p.amplitudes) @ probe
-    return np.abs(values[:-1] - values[-1])
+    rows = p.amplitudes * (evolution_multipliers(p, ts, sign) - 1.0)
+    return np.abs(rows @ quadrature_row(p, x))

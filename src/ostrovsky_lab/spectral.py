@@ -35,6 +35,7 @@ __all__ = [
     "SpaceField",
     "SpaceGrid",
     "SpectralProfile",
+    "evolution_multipliers",
     "evolve_spectral",
     "hs_norm",
     "lp_norm_space",
@@ -237,18 +238,28 @@ def phase_derivative(xi, sign: str = "+"):
 # ---------------------------------------------------------------------------
 
 
+def evolution_multipliers(p: SpectralProfile, ts, sign: str) -> np.ndarray:
+    """Propagator factors exp(i t phase(xi)) on p's grid, one row per time: shape (T, n).
+
+    Entries where p has no amplitude are exactly 1 and never see the phase,
+    which keeps excluded near-singular frequencies out of the arithmetic.
+    A t = 0 row of ``M - 1``, the multiplier of U(t) - I, is exactly zero.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    out = np.ones((ts.size, p.n), dtype=np.complex128)
+    nz = p.amplitudes != 0.0
+    if np.any(nz):
+        out[:, nz] = np.exp(1j * np.outer(ts, phase(p.xi[nz], sign)))
+    return out
+
+
 def evolve_spectral(p: SpectralProfile, cfg: PropagatorConfig) -> SpectralProfile:
     """Multiply amplitudes by the propagator phase factor.
 
     The grid is unchanged and the multiplier is unimodular, so the l2 norm
-    is preserved to rounding.  Zero-amplitude points never see the phase,
-    which keeps excluded near-singular frequencies out of the arithmetic.
+    is preserved to rounding.
     """
-    amps = p.amplitudes.copy()
-    nz = amps != 0.0
-    if np.any(nz):
-        amps[nz] = amps[nz] * np.exp(1j * cfg.t * phase(p.xi[nz], cfg.sign))
-    return p.with_amplitudes(amps)
+    return p.with_amplitudes(p.amplitudes * evolution_multipliers(p, [cfg.t], cfg.sign)[0])
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
@@ -260,8 +271,15 @@ def trapezoid_weights(n: int) -> np.ndarray:
 
 
 def quadrature_row(p: SpectralProfile, x: float) -> np.ndarray:
-    """Trapezoid synthesis weights at one point: u(x) = quadrature_row(p, x) @ amps."""
-    return trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
+    """Trapezoid synthesis weights at one point: u(x) = quadrature_row(p, x) @ amps.
+
+    Raises ValueError when a weight is not finite: x not finite, or x * xi overflowing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"x = {x} gives non-finite synthesis weights")
+    return row
 
 
 def _fft_length(n: int) -> int:

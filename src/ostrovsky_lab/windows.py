@@ -28,6 +28,7 @@ __all__ = [
     "square_function",
     "wiener_decompose",
     "wiener_project",
+    "wiener_range",
     "wiener_window",
 ]
 
@@ -105,6 +106,11 @@ class WienerDecomposition:
             raise KeyError(f"k = {k} outside decomposition range")
         return self.pieces[k - self.k_min]
 
+    @property
+    def table(self) -> np.ndarray:
+        """Piece amplitudes stacked in k order: shape (K, n)."""
+        return np.stack([piece.amplitudes for piece in self.pieces])
+
     def reconstruct(self) -> SpectralProfile:
         """Sum the pieces in k order (exact up to one rounding per product)."""
         total = np.zeros(self.pieces[0].n, dtype=np.complex128)
@@ -113,19 +119,22 @@ class WienerDecomposition:
         return self.pieces[0].with_amplitudes(total)
 
 
-def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
-    """Split `p` over unit windows covering its amplitude support.
+def wiener_range(p: SpectralProfile) -> tuple[int, int]:
+    """Inclusive range of the unit windows covering the amplitude support of `p`.
 
-    The window range is [floor(min supported xi) - 1, ceil(max supported
-    xi) + 1], which always includes the two edge windows that vanish on
-    the support itself.
+    The range is [floor(min supported xi) - 1, ceil(max supported xi) + 1],
+    which always includes the two edge windows that vanish on the support
+    itself; a zero profile gets the single window 0.
     """
     supported = p.xi[p.amplitudes != 0.0]
     if supported.size == 0:
-        k_min = k_max = 0
-    else:
-        k_min = int(math.floor(supported.min())) - 1
-        k_max = int(math.ceil(supported.max())) + 1
+        return 0, 0
+    return int(math.floor(supported.min())) - 1, int(math.ceil(supported.max())) + 1
+
+
+def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
+    """Split `p` over the unit windows of `wiener_range`."""
+    k_min, k_max = wiener_range(p)
     pieces = [wiener_project(p, k) for k in range(k_min, k_max + 1)]
     return WienerDecomposition(k_min, k_max, pieces)
 
@@ -136,7 +145,6 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
     controlled by the L2 norm of `p` with room to spare.
     """
-    dec = wiener_decompose(p)
-    fields = _synthesize_rows(p, grid, np.stack([piece.amplitudes for piece in dec.pieces]))
+    fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
     out = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
     return SpaceField(grid.x_min, grid.x_step, out)

@@ -1,9 +1,17 @@
 """Config parsing, dispatch, exit codes, and artifact layout of the CLI."""
 
+import contextlib
+import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrovsky_lab.cli import RunConfig, UsageError, main, parse_config
 from ostrovsky_lab.fileio import read_field, read_profile, read_reports, write_profile
@@ -339,3 +347,87 @@ class TestMainVerifyLemmas:
         rc = main(["verify-lemmas", "--corpus", str(directory),
                    "--only", "L2_6", "--out", str(out)])
         assert rc == 0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv,flag", [
+        (["stochastic-continuity", "--alpha", "0.02", "--t", "0.1,0", "--n", "16",
+          "--x", "nan"], "--x"),
+        (["trace", "--x", "inf", "--t", "1e-3,0"], "--x"),
+        (["khinchine", "--p", "2", "--n", "16", "--coeffs", "nan"], "--coeffs"),
+        (["khinchine", "--p", "inf", "--n", "16"], "--p"),
+    ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf"])
+    def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, flag):
+        if argv[0] != "khinchine":
+            argv = argv + ["--profile", str(gauss_low_csv)]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"{flag}: must be finite" in capsys.readouterr().err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+@pytest.fixture(scope="module")
+def profile_file(tmp_path_factory, corpus_by_id):
+    path = tmp_path_factory.mktemp("profiles") / "gauss_low.csv"
+    write_profile(corpus_by_id["gauss_low"].profile, path)
+    return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"sidecar holds {name}, which is not JSON")
+
+
+# each value is either drawn from a workable range or one of these tokens
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "1e308", "-0", "zap"])
+
+
+def _value(valid):
+    # three values in four come from the workable range
+    return st.integers(0, 3).flatmap(lambda i: _JUNK if i == 0 else valid.map(repr))
+
+
+def _values(valid):
+    return st.lists(_value(valid), min_size=1, max_size=3).map(",".join)
+
+
+_COUNT = st.integers(-1, 40).map(str)
+_TIMES = st.one_of(
+    _values(st.floats(0.0, 1e-2)),
+    st.lists(st.floats(0.0, 1e-2), min_size=1, max_size=3, unique=True).map(
+        lambda ts: ",".join(repr(t) for t in sorted(ts, reverse=True))))
+_INVOCATION = st.one_of(
+    st.tuples(st.just("khinchine"), st.fixed_dictionaries({
+        "p": _values(st.floats(1.0, 8.0)), "n": _COUNT,
+        "coeffs": _values(st.floats(-2.0, 2.0))})),
+    st.tuples(st.just("trace"), st.fixed_dictionaries({
+        "x": _value(st.floats(-3.0, 3.0)), "t": _TIMES})),
+    st.tuples(st.just("stochastic-continuity"), st.fixed_dictionaries({
+        "alpha": _value(st.floats(0.0, 0.5)), "t": _TIMES, "n": _COUNT,
+        "x": _value(st.floats(-3.0, 3.0))})),
+    st.tuples(st.just("propagate"), st.fixed_dictionaries({
+        "t": _value(st.floats(-0.5, 0.5)), "nx": st.integers(1, 64).map(str)})),
+)
+
+
+@settings(max_examples=60)
+@given(invocation=_INVOCATION)
+def test_small_runs_exit_cleanly_with_finite_artifacts(profile_file, invocation):
+    # each run either succeeds with an all-finite CSV and a strict-JSON
+    # sidecar, or fails with exit 1 or 2 and says why
+    subcommand, flags = invocation
+    argv = [subcommand] + [f"--{name}={value}" for name, value in flags.items()]
+    if subcommand != "khinchine":
+        argv.append(f"--profile={profile_file}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), np.errstate(over="ignore", invalid="ignore"):
+            rc = main(argv + ["--out", str(out)])
+        if rc == 0:
+            with open(out, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+            json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
+        else:
+            assert rc in (1, 2) and err.getvalue().strip()

@@ -112,6 +112,19 @@ class TestFieldRoundTrip:
         np.testing.assert_array_equal(v.values, u.values)
         assert v.x_min == u.x_min and v.x_step == u.x_step
 
+    @pytest.mark.parametrize("x,match", [
+        ([0.0, 0.5, 1.5], "not uniform"),
+        ([1.0, 0.5, 0.0], "strictly increasing"),
+        ([0.0, math.nan, 1.0], "finite"),
+    ], ids=["non-uniform", "decreasing", "nan"])
+    def test_grid_rejections_name_the_path(self, tmp_path, x, match):
+        target = tmp_path / "bad_field.csv"
+        rows = "".join(f"{format_float(v)},1.0,0.0,1.0\n" for v in x)
+        target.write_text(f"{','.join(FIELD_HEADER)}\n{rows}")
+        with pytest.raises(ValueError, match=match) as info:
+            read_field(target)
+        assert str(target) in str(info.value)
+
     def test_header_and_abs_column(self, tmp_path):
         u = SpaceField(0.0, 1.0, np.array([3 + 4j]))
         target = tmp_path / "u.csv"

@@ -23,11 +23,15 @@ from ostrovsky_lab.randomized import (
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
+    PropagatorConfig,
     ResolutionError,
     SpectralProfile,
+    evolve_spectral,
     hs_norm,
+    quadrature_row,
     trapezoid_weights,
 )
+from ostrovsky_lab.windows import wiener_range
 
 
 class TestGaussianCoefficients:
@@ -144,6 +148,59 @@ class TestRandomizedPointSamples:
         np.testing.assert_array_equal(a, b)
 
 
+def _dense_point_values(p, x, ts, n, seed, sign):
+    """Per-draw reference: randomize each draw, evolve it, apply the point row.
+
+    Returns the unevolved values (n,) and |u_t - u_0| per draw and time
+    (n, T).  Evolution is diagonal, so multiplying the stacked draws by
+    what evolve_spectral does to the profile's support indicator equals
+    evolve_spectral applied to each draw.
+    """
+    k_min, k_max = wiener_range(p)
+    coeffs = gaussian_coefficients(seed, np.arange(n), np.arange(k_min, k_max + 1))
+    draws = np.stack([randomize(p, GaussianDraw(k_min, k_max, g)).amplitudes for g in coeffs])
+    support = p.with_amplitudes((p.amplitudes != 0.0).astype(complex))
+    probe = quadrature_row(p, x)
+    base = draws @ probe
+    evolved = np.stack([
+        (draws * evolve_spectral(support, PropagatorConfig(sign, t)).amplitudes) @ probe
+        for t in ts], axis=1)
+    return base, np.abs(evolved - base[:, None])
+
+
+# the benchmark's tail-curve ladders; n crosses the 4096-draw block boundary
+_LADDERS = [("gauss_low", 0.4, 0.02, [1.0, 0.1, 0.01, 1e-3, 0.0]),
+            ("band_mid_even", -1.3, 0.05, [1e-3, 1e-4, 1e-5, 0.0])]
+
+
+class TestLinearFormsAgainstDenseReference:
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("pid,x,alpha,ts", _LADDERS, ids=[row[0] for row in _LADDERS])
+    def test_samplers_match_per_draw_profiles(self, corpus_by_id, pid, x, alpha, ts, sign):
+        p = corpus_by_id[pid].profile
+        n, seed = 5000, 21
+        base, devs = _dense_point_values(p, x, ts, n, seed, sign)
+        # exceedance counts are compared exactly, which needs every reference
+        # deviation to stay clear of alpha by far more than rounding
+        assert np.min(np.abs(devs - alpha)) > 1e-9
+        curve = stochastic_continuity(p, x, alpha, ts, n, seed=seed, sign=sign)
+        np.testing.assert_array_equal(curve.empirical_probs * n,
+                                      np.sum(devs > alpha, axis=0))
+        assert curve.empirical_probs[-1] == 0.0
+
+        scale = np.sum(np.abs(quadrature_row(p, x) * p.amplitudes))
+        fast = randomized_point_samples(p, x, n, seed=seed)
+        assert np.max(np.abs(fast - base)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, corpus_by_id, x):
+        p = corpus_by_id["gauss_low"].profile
+        with pytest.raises(ValueError, match="non-finite"):
+            stochastic_continuity(p, x, 0.1, [1e-3, 0.0], 8)
+        with pytest.raises(ValueError, match="non-finite"):
+            randomized_point_samples(p, x, 8)
+
+
 class TestKhinchine:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +213,12 @@ class TestKhinchine:
             khinchine_check([1.0], 2.0, 1)
         with pytest.raises(ValueError, match="vanish"):
             khinchine_check([0.0, 0.0], 2.0, 10)
+
+    @pytest.mark.parametrize("power", [1e308, 2000.0])
+    def test_moments_outside_double_range_rejected(self, power):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="double range"):
+            khinchine_check([1.0, 0.5], power, 64)
 
     def test_second_moment_matches_l2(self):
         res = khinchine_check([1.0, 0.8, 0.6, 0.4, 0.2], 2.0, 20_000)

@@ -19,11 +19,14 @@ from ostrovsky_lab.rough import (
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
+    PropagatorConfig,
     ResolutionError,
     SpaceGrid,
     SpectralProfile,
+    evolve_spectral,
     hs_norm,
     phase,
+    quadrature_row,
 )
 
 
@@ -177,6 +180,27 @@ class TestConvergenceTrace:
         p = corpus_by_id["gauss_low"].profile
         devs = convergence_trace(p, 0.4, [1e-2, 1e-3, 0.0])
         assert devs[-1] == 0.0
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_matches_literal_difference_of_point_values(self, corpus, sign):
+        x = 0.3
+        for entry in corpus:
+            p = entry.profile
+            t_max = entry.max_resolved_t
+            ts = [t_max, t_max / 10.0, t_max / 1000.0, 0.0]
+            probe = quadrature_row(p, x)
+            u0 = probe @ p.amplitudes
+            literal = [abs(probe @ evolve_spectral(p, PropagatorConfig(sign, t)).amplitudes - u0)
+                       for t in ts]
+            scale = np.sum(np.abs(probe * p.amplitudes))
+            devs = convergence_trace(p, x, ts, sign)
+            assert np.max(np.abs(devs - literal)) <= 1e-12 * scale
+            assert devs[-1] == 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, corpus_by_id, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            convergence_trace(corpus_by_id["gauss_low"].profile, x, [1e-3, 0.0])
 
     def test_decreasing_times_enforced(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.signal import czt
 
 from ostrovsky_lab.corpus import observation_grid
+from ostrovsky_lab.lemmas import LemmaConfig
 from ostrovsky_lab.spectral import (
     DEFAULT_ZERO_EXCLUSION,
     MAX_PHASE_INCREMENT,
@@ -19,6 +20,7 @@ from ostrovsky_lab.spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    evolution_multipliers,
     evolve_spectral,
     hs_norm,
     lp_norm_space,
@@ -198,6 +200,29 @@ class TestPhase:
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
+
+
+class TestEvolutionMultipliers:
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_rows_equal_per_time_phase_factors_bitwise(self, corpus, sign):
+        # the table must reproduce the per-time factor bit for bit, so that
+        # every lemma deviation and scan keeps its bytes
+        cfg = LemmaConfig()
+        ts = [*cfg.high_times(), cfg.t_low, 0.1, 1.0]
+        for entry in corpus:
+            p = entry.profile
+            nz = p.amplitudes != 0.0
+            table = evolution_multipliers(p, ts, sign)
+            assert table.shape == (len(ts), p.n)
+            for t, row in zip(ts, table):
+                np.testing.assert_array_equal(
+                    row[nz], np.exp(1j * float(t) * phase(p.xi[nz], sign)))
+                assert np.all(row[~nz] == 1.0)
+
+    def test_t_zero_row_minus_one_is_exactly_zero(self, corpus):
+        for entry in corpus:
+            row = evolution_multipliers(entry.profile, [0.0], "-")[0]
+            assert not np.any(row - 1.0)
 
 
 class TestEvolve:
