@@ -9,7 +9,7 @@ Suprema over x are maxima over a finite observation grid.  For the
 upper-bound checks (square function, Bernstein) a coarse grid can only
 under-estimate the left side, never produce a false failure; for the
 deviation checks the grid spans the numerically supported region plus a
-configurable margin.
+margin.
 """
 
 from __future__ import annotations
@@ -23,20 +23,19 @@ import numpy as np
 from .corpus import CorpusEntry, default_corpus, observation_grid
 from .parallel import parallel_map
 from .spectral import (
-    SQRT_2PI,
     PropagatorConfig,
     ResolutionError,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
     _synthesize_rows,
+    _weights,
     evolution_multipliers,
     evolve_spectral,
     hs_norm,
     lp_norm_space,
     phase,
     require_resolution,
-    trapezoid_weights,
 )
 from .windows import project_low, square_function, wiener_decompose, wiener_project
 
@@ -118,8 +117,6 @@ class LemmaConfig:
     square_slack: float = 1e-6
     norm_equiv_slack: float = 1e-12
     bernstein_constant: float = 2.0
-    x_points: int = 4096
-    x_margin: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.window_epsilon <= 0:
@@ -169,8 +166,7 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
                         sign: str = "+", profile_id: str = "profile",
                         constant: float = 1e4, delta: float | None = None,
                         lemma_id: str = "L2_2",
-                        grid: SpaceGrid | None = None,
-                        x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
+                        grid: SpaceGrid | None = None) -> LemmaReport:
     """Deviation of the low-frequency part against eps + C*|t|/delta * ||p||.
 
     With ``delta=None`` the radius is the measured low-mass radius
@@ -188,7 +184,7 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
         if delta == 0.0:
             return _skip_report(lemma_id, profile_id, "no_low_mass_radius", params)
     if grid is None:
-        grid = observation_grid(p, n=x_points, margin=x_margin)
+        grid = observation_grid(p)
     lhs = float(_sup_deviations(low, [t], sign, grid)[0])
     norm = hs_norm(p, 0.0)
     rhs = epsilon + constant * abs(t) * norm / delta
@@ -218,16 +214,14 @@ def high_frequency_majorant(p: SpectralProfile, sign: str = "+") -> float:
     nz = high.amplitudes != 0.0
     if not np.any(nz):
         return 0.0
-    weights = trapezoid_weights(high.n)[nz]
-    mass = np.sum(weights * np.abs(phase(high.xi[nz], sign)) * np.abs(high.amplitudes[nz]))
-    return float(mass * high.xi_step / SQRT_2PI)
+    weights = _weights(high)[nz] * np.abs(phase(high.xi[nz], sign))
+    return float(np.sum(weights * np.abs(high.amplitudes[nz])))
 
 
 def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
                          profile_id: str = "profile",
                          slope_tolerance: float = 0.05,
-                         grid: SpaceGrid | None = None,
-                         x_points: int = 4096, x_margin: float = 0.5) -> list[LemmaReport]:
+                         grid: SpaceGrid | None = None) -> list[LemmaReport]:
     """Linear-in-t deviation of the high-frequency part.
 
     Emits two self-auditing rows: the fitted constant max_t(sup dev / t)
@@ -243,7 +237,7 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
         return [_skip_report("L2_3", profile_id, "zero_high_frequency_part")]
     require_resolution(high, PropagatorConfig(sign=sign, t=float(np.max(ts))))
     if grid is None:
-        grid = observation_grid(p, n=x_points, margin=x_margin)
+        grid = observation_grid(p)
 
     deviations = _sup_deviations(high, ts, sign, grid)
     fitted_c = float(np.max(deviations / ts))
@@ -261,8 +255,7 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
 def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
                      sign: str = "+", profile_id: str = "profile",
                      constant: float = 1e4,
-                     grid: SpaceGrid | None = None,
-                     x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
+                     grid: SpaceGrid | None = None) -> LemmaReport:
     """Deviation of one unit window piece against C*(eps + |t|/eps).
 
     Only stated for window indices |k| <= 8; larger k is out of scope and
@@ -276,7 +269,7 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
     piece = wiener_project(p, k)
     require_resolution(piece, PropagatorConfig(sign=sign, t=t))
     if grid is None:
-        grid = observation_grid(p, n=x_points, margin=x_margin)
+        grid = observation_grid(p)
     lhs = float(_sup_deviations(piece, [t], sign, grid)[0])
     scale = epsilon + abs(t) / epsilon
     l1_mass = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
@@ -287,8 +280,7 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
 def check_square_function(p: SpectralProfile, t: float | None = None, *,
                           sign: str = "+", profile_id: str = "profile",
                           slack: float = 1e-6,
-                          grid: SpaceGrid | None = None,
-                          x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
+                          grid: SpaceGrid | None = None) -> LemmaReport:
     """Grid max of the window square function against the L2 norm.
 
     ``t=None`` checks the profile itself (lemma id L2_6); a time value
@@ -297,7 +289,7 @@ def check_square_function(p: SpectralProfile, t: float | None = None, *,
     sup, so no resolution gate applies to this upper-bound check.
     """
     if grid is None:
-        grid = observation_grid(p, n=x_points, margin=x_margin)
+        grid = observation_grid(p)
     if t is None:
         evolved = p
         lemma_id, params = "L2_6", {}
@@ -331,8 +323,7 @@ def norm_equivalence_reports(p: SpectralProfile, *, profile_id: str = "profile",
 
 def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
                      constant: float = 2.0,
-                     grid: SpaceGrid | None = None,
-                     x_points: int = 4096, x_margin: float = 0.5) -> LemmaReport:
+                     grid: SpaceGrid | None = None) -> LemmaReport:
     """Largest norm ratio ||piece||_q / ||piece||_r over windows and 2<=r<q<=inf.
 
     Unit-width frequency support bounds every such ratio by an absolute
@@ -340,7 +331,7 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     calibrated cap.
     """
     if grid is None:
-        grid = observation_grid(p, n=x_points, margin=x_margin)
+        grid = observation_grid(p)
     table = wiener_decompose(p).table
     rows = table[np.any(table != 0.0, axis=1)]
     fields = _synthesize_rows(p, grid, rows) if rows.size else []
@@ -370,7 +361,7 @@ def _window_indices(p: SpectralProfile) -> list[int]:
 def _profile_reports(entry: CorpusEntry, cfg: LemmaConfig) -> list[LemmaReport]:
     p = entry.profile
     pid = entry.profile_id
-    grid = observation_grid(p, n=cfg.x_points, margin=cfg.x_margin)
+    grid = observation_grid(p)
     reports: list[LemmaReport] = []
 
     def guarded(lemma_id: str, params: dict, fn: Callable[[], list[LemmaReport]]):

@@ -215,9 +215,13 @@ def khinchine_analytic_ratio(power: float) -> float:
     |sum g_k c_k| is Rayleigh with E|S|^2 = 2 ||c||^2, so
     (E|S|^p)^(1/p) / (sqrt(p) ||c||) = sqrt(2) * Gamma(p/2 + 1)^(1/p) / sqrt(p).
     """
-    if power < 1.0:
-        raise ValueError("power must be >= 1")
-    return math.sqrt(2.0) * math.exp(math.lgamma(power / 2.0 + 1.0) / power) / math.sqrt(power)
+    if not 1.0 <= power < math.inf:
+        raise ValueError(f"power must be finite and >= 1, got {power}")
+    try:
+        log_gamma = math.lgamma(power / 2.0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"Gamma(p/2 + 1) leaves the double range for p = {power}") from None
+    return math.sqrt(2.0) * math.exp(log_gamma / power) / math.sqrt(power)
 
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%

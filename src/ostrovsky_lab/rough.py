@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    SQRT_2PI,
     PropagatorConfig,
     SpaceField,
     SpaceGrid,
@@ -26,7 +25,6 @@ from .spectral import (
     lp_norm_space,
     quadrature_row,
     require_resolution,
-    trapezoid_weights,
 )
 
 __all__ = [
@@ -46,6 +44,9 @@ TIME_SPAN = 1e-4
 
 #: Minimum number of grid cells across one dyadic band.
 MIN_BAND_CELLS = 64
+
+#: Times per coarse-scan block: bounds memory whatever n_t.
+_BLOCK = 256
 
 
 @dataclass
@@ -137,27 +138,33 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
                  n_t: int = 256, refine_around_peak: bool = True) -> MaximalScan:
     """Scan |U(t) f (x)| over the geometric time grid and keep the sup per x.
 
-    With `refine_around_peak` a second pass samples eight extra times
-    inside the bracket around each point's coarse argmax, which only ever
-    raises the sup.
+    Every field value is a point row of p (weights times amplitudes) dotted
+    with the propagator factors; the coarse pass takes the times in blocks
+    of _BLOCK and keeps each point's first largest time.  With
+    `refine_around_peak` a second pass samples eight extra times inside the
+    bracket around each point's coarse argmax, which only ever raises the sup.
     """
     require_resolution(p, PropagatorConfig(sign, t_max))
     ts = maximal_time_grid(t_max, n_t)
-    coeff = trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI)
-    basis = np.exp(1j * np.outer(grid.points, p.xi))  # (n_x, n_xi)
-    fields = (evolution_multipliers(p, ts, sign) * coeff) @ basis.T  # (n_t, n_x)
-    magnitudes = np.abs(fields)
-    sup = magnitudes.max(axis=0)
+    rows = quadrature_row(p, grid.points) * p.amplitudes  # (n_x, n_xi)
+    sup = np.full(grid.n, -np.inf)
+    peak = np.zeros(grid.n, dtype=np.intp)
+    for lo in range(0, n_t, _BLOCK):
+        magnitudes = np.abs(evolution_multipliers(p, ts[lo:lo + _BLOCK], sign) @ rows.T)
+        best = magnitudes.argmax(axis=0)
+        top = magnitudes[best, np.arange(grid.n)]
+        larger = top > sup  # strict, so an earlier block keeps a tie
+        sup = np.where(larger, top, sup)
+        peak = np.where(larger, lo + best, peak)
 
     if refine_around_peak and n_t > 1:
-        peak = magnitudes.argmax(axis=0)
         t_lo = ts[np.maximum(peak - 1, 0)]
         t_hi = ts[np.minimum(peak + 1, n_t - 1)]
         for j in range(8):
             # bracket around each point's own argmax: a per-x time, so only
-            # the row-wise product with that point's basis row is needed
+            # the row-wise product with that point's row is needed
             tj = t_lo * (t_hi / t_lo) ** ((j + 1) / 9.0)
-            refined = np.einsum("xj,xj->x", evolution_multipliers(p, tj, sign) * coeff, basis)
+            refined = np.einsum("xj,xj->x", evolution_multipliers(p, tj, sign), rows)
             sup = np.maximum(sup, np.abs(refined))
     return MaximalScan(grid.x_min, grid.x_step, sup, n_t, t_max)
 

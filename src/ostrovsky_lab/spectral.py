@@ -270,16 +270,26 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def quadrature_row(p: SpectralProfile, x: float) -> np.ndarray:
-    """Trapezoid synthesis weights at one point: u(x) = quadrature_row(p, x) @ amps.
+def _weights(p: SpectralProfile) -> np.ndarray:
+    """Trapezoid synthesis weights w_j * xi_step / sqrt(2*pi) on p's grid."""
+    return trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI)
 
-    Raises ValueError when a weight is not finite: x not finite, or x * xi overflowing.
+
+def quadrature_row(p: SpectralProfile, x) -> np.ndarray:
+    """Synthesis weights at points: u(x) = quadrature_row(p, x) @ amps.
+
+    An array of points gives one row per point, shape x.shape + (p.n,).
+    Raises ValueError unless |x| * max|xi| <= 2**52: beyond that, adjacent
+    doubles of the phase x * xi lie a radian or more apart (and a
+    non-finite x has no phase at all).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
-    if not np.all(np.isfinite(row)):
-        raise ValueError(f"x = {x} gives non-finite synthesis weights")
-    return row
+    x = np.asarray(x, dtype=np.float64)
+    xi = p.xi
+    x_reach = float(np.max(np.abs(x)))
+    if not x_reach * max(abs(xi[0]), abs(xi[-1])) <= 2.0**52:
+        raise ValueError(f"|x| up to {x_reach} gives non-finite or unresolved synthesis "
+                         "phases; need |x| * max|xi| <= 2**52")
+    return np.exp(1j * np.multiply.outer(x, xi)) * _weights(p)
 
 
 def _fft_length(n: int) -> int:
@@ -337,8 +347,7 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     m = np.arange(n_x, dtype=np.int64)
     k = np.arange(max(n_x, n_xi), dtype=np.int64)
 
-    pre = trapezoid_weights(n_xi) * (p.xi_step / SQRT_2PI) * _exact_phases(
-        [(x0 * h, j), (half_a, j * j)])
+    pre = _weights(p) * _exact_phases([(x0 * h, j), (half_a, j * j)])
     post = _exact_phases([(x0 * xi0, np.ones(1, dtype=np.int64)),
                           (dx * xi0, m), (half_a, m * m)])
     chirp = np.conj(_exact_phases([(half_a, k * k)]))

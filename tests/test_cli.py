@@ -350,19 +350,25 @@ class TestMainVerifyLemmas:
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("argv,flag", [
+    @pytest.mark.parametrize("argv,message", [
         (["stochastic-continuity", "--alpha", "0.02", "--t", "0.1,0", "--n", "16",
-          "--x", "nan"], "--x"),
-        (["trace", "--x", "inf", "--t", "1e-3,0"], "--x"),
-        (["khinchine", "--p", "2", "--n", "16", "--coeffs", "nan"], "--coeffs"),
-        (["khinchine", "--p", "inf", "--n", "16"], "--p"),
-    ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf"])
-    def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, flag):
+          "--x", "nan"], "--x: must be finite"),
+        (["trace", "--x", "inf", "--t", "1e-3,0"], "--x: must be finite"),
+        (["khinchine", "--p", "2", "--n", "16", "--coeffs", "nan"], "--coeffs: must be finite"),
+        (["khinchine", "--p", "inf", "--n", "16"], "--p: must be finite"),
+        # finite, but the phase x * xi keeps no correct digits
+        (["stochastic-continuity", "--alpha", "0.02", "--t", "0.1,0", "--n", "16",
+          "--x", "1e300"], "|x| up to 1e+300 gives non-finite or unresolved"),
+        (["trace", "--x", "1e300", "--t", "1e-3,0"],
+         "|x| up to 1e+300 gives non-finite or unresolved"),
+    ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
+            "continuity-x-1e300", "trace-x-1e300"])
+    def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
         if argv[0] != "khinchine":
             argv = argv + ["--profile", str(gauss_low_csv)]
         out = tmp_path / "o.csv"
         assert main(argv + ["--out", str(out)]) == 1
-        assert f"{flag}: must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 

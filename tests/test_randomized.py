@@ -254,8 +254,9 @@ class TestAnalyticRatio:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            khinchine_analytic_ratio(0.9)
+        for power in (0.9, 1e306, math.inf):
+            with pytest.raises(ValueError):
+                khinchine_analytic_ratio(power)
 
 
 class TestWilsonInterval:

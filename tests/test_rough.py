@@ -27,6 +27,7 @@ from ostrovsky_lab.spectral import (
     hs_norm,
     phase,
     quadrature_row,
+    trapezoid_weights,
 )
 
 
@@ -124,7 +125,46 @@ def scan_setup():
     return spec, p, grid
 
 
+def _literal_scan(p, sign, t_max, grid, n_t, refine):
+    # one dense exp(i x xi) sum per time, then eight bracket times per point
+    nz = p.amplitudes != 0.0
+    phi = phase(p.xi[nz], sign)
+    coeff = (trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI))[nz]
+    basis = np.exp(1j * np.outer(grid.points, p.xi[nz]))
+    ts = maximal_time_grid(t_max, n_t)
+    magnitudes = np.array([np.abs(basis @ (coeff * np.exp(1j * t * phi))) for t in ts])
+    sup = magnitudes.max(axis=0)
+    if refine and n_t > 1:
+        peak = magnitudes.argmax(axis=0)
+        for m in range(grid.n):
+            t_lo, t_hi = ts[max(peak[m] - 1, 0)], ts[min(peak[m] + 1, n_t - 1)]
+            for j in range(1, 9):
+                tj = t_lo * (t_hi / t_lo) ** (j / 9.0)
+                sup[m] = max(sup[m], abs(basis[m] @ (coeff * np.exp(1j * tj * phi))))
+    return sup
+
+
+@pytest.fixture(scope="module")
+def family_k5():
+    spec = CounterexampleSpec(5, 0.1)
+    p = counterexample_profile(spec, 2.0**5 / 64)
+    return spec, p, SpaceGrid.spanning(-spec.x_window, spec.x_window, 65)
+
+
 class TestMaximalScan:
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("setup", ["scan_setup", "family_k5"])
+    def test_matches_literal_per_time_scan(self, request, setup, sign, refine):
+        # 600 times cross two coarse-block boundaries; over 40 times the
+        # family's window most points peak inside it, so refining raises
+        # their sup (by ~3.5e-5 relative) and a wrong argmax would show
+        spec, p, grid = request.getfixturevalue(setup)
+        t_max = 40.0 * spec.t_max
+        scan = maximal_scan(p, sign, t_max, grid, n_t=600, refine_around_peak=refine)
+        literal = _literal_scan(p, sign, t_max, grid, 600, refine)
+        assert np.max(np.abs(scan.sup_values - literal)) <= 1e-13 * np.max(literal)
+
     def test_resolution_gate(self, scan_setup):
         spec, p, grid = scan_setup
         with pytest.raises(ResolutionError):

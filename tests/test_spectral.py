@@ -415,6 +415,15 @@ class TestChirpSynthesis:
         expected = (2.0 - 1.0j) * 0.5 / SQRT_2PI * np.exp(1j * 1.25 * 0.75)
         assert abs(u.values[0] - expected) <= 4 * EPS * abs(expected)
 
+    def test_quadrature_row_over_points_stacks_scalar_calls_bitwise(self, corpus):
+        for entry in corpus:
+            p = entry.profile
+            xs = observation_grid(p, n=33).points
+            rows = quadrature_row(p, xs)
+            single = np.stack([quadrature_row(p, x) for x in xs])
+            assert rows.shape == (33, p.n)
+            assert np.array_equal(rows.view(np.uint64), single.view(np.uint64))
+
     def test_quadrature_row_matches_synthesis(self, corpus_by_id):
         p = corpus_by_id["chirped_mid"].profile
         grid = SpaceGrid(-0.375, 0.25, 8)  # exact nodes
