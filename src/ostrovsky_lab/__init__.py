@@ -19,7 +19,6 @@ from .corpus import (
     profile_from_function,
 )
 from .lemmas import (
-    LemmaConfig,
     LemmaReport,
     check_high_frequency,
     check_low_frequency,

@@ -11,19 +11,19 @@ its inequality, 1 for usage or runtime errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
 from .corpus import CorpusEntry, default_corpus, observation_grid
-from .fileio import format_float, read_profile, write_field, write_reports
-from .lemmas import LemmaConfig, run_corpus
+from .fileio import format_float, read_profile, write_field, write_reports, write_table
+from .lemmas import run_corpus
 from .parallel import parallel_map, resolve_threads
 from .randomized import khinchine_analytic_ratio, khinchine_check, stochastic_continuity
 from .rough import CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit
@@ -254,13 +254,6 @@ def _validate(subcommand: str, params: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = csv.writer(handle, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
-
-
 def _run_propagate(params: dict) -> tuple[dict, int]:
     p = read_profile(params["profile"])
     cfg = PropagatorConfig(sign=params["sign"], t=params["t"])
@@ -285,28 +278,26 @@ def _run_counterexample(params: dict) -> tuple[dict, int]:
         return counterexample_ratio(spec, n_t=params["nt"], sign=params["sign"])
 
     ratios = parallel_map(ratio_at, ks, threads)
-    rows = [[str(k), format_float(r), format_float(math.log2(r))]
-            for k, r in zip(ks, ratios)]
-    _write_rows(params["out"], ["k", "Rk", "log2Rk"], rows)
+    write_table(params["out"], ["k", "Rk", "log2Rk"],
+                ([str(k), format_float(r), format_float(math.log2(r))]
+                 for k, r in zip(ks, ratios)))
     block: dict = {"fit": None}
     if len(ks) >= 3:
         fit = scaling_fit(list(zip(ks, ratios)))
-        block["fit"] = {"slope": fit.slope, "residual": fit.residual,
-                        "expected_slope": 0.25 - params["s"]}
+        block["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
+                        "residual": fit.residual, "expected_slope": 0.25 - params["s"]}
     return block, 0
 
 
 def _run_khinchine(params: dict) -> tuple[dict, int]:
-    rows = []
     results = []
     for power in params["p"]:
         res = khinchine_check(params["coeffs"], power, params["n"], params["seed"])
-        analytic = khinchine_analytic_ratio(power)
-        rows.append([format_float(power), format_float(res.ratio),
-                     format_float(res.ratio_stderr), format_float(analytic)])
         results.append({"p": power, "ratio": res.ratio, "stderr": res.ratio_stderr,
-                        "analytic": analytic})
-    _write_rows(params["out"], ["p", "ratio", "stderr", "analytic"], rows)
+                        "analytic": khinchine_analytic_ratio(power)})
+    header = ["p", "ratio", "stderr", "analytic"]
+    write_table(params["out"], header,
+                ([format_float(result[key]) for key in header] for result in results))
     return {"results": results}, 0
 
 
@@ -314,10 +305,9 @@ def _run_stochastic_continuity(params: dict) -> tuple[dict, int]:
     p = read_profile(params["profile"])
     curve = stochastic_continuity(p, params["x"], params["alpha"], params["t"],
                                   params["n"], params["seed"], params["sign"])
-    rows = [[format_float(t), format_float(prob), format_float(lo), format_float(hi)]
-            for t, prob, lo, hi in zip(curve.t_values, curve.empirical_probs,
-                                       curve.wilson_lo, curve.wilson_hi)]
-    _write_rows(params["out"], ["t", "prob", "wilson_lo", "wilson_hi"], rows)
+    columns = (curve.t_values, curve.empirical_probs, curve.wilson_lo, curve.wilson_hi)
+    write_table(params["out"], ["t", "prob", "wilson_lo", "wilson_hi"],
+                ([format_float(value) for value in row] for row in zip(*columns)))
     block = {"fit": {"alpha": params["alpha"], "x": params["x"],
                      "n_samples": params["n"],
                      "l2_norm": hs_norm(p, 0.0),
@@ -336,22 +326,31 @@ def _run_verify_lemmas(params: dict) -> tuple[dict, int]:
     entries = (_load_corpus_dir(params["corpus"]) if params["corpus"] is not None
                else default_corpus())
     threads = resolve_threads(params["threads"])
-    reports = run_corpus(entries, LemmaConfig(sign=params["sign"]),
-                         only=params["only"], threads=threads)
+    reports = run_corpus(entries, params["sign"], only=params["only"], threads=threads)
     write_reports(reports, params["out"])
     failed = sum(1 for r in reports if not r.passed)
-    skipped = sum(1 for r in reports if "skip" in r.params)
-    block = {"summary": {"reports": len(reports), "passed": len(reports) - failed,
-                         "failed": failed, "skipped": skipped}}
+    skipped_by_reason = Counter(r.params["skip"] for r in reports if "skip" in r.params)
+    worst: dict = {}
+    for r in reports:
+        best = worst.get(r.lemma_id)
+        # strict, so the first of equal constants in report order is kept
+        if "skip" not in r.params and (best is None or r.fitted_c > best.fitted_c):
+            worst[r.lemma_id] = r
+    block = {"summary": {
+        "reports": len(reports), "passed": len(reports) - failed, "failed": failed,
+        "skipped": sum(skipped_by_reason.values()),
+        "skipped_by_reason": dict(skipped_by_reason),
+        "worst_fitted_c": {lemma_id: {"fitted_c": r.fitted_c, "profile_id": r.profile_id}
+                           for lemma_id, r in worst.items()},
+    }}
     return block, (2 if failed else 0)
 
 
 def _run_trace(params: dict) -> tuple[dict, int]:
     p = read_profile(params["profile"])
     deviations = convergence_trace(p, params["x"], params["t"], params["sign"])
-    rows = [[format_float(t), format_float(d)]
-            for t, d in zip(params["t"], deviations)]
-    _write_rows(params["out"], ["t", "deviation"], rows)
+    write_table(params["out"], ["t", "deviation"],
+                ([format_float(t), format_float(d)] for t, d in zip(params["t"], deviations)))
     return {"final_deviation": float(deviations[-1])}, 0
 
 

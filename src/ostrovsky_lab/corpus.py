@@ -181,23 +181,33 @@ def parseval_grid(p: SpectralProfile) -> SpaceGrid:
     return SpaceGrid(-0.5 * period, period / segments, segments + 1)
 
 
-def observation_grid(p: SpectralProfile, n: int = 4096, margin: float = 0.5,
-                     probe_points: int = 512, floor: float = 1e-6) -> SpaceGrid:
+#: Points of the coarse probe over one alias period.
+PROBE_POINTS = 512
+
+#: Fraction of the probe's peak |u| that counts as supported.
+SUPPORT_FLOOR = 1e-6
+
+#: Widening of the supported window on each side, relative to its width.
+SUPPORT_MARGIN = 0.5
+
+
+def observation_grid(p: SpectralProfile, n: int = 4096) -> SpaceGrid:
     """Grid over the numerically supported region of the field, plus margin.
 
-    A coarse probe over one alias period locates where |u| exceeds `floor`
-    times its peak; that window is widened by `margin` on each side.
+    A coarse probe over one alias period locates where |u| exceeds
+    SUPPORT_FLOOR times its peak; that window is widened by SUPPORT_MARGIN
+    of its width on each side.
     """
     period = 2.0 * math.pi / p.xi_step
-    probe = synthesize(p, SpaceGrid.spanning(-0.5 * period, 0.5 * period, probe_points))
+    probe = synthesize(p, SpaceGrid.spanning(-0.5 * period, 0.5 * period, PROBE_POINTS))
     mag = np.abs(probe.values)
     peak = mag.max()
     if peak == 0.0:
         return SpaceGrid.spanning(-1.0, 1.0, n)
-    idx = np.nonzero(mag >= floor * peak)[0]
+    idx = np.nonzero(mag >= SUPPORT_FLOOR * peak)[0]
     x = probe.x
     lo, hi = x[idx[0]], x[idx[-1]]
     width = max(hi - lo, probe.x_step)
-    lo = max(lo - margin * width, x[0])
-    hi = min(hi + margin * width, x[-1])
+    lo = max(lo - SUPPORT_MARGIN * width, x[0])
+    hi = min(hi + SUPPORT_MARGIN * width, x[-1])
     return SpaceGrid.spanning(lo, hi, n)

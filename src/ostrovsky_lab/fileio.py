@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,22 +31,18 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of formatted cells, streaming the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def write_profile(p: SpectralProfile, path) -> None:
-    xi = p.xi
-    with _open_out(path) as handle:
-        out = _writer(handle)
-        out.writerow(PROFILE_HEADER)
-        for j in range(p.n):
-            a = p.amplitudes[j]
-            out.writerow([format_float(xi[j]), format_float(a.real), format_float(a.imag)])
+    write_table(path, PROFILE_HEADER,
+                ([format_float(xi), format_float(a.real), format_float(a.imag)]
+                 for xi, a in zip(p.xi, p.amplitudes)))
 
 
 def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
@@ -92,14 +88,9 @@ def read_profile(path) -> SpectralProfile:
 
 
 def write_field(u: SpaceField, path) -> None:
-    x = u.x
-    with _open_out(path) as handle:
-        out = _writer(handle)
-        out.writerow(FIELD_HEADER)
-        for j in range(u.n):
-            v = u.values[j]
-            out.writerow([format_float(x[j]), format_float(v.real),
-                          format_float(v.imag), format_float(abs(v))])
+    write_table(path, FIELD_HEADER,
+                ([format_float(x), format_float(v.real), format_float(v.imag),
+                  format_float(abs(v))] for x, v in zip(u.x, u.values)))
 
 
 def read_field(path) -> SpaceField:
@@ -153,19 +144,15 @@ def text_to_params(text: str) -> dict:
 
 
 def write_reports(reports: Sequence[LemmaReport], path) -> None:
-    with _open_out(path) as handle:
-        out = _writer(handle)
-        out.writerow(REPORT_HEADER)
-        for r in reports:
-            out.writerow([
-                r.lemma_id,
-                r.profile_id,
-                params_to_text(r.params),
-                format_float(r.measured_lhs),
-                format_float(r.bound_rhs),
-                format_float(r.fitted_c),
-                "true" if r.passed else "false",
-            ])
+    write_table(path, REPORT_HEADER, ([
+        r.lemma_id,
+        r.profile_id,
+        params_to_text(r.params),
+        format_float(r.measured_lhs),
+        format_float(r.bound_rhs),
+        format_float(r.fitted_c),
+        "true" if r.passed else "false",
+    ] for r in reports))
 
 
 def read_reports(path) -> list[LemmaReport]:

@@ -57,6 +57,18 @@ SPLIT_SCALE = 8.0
 # The Wiener-window deviation estimate is stated only for |k| <= 8.
 MAX_WINDOW_INDEX = 8
 
+# Harness calibration of the corpus run.
+EPSILON = 1e-2            # low-frequency mass budget
+T_LOW = 1e-3              # evaluation time for the low/window checks
+WINDOW_EPSILON = 1e-1     # epsilon in the eps + t/eps window bound
+HIGH_TIMES = tuple(float(t) for t in np.geomspace(1e-6, 1e-3, 7))  # linearity sweep
+SQUARE_TIMES = (0.1, 1.0)
+CORPUS_CONSTANT = 1e4     # calibrated cap for fitted deviation constants
+SLOPE_TOLERANCE = 0.05
+SQUARE_SLACK = 1e-6
+NORM_EQUIV_SLACK = 1e-12
+BERNSTEIN_CONSTANT = 2.0
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -100,36 +112,6 @@ def _skip_report(lemma_id: str, profile_id: str, reason: str, params: dict | Non
     return _report(lemma_id, profile_id, merged, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class LemmaConfig:
-    """Harness calibration for the corpus run (all overridable)."""
-
-    sign: str = "+"
-    epsilon: float = 1e-2          # low-frequency mass budget
-    t_low: float = 1e-3            # evaluation time for the low/window checks
-    window_epsilon: float = 1e-1   # epsilon in the eps + t/eps window bound
-    t_high_min: float = 1e-6       # smallest time of the linearity sweep
-    t_high_max: float = 1e-3       # largest time of the linearity sweep
-    n_t_high: int = 7
-    square_times: tuple = (0.1, 1.0)
-    corpus_constant: float = 1e4   # calibrated cap for fitted deviation constants
-    slope_tolerance: float = 0.05
-    square_slack: float = 1e-6
-    norm_equiv_slack: float = 1e-12
-    bernstein_constant: float = 2.0
-
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.window_epsilon <= 0:
-            raise ValueError("epsilon parameters must be positive")
-        if not 0 < self.t_high_min < self.t_high_max:
-            raise ValueError("high-frequency time sweep must satisfy 0 < t_min < t_max")
-        if self.n_t_high < 3:
-            raise ValueError("need at least 3 sweep times for a slope fit")
-
-    def high_times(self) -> np.ndarray:
-        return np.geomspace(self.t_high_min, self.t_high_max, self.n_t_high)
-
-
 def _sup_deviations(p: SpectralProfile, ts, sign: str, grid: SpaceGrid) -> np.ndarray:
     """max over `grid` of |U(t)p - p| per time, from one batched synthesis of (U(t)-I)p."""
     rows = p.amplitudes * (evolution_multipliers(p, ts, sign) - 1.0)
@@ -164,18 +146,18 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
 
 def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
                         sign: str = "+", profile_id: str = "profile",
-                        constant: float = 1e4, delta: float | None = None,
-                        lemma_id: str = "L2_2",
+                        delta: float | None = None,
                         grid: SpaceGrid | None = None) -> LemmaReport:
     """Deviation of the low-frequency part against eps + C*|t|/delta * ||p||.
 
     With ``delta=None`` the radius is the measured low-mass radius
     (lemma id L2_2); passing ``delta=epsilon`` gives the uniform variant
     (lemma id L2_4).  The fitted constant is the smallest C making the
-    bound hold; the verdict compares against the calibrated ``constant``.
+    bound hold; the verdict compares against CORPUS_CONSTANT.
     A measured radius of 0 (the fallback for a profile whose zero-exclusion
     radius is 0) leaves the bound undefined and yields a skip row.
     """
+    lemma_id = "L2_2" if delta is None else "L2_4"
     low = project_low(p, SPLIT_SCALE)
     require_resolution(low, PropagatorConfig(sign=sign, t=t))
     params = {"epsilon": epsilon, "t": t}
@@ -187,7 +169,7 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
         grid = observation_grid(p)
     lhs = float(_sup_deviations(low, [t], sign, grid)[0])
     norm = hs_norm(p, 0.0)
-    rhs = epsilon + constant * abs(t) * norm / delta
+    rhs = epsilon + CORPUS_CONSTANT * abs(t) * norm / delta
     scale = abs(t) * norm / delta
     fitted = max(0.0, lhs - epsilon) / scale if scale > 0 else 0.0
     return _report(lemma_id, profile_id, {**params, "delta": delta}, lhs, rhs, fitted)
@@ -220,13 +202,12 @@ def high_frequency_majorant(p: SpectralProfile, sign: str = "+") -> float:
 
 def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
                          profile_id: str = "profile",
-                         slope_tolerance: float = 0.05,
                          grid: SpaceGrid | None = None) -> list[LemmaReport]:
     """Linear-in-t deviation of the high-frequency part.
 
     Emits two self-auditing rows: the fitted constant max_t(sup dev / t)
     against the phase-weighted l1 majorant, and the log-log slope of the
-    deviation curve against 1 within ``slope_tolerance``.  A profile with
+    deviation curve against 1 within SLOPE_TOLERANCE.  A profile with
     no high-frequency content yields a single skip row.
     """
     ts = np.asarray(t_values, dtype=np.float64)
@@ -248,15 +229,14 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     constant_row = _report("L2_3", profile_id, {"check": "constant", **shared},
                            fitted_c, majorant, fitted_c)
     slope_row = _report("L2_3", profile_id, {"check": "slope", **shared},
-                        abs(slope - 1.0), slope_tolerance, slope)
+                        abs(slope - 1.0), SLOPE_TOLERANCE, slope)
     return [constant_row, slope_row]
 
 
 def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
                      sign: str = "+", profile_id: str = "profile",
-                     constant: float = 1e4,
                      grid: SpaceGrid | None = None) -> LemmaReport:
-    """Deviation of one unit window piece against C*(eps + |t|/eps).
+    """Deviation of one unit window piece against CORPUS_CONSTANT*(eps + |t|/eps).
 
     Only stated for window indices |k| <= 8; larger k is out of scope and
     rejected.  The grid l1 mass of the amplitudes rides along in params
@@ -274,12 +254,11 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
     scale = epsilon + abs(t) / epsilon
     l1_mass = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
     params = {"epsilon": epsilon, "t": t, "k": k, "l1_mass": l1_mass}
-    return _report("L2_5", profile_id, params, lhs, constant * scale, lhs / scale)
+    return _report("L2_5", profile_id, params, lhs, CORPUS_CONSTANT * scale, lhs / scale)
 
 
 def check_square_function(p: SpectralProfile, t: float | None = None, *,
                           sign: str = "+", profile_id: str = "profile",
-                          slack: float = 1e-6,
                           grid: SpaceGrid | None = None) -> LemmaReport:
     """Grid max of the window square function against the L2 norm.
 
@@ -300,35 +279,34 @@ def check_square_function(p: SpectralProfile, t: float | None = None, *,
     lhs = float(np.max(values.values.real))
     norm = hs_norm(p, 0.0)
     fitted = lhs / norm if norm > 0 else 0.0
-    return _report(lemma_id, profile_id, params, lhs, norm * (1.0 + slack), fitted)
+    return _report(lemma_id, profile_id, params, lhs, norm * (1.0 + SQUARE_SLACK), fitted)
 
 
-def norm_equivalence_reports(p: SpectralProfile, *, profile_id: str = "profile",
-                             slack: float = 1e-12) -> list[LemmaReport]:
+def norm_equivalence_reports(p: SpectralProfile, *,
+                             profile_id: str = "profile") -> list[LemmaReport]:
     """Two-sided comparison of the window piece norms with the full norm.
 
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
-    ||p||^2 <= 3 * sum.  Both inflated by ``slack`` to absorb rounding.
+    ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
     """
     pieces = wiener_decompose(p)
     piece_sum = float(sum(hs_norm(piece, 0.0) ** 2 for piece in pieces.pieces))
     total = hs_norm(p, 0.0) ** 2
     ratio = piece_sum / total if total > 0 else 1.0
     upper = _report("NORM_EQUIV", profile_id, {"side": "upper", "ratio": ratio},
-                    piece_sum, total * (1.0 + slack), ratio)
+                    piece_sum, total * (1.0 + NORM_EQUIV_SLACK), ratio)
     lower = _report("NORM_EQUIV", profile_id, {"side": "lower", "ratio": ratio},
-                    total, 3.0 * piece_sum * (1.0 + slack), ratio)
+                    total, 3.0 * piece_sum * (1.0 + NORM_EQUIV_SLACK), ratio)
     return [lower, upper]
 
 
 def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
-                     constant: float = 2.0,
                      grid: SpaceGrid | None = None) -> LemmaReport:
     """Largest norm ratio ||piece||_q / ||piece||_r over windows and 2<=r<q<=inf.
 
     Unit-width frequency support bounds every such ratio by an absolute
-    constant; the empirical corpus maximum is recorded and compared to the
-    calibrated cap.
+    constant; the empirical corpus maximum is recorded and compared to
+    BERNSTEIN_CONSTANT.
     """
     if grid is None:
         grid = observation_grid(p)
@@ -348,7 +326,7 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
                 worst = max(worst, norms[high_p] / norms[low_p])
     if measured == 0:
         return _skip_report("BERNSTEIN", profile_id, "zero_profile")
-    return _report("BERNSTEIN", profile_id, {"pieces": measured}, worst, constant, worst)
+    return _report("BERNSTEIN", profile_id, {"pieces": measured}, worst, BERNSTEIN_CONSTANT, worst)
 
 
 def _window_indices(p: SpectralProfile) -> list[int]:
@@ -358,7 +336,7 @@ def _window_indices(p: SpectralProfile) -> list[int]:
             if abs(k) <= MAX_WINDOW_INDEX and np.any(row != 0.0)]
 
 
-def _profile_reports(entry: CorpusEntry, cfg: LemmaConfig) -> list[LemmaReport]:
+def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:
     p = entry.profile
     pid = entry.profile_id
     grid = observation_grid(p)
@@ -370,33 +348,25 @@ def _profile_reports(entry: CorpusEntry, cfg: LemmaConfig) -> list[LemmaReport]:
         except ResolutionError:
             reports.append(_skip_report(lemma_id, pid, "resolution_refused", params))
 
-    guarded("L2_2", {"t": cfg.t_low}, lambda: [check_low_frequency(
-        p, cfg.t_low, cfg.epsilon, sign=cfg.sign, profile_id=pid,
-        constant=cfg.corpus_constant, grid=grid)])
+    guarded("L2_2", {"t": T_LOW}, lambda: [check_low_frequency(
+        p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)])
     guarded("L2_3", {}, lambda: check_high_frequency(
-        p, cfg.high_times(), sign=cfg.sign, profile_id=pid,
-        slope_tolerance=cfg.slope_tolerance, grid=grid))
-    guarded("L2_4", {"t": cfg.t_low}, lambda: [check_low_frequency(
-        p, cfg.t_low, cfg.epsilon, sign=cfg.sign, profile_id=pid,
-        constant=cfg.corpus_constant, delta=cfg.epsilon, lemma_id="L2_4", grid=grid)])
+        p, HIGH_TIMES, sign=sign, profile_id=pid, grid=grid))
+    guarded("L2_4", {"t": T_LOW}, lambda: [check_low_frequency(
+        p, T_LOW, EPSILON, sign=sign, profile_id=pid, delta=EPSILON, grid=grid)])
     for k in _window_indices(p):
-        guarded("L2_5", {"k": k, "t": cfg.t_low}, lambda k=k: [check_wiener_low(
-            p, cfg.t_low, cfg.window_epsilon, k, sign=cfg.sign, profile_id=pid,
-            constant=cfg.corpus_constant, grid=grid)])
-    reports.append(check_square_function(
-        p, None, sign=cfg.sign, profile_id=pid, slack=cfg.square_slack, grid=grid))
-    for t in cfg.square_times:
-        reports.append(check_square_function(
-            p, float(t), sign=cfg.sign, profile_id=pid, slack=cfg.square_slack,
-            grid=grid))
-    reports.extend(norm_equivalence_reports(p, profile_id=pid, slack=cfg.norm_equiv_slack))
-    reports.append(bernstein_report(
-        p, profile_id=pid, constant=cfg.bernstein_constant, grid=grid))
+        guarded("L2_5", {"k": k, "t": T_LOW}, lambda k=k: [check_wiener_low(
+            p, T_LOW, WINDOW_EPSILON, k, sign=sign, profile_id=pid, grid=grid)])
+    reports.append(check_square_function(p, None, sign=sign, profile_id=pid, grid=grid))
+    for t in SQUARE_TIMES:
+        reports.append(check_square_function(p, t, sign=sign, profile_id=pid, grid=grid))
+    reports.extend(norm_equivalence_reports(p, profile_id=pid))
+    reports.append(bernstein_report(p, profile_id=pid, grid=grid))
     return reports
 
 
 def run_corpus(entries: Sequence[CorpusEntry] | None = None,
-               config: LemmaConfig | None = None,
+               sign: str = "+",
                only: Iterable[str] | None = None,
                threads: int = 1) -> list[LemmaReport]:
     """Run every applicable check on every profile, in stable order.
@@ -407,7 +377,6 @@ def run_corpus(entries: Sequence[CorpusEntry] | None = None,
     """
     if entries is None:
         entries = default_corpus()
-    cfg = config if config is not None else LemmaConfig()
     wanted: set[str] | None = None
     if only is not None:
         wanted = set(only)
@@ -415,7 +384,7 @@ def run_corpus(entries: Sequence[CorpusEntry] | None = None,
         if unknown:
             raise ValueError(f"unknown lemma ids: {sorted(unknown)}")
 
-    per_profile = parallel_map(lambda e: _profile_reports(e, cfg), entries, threads)
+    per_profile = parallel_map(lambda e: _profile_reports(e, sign), entries, threads)
     reports = [r for group in per_profile for r in group]
     if wanted is not None:
         reports = [r for r in reports if r.lemma_id in wanted]

@@ -227,13 +227,14 @@ def khinchine_analytic_ratio(power: float) -> float:
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float, float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float, float]:
     """Wilson score interval: (lo, hi, halfwidth).  Halfwidth is always > 0."""
     if n < 1:
         raise ValueError("need n >= 1 trials")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     phat = successes / n
+    z = _WILSON_Z
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n)) / denom
@@ -301,8 +302,8 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
 _C1 = math.e**2
 
 
-def tail_bound_curve(alpha: float, epsilon: float, c_fit: float, c1: float = _C1) -> float:
-    """Gaussian-type tail majorant 3*c1*exp(-(alpha / (2*c_fit*e*epsilon))**2)."""
+def tail_bound_curve(alpha: float, epsilon: float, c_fit: float) -> float:
+    """Gaussian-type tail majorant 3*c1*exp(-(alpha / (2*c_fit*e*epsilon))**2), c1 = e^2."""
     if alpha < 0.0 or epsilon <= 0.0 or c_fit <= 0.0:
         raise ValueError("need alpha >= 0, epsilon > 0, c_fit > 0")
-    return 3.0 * c1 * math.exp(-((alpha / (2.0 * c_fit * math.e * epsilon)) ** 2))
+    return 3.0 * _C1 * math.exp(-((alpha / (2.0 * c_fit * math.e * epsilon)) ** 2))

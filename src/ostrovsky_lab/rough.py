@@ -45,6 +45,12 @@ TIME_SPAN = 1e-4
 #: Minimum number of grid cells across one dyadic band.
 MIN_BAND_CELLS = 64
 
+#: Grid cells across each dyadic band in counterexample_ratio.
+BAND_CELLS = 256
+
+#: Points of the spatial grid on |x| <= 2^-k in counterexample_ratio.
+WINDOW_POINTS = 257
+
 #: Times per coarse-scan block: bounds memory whatever n_t.
 _BLOCK = 256
 
@@ -61,6 +67,14 @@ class CounterexampleSpec:
             raise ValueError("band index k must be >= 1")
         if not math.isfinite(self.s):
             raise ValueError("s must be finite")
+        try:
+            in_range = all(0.0 < v < math.inf
+                           for v in (*self.band, self.amplitude, self.t_max))
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"k = {self.k}, s = {self.s!r}: band, amplitude or time "
+                             "window leaves the positive double range")
 
     @property
     def band(self) -> tuple[float, float]:
@@ -100,8 +114,8 @@ def counterexample_profile(spec: CounterexampleSpec, xi_step: float) -> Spectral
     return SpectralProfile(-hi, xi_step, amps)
 
 
-def maximal_time_grid(t_max: float, n_t: int, span: float = TIME_SPAN) -> np.ndarray:
-    """Geometric times over [t_max * span, t_max], largest last.
+def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
+    """Geometric times over [t_max * TIME_SPAN, t_max], largest last.
 
     Refining n_t -> 2*n_t - 1 keeps every existing node, so sup scans over
     refined grids are monotone.
@@ -113,7 +127,7 @@ def maximal_time_grid(t_max: float, n_t: int, span: float = TIME_SPAN) -> np.nda
     if n_t == 1:
         return np.array([t_max])
     exponents = 1.0 - np.arange(n_t) / (n_t - 1)
-    return t_max * span**exponents
+    return t_max * TIME_SPAN**exponents
 
 
 @dataclass
@@ -169,15 +183,23 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     return MaximalScan(grid.x_min, grid.x_step, sup, n_t, t_max)
 
 
-def counterexample_ratio(spec: CounterexampleSpec, band_cells: int = 256,
-                         n_x: int = 257, n_t: int = 256, sign: str = "+") -> float:
-    """R_k: L4 norm of the maximal scan on |x| <= 2^-k over the H^s norm."""
-    xi_step = 2.0**spec.k / band_cells
+def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256, sign: str = "+") -> float:
+    """R_k: L4 norm of the maximal scan on |x| <= 2^-k over the H^s norm.
+
+    Raises ValueError when either norm leaves the double range, so that
+    R_k is never 0, inf or nan.
+    """
+    xi_step = 2.0**spec.k / BAND_CELLS
     p = counterexample_profile(spec, xi_step)
     w = spec.x_window
-    grid = SpaceGrid.spanning(-w, w, n_x)
+    grid = SpaceGrid.spanning(-w, w, WINDOW_POINTS)
     scan = maximal_scan(p, sign, spec.t_max, grid, n_t)
-    return lp_norm_space(scan.as_field(), 4.0) / hs_norm(p, spec.s)
+    norm = hs_norm(p, spec.s)
+    ratio = lp_norm_space(scan.as_field(), 4.0) / norm if norm > 0.0 else math.nan
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"R_k = {ratio} at k = {spec.k}, s = {spec.s!r}: "
+                         "the norms leave the double range")
+    return ratio
 
 
 @dataclass

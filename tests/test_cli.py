@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,7 @@ class TestMainCounterexample:
         fit = _read_meta(out)["fit"]
         assert fit["expected_slope"] == 0.0
         assert abs(fit["slope"]) < 0.2
+        assert math.isfinite(fit["intercept"])
 
     def test_two_scales_skip_fit(self, tmp_path):
         out = tmp_path / "ce.csv"
@@ -299,6 +301,17 @@ class TestMainVerifyLemmas:
         summary = _read_meta(out)["summary"]
         assert summary["failed"] == 0
         assert summary["reports"] == len(reports)
+        # the sidecar's skip counts and worst constants follow from the CSV
+        skipped = Counter(r.params["skip"] for r in reports if "skip" in r.params)
+        assert summary["skipped_by_reason"] == dict(skipped)
+        assert summary["skipped_by_reason"] == {"zero_high_frequency_part": 2}
+        worst = {}
+        for r in reports:
+            if "skip" not in r.params:
+                best = worst.get(r.lemma_id)
+                if best is None or r.fitted_c > best["fitted_c"]:
+                    worst[r.lemma_id] = {"fitted_c": r.fitted_c, "profile_id": r.profile_id}
+        assert summary["worst_fitted_c"] == worst
 
     def test_only_filter(self, tmp_path, corpus_dir):
         out = tmp_path / "rep.csv"
@@ -361,10 +374,23 @@ class TestNonFiniteInput:
           "--x", "1e300"], "|x| up to 1e+300 gives non-finite or unresolved"),
         (["trace", "--x", "1e300", "--t", "1e-3,0"],
          "|x| up to 1e+300 gives non-finite or unresolved"),
+        # the rough family's band, amplitude, time window or norms overflow or underflow
+        (["counterexample", "--s", "0", "--k-min", "1100", "--k-max", "1100"],
+         "leaves the positive double range"),
+        (["counterexample", "--s", "0", "--k-min", "600", "--k-max", "600"],
+         "leaves the positive double range"),
+        (["counterexample", "--s", "-100", "--k-min", "20", "--k-max", "20"],
+         "leaves the positive double range"),
+        (["counterexample", "--s", "400", "--k-min", "3", "--k-max", "3"],
+         "leaves the positive double range"),
+        (["counterexample", "--s", "150", "--k-min", "3", "--k-max", "3"],
+         "R_k = 0.0 at k = 3"),
     ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
-            "continuity-x-1e300", "trace-x-1e300"])
+            "continuity-x-1e300", "trace-x-1e300", "counterexample-k-1100",
+            "counterexample-k-600", "counterexample-s-neg100", "counterexample-s-400",
+            "counterexample-s-150"])
     def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
-        if argv[0] != "khinchine":
+        if argv[0] not in ("khinchine", "counterexample"):
             argv = argv + ["--profile", str(gauss_low_csv)]
         out = tmp_path / "o.csv"
         assert main(argv + ["--out", str(out)]) == 1
@@ -412,6 +438,14 @@ _INVOCATION = st.one_of(
         "x": _value(st.floats(-3.0, 3.0))})),
     st.tuples(st.just("propagate"), st.fixed_dictionaries({
         "t": _value(st.floats(-0.5, 0.5)), "nx": st.integers(1, 64).map(str)})),
+    st.tuples(st.just("counterexample"), st.builds(
+        lambda s, k_min, width, nt: {"s": s, "k-min": str(k_min),
+                                     "k-max": str(k_min + width), "nt": nt},
+        _value(st.floats(-200.0, 500.0)),
+        # mostly small scales, sometimes ones whose powers of two leave the double range
+        st.integers(0, 3).flatmap(
+            lambda i: st.integers(300, 1200) if i == 0 else st.integers(1, 10)),
+        st.integers(0, 2), st.integers(1, 8).map(str))),
 )
 
 
@@ -422,7 +456,7 @@ def test_small_runs_exit_cleanly_with_finite_artifacts(profile_file, invocation)
     # sidecar, or fails with exit 1 or 2 and says why
     subcommand, flags = invocation
     argv = [subcommand] + [f"--{name}={value}" for name, value in flags.items()]
-    if subcommand != "khinchine":
+    if subcommand not in ("khinchine", "counterexample"):
         argv.append(f"--profile={profile_file}")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o.csv"

@@ -10,7 +10,6 @@ from ostrovsky_lab.lemmas import (
     LEMMA_IDS,
     MAX_WINDOW_INDEX,
     SPLIT_SCALE,
-    LemmaConfig,
     LemmaReport,
     bernstein_report,
     check_high_frequency,
@@ -58,23 +57,6 @@ class TestLemmaReport:
     def test_audit_matches_recorded_verdict(self, lemma_reports):
         for report in lemma_reports:
             assert report.audit() == report.passed
-
-
-class TestLemmaConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LemmaConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            LemmaConfig(t_high_min=1e-3, t_high_max=1e-6)
-        with pytest.raises(ValueError):
-            LemmaConfig(n_t_high=2)
-
-    def test_high_times_endpoints(self):
-        cfg = LemmaConfig()
-        ts = cfg.high_times()
-        assert ts[0] == pytest.approx(cfg.t_high_min, rel=1e-12)
-        assert ts[-1] == pytest.approx(cfg.t_high_max, rel=1e-12)
-        assert ts.size == cfg.n_t_high
 
 
 class TestDeltaEpsilon:
@@ -130,8 +112,7 @@ class TestLowFrequency:
 
     def test_uniform_variant_records_epsilon_radius(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        report = check_low_frequency(p, 1e-3, 1e-2, delta=1e-2, lemma_id="L2_4",
-                                     profile_id="gauss_low")
+        report = check_low_frequency(p, 1e-3, 1e-2, delta=1e-2, profile_id="gauss_low")
         assert report.lemma_id == "L2_4"
         assert report.params["delta"] == 1e-2
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.signal import czt
 
 from ostrovsky_lab.corpus import observation_grid
-from ostrovsky_lab.lemmas import LemmaConfig
+from ostrovsky_lab.lemmas import HIGH_TIMES, T_LOW
 from ostrovsky_lab.spectral import (
     DEFAULT_ZERO_EXCLUSION,
     MAX_PHASE_INCREMENT,
@@ -207,8 +207,7 @@ class TestEvolutionMultipliers:
     def test_rows_equal_per_time_phase_factors_bitwise(self, corpus, sign):
         # the table must reproduce the per-time factor bit for bit, so that
         # every lemma deviation and scan keeps its bytes
-        cfg = LemmaConfig()
-        ts = [*cfg.high_times(), cfg.t_low, 0.1, 1.0]
+        ts = [*HIGH_TIMES, T_LOW, 0.1, 1.0]
         for entry in corpus:
             p = entry.profile
             nz = p.amplitudes != 0.0
