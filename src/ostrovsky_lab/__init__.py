@@ -28,7 +28,6 @@ from .lemmas import (
     run_corpus,
 )
 from .randomized import (
-    GaussianDraw,
     KhinchineResult,
     TailCurve,
     gaussian_coefficients,
@@ -36,7 +35,6 @@ from .randomized import (
     khinchine_check,
     randomize,
     randomized_point_samples,
-    sample_draw,
     stochastic_continuity,
     tail_bound_curve,
     wilson_interval,
@@ -54,7 +52,6 @@ from .rough import (
 )
 from .spectral import (
     MAX_PHASE_INCREMENT,
-    PropagatorConfig,
     ResolutionError,
     ResolutionReport,
     SpaceField,
@@ -76,8 +73,6 @@ from .spectral import (
 from .windows import (
     WienerDecomposition,
     dyadic_cutoff,
-    project_band,
-    project_high,
     project_low,
     square_function,
     wiener_decompose,

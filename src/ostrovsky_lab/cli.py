@@ -27,14 +27,7 @@ from .lemmas import run_corpus
 from .parallel import parallel_map, resolve_threads
 from .randomized import khinchine_analytic_ratio, khinchine_check, stochastic_continuity
 from .rough import CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit
-from .spectral import (
-    PropagatorConfig,
-    SpaceGrid,
-    evolve_spectral,
-    hs_norm,
-    require_resolution,
-    synthesize,
-)
+from .spectral import SpaceGrid, evolve_spectral, hs_norm, require_resolution, synthesize
 
 SUBCOMMANDS = ("propagate", "counterexample", "khinchine",
                "stochastic-continuity", "verify-lemmas", "trace")
@@ -256,13 +249,12 @@ def _validate(subcommand: str, params: dict) -> None:
 
 def _run_propagate(params: dict) -> tuple[dict, int]:
     p = read_profile(params["profile"])
-    cfg = PropagatorConfig(sign=params["sign"], t=params["t"])
     if params["x_min"] is not None:
         grid = SpaceGrid.spanning(params["x_min"], params["x_max"], params["nx"])
     else:
         grid = observation_grid(p, n=params["nx"])
-    report = require_resolution(p, cfg)
-    u = synthesize(evolve_spectral(p, cfg), grid)
+    report = require_resolution(p, params["t"], params["sign"])
+    u = synthesize(evolve_spectral(p, params["t"], params["sign"]), grid)
     write_field(u, params["out"])
     block = {"resolution": {"max_phase_increment": report.max_phase_increment,
                             "truncated_mass": report.truncated_mass}}

@@ -1,4 +1,4 @@
-"""CSV serialization for profiles, fields, decompositions and reports.
+"""CSV serialization for profiles, fields and reports.
 
 All files are UTF-8 with LF line endings and shortest-roundtrip float
 formatting (``repr``), so identical inputs produce byte-identical files
@@ -8,14 +8,12 @@ on every platform and the written values parse back exactly.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .lemmas import LemmaReport
 from .spectral import SpaceField, SpectralProfile
-from .windows import WienerDecomposition
 
 PROFILE_HEADER = ["xi", "re", "im"]
 FIELD_HEADER = ["x", "re", "im", "abs"]
@@ -97,18 +95,6 @@ def read_field(path) -> SpaceField:
     """Read a field table, rejecting non-uniform or non-increasing grids."""
     x_min, step, table = _read_table(path, FIELD_HEADER)
     return SpaceField(x_min=x_min, x_step=step, values=table[:, 1] + 1j * table[:, 2])
-
-
-def write_decomposition(dec: WienerDecomposition, basepath) -> list[Path]:
-    """One profile file per window piece, suffixed ``_k<k>.csv``."""
-    base = Path(basepath)
-    stem = base.with_suffix("") if base.suffix == ".csv" else base
-    written = []
-    for k, piece in zip(dec.ks, dec.pieces):
-        target = stem.parent / f"{stem.name}_k{int(k)}.csv"
-        write_profile(piece, target)
-        written.append(target)
-    return written
 
 
 def _format_param(value) -> str:

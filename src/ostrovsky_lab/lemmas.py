@@ -23,7 +23,6 @@ import numpy as np
 from .corpus import CorpusEntry, default_corpus, observation_grid
 from .parallel import parallel_map
 from .spectral import (
-    PropagatorConfig,
     ResolutionError,
     SpaceField,
     SpaceGrid,
@@ -159,7 +158,7 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
     """
     lemma_id = "L2_2" if delta is None else "L2_4"
     low = project_low(p, SPLIT_SCALE)
-    require_resolution(low, PropagatorConfig(sign=sign, t=t))
+    require_resolution(low, t, sign)
     params = {"epsilon": epsilon, "t": t}
     if delta is None:
         delta = delta_epsilon(p, epsilon)
@@ -216,7 +215,7 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     high = high_frequency_part(p)
     if not np.any(high.amplitudes != 0.0):
         return [_skip_report("L2_3", profile_id, "zero_high_frequency_part")]
-    require_resolution(high, PropagatorConfig(sign=sign, t=float(np.max(ts))))
+    require_resolution(high, float(np.max(ts)), sign)
     if grid is None:
         grid = observation_grid(p)
 
@@ -247,7 +246,7 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     piece = wiener_project(p, k)
-    require_resolution(piece, PropagatorConfig(sign=sign, t=t))
+    require_resolution(piece, t, sign)
     if grid is None:
         grid = observation_grid(p)
     lhs = float(_sup_deviations(piece, [t], sign, grid)[0])
@@ -273,7 +272,7 @@ def check_square_function(p: SpectralProfile, t: float | None = None, *,
         evolved = p
         lemma_id, params = "L2_6", {}
     else:
-        evolved = evolve_spectral(p, PropagatorConfig(sign=sign, t=t))
+        evolved = evolve_spectral(p, t, sign)
         lemma_id, params = "L2_7", {"t": t}
     values = square_function(evolved, grid)
     lhs = float(np.max(values.values.real))
@@ -289,8 +288,8 @@ def norm_equivalence_reports(p: SpectralProfile, *,
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
     ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
     """
-    pieces = wiener_decompose(p)
-    piece_sum = float(sum(hs_norm(piece, 0.0) ** 2 for piece in pieces.pieces))
+    table = wiener_decompose(p).table
+    piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2 for row in table))
     total = hs_norm(p, 0.0) ** 2
     ratio = piece_sum / total if total > 0 else 1.0
     upper = _report("NORM_EQUIV", profile_id, {"side": "upper", "ratio": ratio},

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    PropagatorConfig,
     SpectralProfile,
     evolution_multipliers,
     quadrature_row,
@@ -24,7 +23,6 @@ from .spectral import (
 from .windows import wiener_decompose, wiener_range
 
 __all__ = [
-    "GaussianDraw",
     "KhinchineResult",
     "TailCurve",
     "gaussian_coefficients",
@@ -32,7 +30,6 @@ __all__ = [
     "khinchine_check",
     "randomize",
     "randomized_point_samples",
-    "sample_draw",
     "stochastic_continuity",
     "tail_bound_curve",
     "wilson_interval",
@@ -81,53 +78,21 @@ def gaussian_coefficients(seed: int, sample_index, ks) -> np.ndarray:
     return out if np.ndim(sample_index) else out[0] if out.ndim > 1 else out
 
 
-@dataclass
-class GaussianDraw:
-    """One realisation of the window coefficients g_k, k_min <= k <= k_max."""
+def randomize(p: SpectralProfile, k_min: int, coefficients) -> SpectralProfile:
+    """Multiply each unit-window component of `p` by its coefficient.
 
-    k_min: int
-    k_max: int
-    coefficients: np.ndarray
-    seed: int = 0
-    sample_index: int = 0
-
-    def __post_init__(self):
-        if self.k_max < self.k_min:
-            raise ValueError("k_max must be >= k_min")
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.k_max - self.k_min + 1,):
-            raise ValueError("need one coefficient per window")
-        self.coefficients = coeffs
-
-    def coefficient(self, k: int) -> complex:
-        if not self.k_min <= k <= self.k_max:
-            raise KeyError(f"k = {k} outside draw range")
-        return complex(self.coefficients[k - self.k_min])
-
-
-def sample_draw(k_range: tuple[int, int], seed: int = 0, sample_index: int = 0) -> GaussianDraw:
-    """Draw coefficients for every window in the inclusive `k_range`."""
-    k_min, k_max = int(k_range[0]), int(k_range[1])
-    if k_max < k_min:
-        raise ValueError("k_range must satisfy k_min <= k_max")
-    ks = np.arange(k_min, k_max + 1)
-    coeffs = gaussian_coefficients(seed, sample_index, ks)
-    return GaussianDraw(k_min, k_max, coeffs, seed, sample_index)
-
-
-def randomize(p: SpectralProfile, draw: GaussianDraw) -> SpectralProfile:
-    """Multiply each unit-window component of `p` by its draw coefficient.
-
-    At every grid point at most the two windows flooring/ceiling xi
-    contribute, with weights (1 - d) and d for d = xi - floor(xi); their
-    exact sum is 1, so unit coefficients reproduce the input bit for bit.
-    This per-draw profile is the reference the samplers' linear forms are
-    checked against.
+    ``coefficients[i]`` is the g_k of window k = k_min + i.  At every grid
+    point at most the two windows flooring/ceiling xi contribute, with
+    weights (1 - d) and d for d = xi - floor(xi); their exact sum is 1, so
+    unit coefficients reproduce the input bit for bit.  This per-draw
+    profile is the reference the samplers' linear forms are checked against.
     """
+    g = np.asarray(coefficients, dtype=np.complex128)
+    k_max = k_min + g.size - 1
     dec_lo, dec_hi = wiener_range(p)
-    if dec_lo < draw.k_min or dec_hi > draw.k_max:
+    if g.ndim != 1 or dec_lo < k_min or dec_hi > k_max:
         raise ValueError(
-            f"draw covers windows [{draw.k_min}, {draw.k_max}] but the profile "
+            f"coefficients cover windows [{k_min}, {k_max}] but the profile "
             f"needs [{dec_lo}, {dec_hi}]"
         )
     if not np.any(p.amplitudes):
@@ -135,8 +100,8 @@ def randomize(p: SpectralProfile, draw: GaussianDraw) -> SpectralProfile:
     k0 = np.floor(p.xi).astype(np.int64)
     d = p.xi - k0
     # clipped so idx + 1 stays in range on zero-amplitude points outside the band
-    idx = np.clip(k0, draw.k_min, draw.k_max - 1) - draw.k_min
-    mix = draw.coefficients[idx] * (1.0 - d) + draw.coefficients[idx + 1] * d
+    idx = np.clip(k0, k_min, k_max - 1) - k_min
+    mix = g[idx] * (1.0 - d) + g[idx + 1] * d
     return p.with_amplitudes(p.amplitudes * mix)
 
 
@@ -276,7 +241,7 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
         raise ValueError("alpha must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    require_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
+    require_resolution(p, float(np.max(np.abs(ts))), sign)
 
     dec = wiener_decompose(p)
     probe = quadrature_row(p, x) * (evolution_multipliers(p, ts, sign) - 1.0)  # (T, n)

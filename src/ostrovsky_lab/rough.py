@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    PropagatorConfig,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
@@ -158,7 +157,7 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     `refine_around_peak` a second pass samples eight extra times inside the
     bracket around each point's coarse argmax, which only ever raises the sup.
     """
-    require_resolution(p, PropagatorConfig(sign, t_max))
+    require_resolution(p, t_max, sign)
     ts = maximal_time_grid(t_max, n_t)
     rows = quadrature_row(p, grid.points) * p.amplitudes  # (n_x, n_xi)
     sup = np.full(grid.n, -np.inf)
@@ -242,6 +241,6 @@ def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+")
         raise ValueError("need a non-empty t sequence")
     if ts.size > 1 and np.any(np.diff(ts) >= 0.0):
         raise ValueError("t_sequence must be strictly decreasing")
-    require_resolution(p, PropagatorConfig(sign, float(np.max(np.abs(ts)))))
+    require_resolution(p, float(np.max(np.abs(ts))), sign)
     rows = p.amplitudes * (evolution_multipliers(p, ts, sign) - 1.0)
     return np.abs(rows @ quadrature_row(p, x))

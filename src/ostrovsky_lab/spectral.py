@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_ZERO_EXCLUSION",
     "MAX_PHASE_INCREMENT",
     "SQRT_2PI",
-    "PropagatorConfig",
     "ResolutionError",
     "ResolutionReport",
     "SpaceField",
@@ -65,6 +64,13 @@ def _check_sign(sign: str) -> float:
         return _SIGNS[sign]
     except KeyError:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}") from None
+
+
+def _check_evolution(t: float, sign: str) -> None:
+    """Reject a non-finite evolution time or a sign other than '+' / '-'."""
+    _check_sign(sign)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
 
 
 @dataclass
@@ -176,19 +182,6 @@ class SpaceField:
 
 
 @dataclass
-class PropagatorConfig:
-    """Sign of the 1/xi phase term and the evolution time."""
-
-    sign: str = "+"
-    t: float = 0.0
-
-    def __post_init__(self):
-        _check_sign(self.sign)
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
-
-
-@dataclass
 class ResolutionReport:
     """Outcome of the per-cell phase-increment check."""
 
@@ -214,12 +207,20 @@ class ResolutionError(ValueError):
 
 
 def phase(xi, sign: str = "+"):
-    """Dispersion phase xi**3 + sign/xi.  Rejects xi = 0."""
+    """Dispersion phase xi**3 + sign/xi.
+
+    Rejects xi = 0, and any xi whose phase leaves the double range (xi**3
+    overflows for |xi| above about 5.6e102), naming the frequency reach.
+    """
     s = _check_sign(sign)
     x = np.asarray(xi, dtype=np.float64)
     if np.any(x == 0.0):
         raise ValueError("phase is singular at xi = 0")
-    out = x**3 + s / x
+    with np.errstate(over="ignore"):
+        out = x**3 + s / x
+    if not np.all(np.isfinite(out)):
+        reach = float(np.max(np.abs(x[~np.isfinite(out)])))
+        raise ValueError(f"phase xi**3 + sign/xi overflows at frequency reach |xi| = {reach:.6g}")
     return out if out.ndim else float(out)
 
 
@@ -253,13 +254,14 @@ def evolution_multipliers(p: SpectralProfile, ts, sign: str) -> np.ndarray:
     return out
 
 
-def evolve_spectral(p: SpectralProfile, cfg: PropagatorConfig) -> SpectralProfile:
-    """Multiply amplitudes by the propagator phase factor.
+def evolve_spectral(p: SpectralProfile, t: float, sign: str) -> SpectralProfile:
+    """Multiply amplitudes by the propagator phase factor at time t.
 
     The grid is unchanged and the multiplier is unimodular, so the l2 norm
     is preserved to rounding.
     """
-    return p.with_amplitudes(p.amplitudes * evolution_multipliers(p, [cfg.t], cfg.sign)[0])
+    _check_evolution(t, sign)
+    return p.with_amplitudes(p.amplitudes * evolution_multipliers(p, [t], sign)[0])
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
@@ -275,21 +277,27 @@ def _weights(p: SpectralProfile) -> np.ndarray:
     return trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI)
 
 
+def _check_phase_reach(p: SpectralProfile, x_reach: float) -> None:
+    """Raise ValueError unless x_reach * max|xi| <= 2**52.
+
+    Beyond that, adjacent doubles of the synthesis phase x * xi lie a radian
+    or more apart (and a non-finite x has no phase at all).
+    """
+    xi_reach = max(abs(p.xi_min), abs(p.xi_min + p.xi_step * (p.n - 1)))
+    if not x_reach * xi_reach <= 2.0**52:
+        raise ValueError(f"|x| up to {x_reach} gives non-finite or unresolved synthesis "
+                         "phases; need |x| * max|xi| <= 2**52")
+
+
 def quadrature_row(p: SpectralProfile, x) -> np.ndarray:
     """Synthesis weights at points: u(x) = quadrature_row(p, x) @ amps.
 
     An array of points gives one row per point, shape x.shape + (p.n,).
-    Raises ValueError unless |x| * max|xi| <= 2**52: beyond that, adjacent
-    doubles of the phase x * xi lie a radian or more apart (and a
-    non-finite x has no phase at all).
+    Raises ValueError unless |x| * max|xi| <= 2**52.
     """
     x = np.asarray(x, dtype=np.float64)
-    xi = p.xi
-    x_reach = float(np.max(np.abs(x)))
-    if not x_reach * max(abs(xi[0]), abs(xi[-1])) <= 2.0**52:
-        raise ValueError(f"|x| up to {x_reach} gives non-finite or unresolved synthesis "
-                         "phases; need |x| * max|xi| <= 2**52")
-    return np.exp(1j * np.multiply.outer(x, xi)) * _weights(p)
+    _check_phase_reach(p, float(np.max(np.abs(x))))
+    return np.exp(1j * np.multiply.outer(x, p.xi)) * _weights(p)
 
 
 def _fft_length(n: int) -> int:
@@ -336,8 +344,10 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     post-chirp (Bluestein's chirp-z algorithm).  Every phase is formed from
     the exact products of the grid parameters, so no phase loses digits to
     the size of the index, and the nodes are the exact x_min + m * x_step
-    (``grid.points`` rounds each of them to a double).
+    (``grid.points`` rounds each of them to a double).  Raises ValueError
+    unless |x| * max|xi| <= 2**52 over the grid.
     """
+    _check_phase_reach(p, max(abs(grid.x_min), abs(grid.x_min + grid.x_step * (grid.n - 1))))
     rows = np.atleast_2d(rows)
     n_xi, n_x = p.n, int(grid.n)
     x0, dx = Fraction(grid.x_min), Fraction(grid.x_step)
@@ -369,34 +379,35 @@ def synthesize(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     return SpaceField(grid.x_min, grid.x_step, values)
 
 
-def validate_resolution(p: SpectralProfile, cfg: PropagatorConfig) -> ResolutionReport:
+def validate_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionReport:
     """Check |t| * |phase'(xi)| * xi_step <= 0.1 over amplitude-carrying points."""
+    _check_evolution(t, sign)
     nz = p.amplitudes != 0.0
-    if not np.any(nz) or cfg.t == 0.0:
+    if not np.any(nz) or t == 0.0:
         increment = 0.0
     else:
-        dphi = phase_derivative(p.xi[nz], cfg.sign)
-        increment = float(abs(cfg.t) * np.max(np.abs(dphi)) * p.xi_step)
+        dphi = phase_derivative(p.xi[nz], sign)
+        increment = float(abs(t) * np.max(np.abs(dphi)) * p.xi_step)
     return ResolutionReport(increment, p.truncated_mass, increment <= MAX_PHASE_INCREMENT)
 
 
-def require_resolution(p: SpectralProfile, cfg: PropagatorConfig) -> ResolutionReport:
-    """The resolution report for (p, cfg); raises ResolutionError carrying it on refusal."""
-    report = validate_resolution(p, cfg)
+def require_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionReport:
+    """The resolution report for (p, t, sign); raises ResolutionError carrying it on refusal."""
+    report = validate_resolution(p, t, sign)
     if not report.ok:
         raise ResolutionError(report)
     return report
 
 
-def propagate(p: SpectralProfile, cfg: PropagatorConfig, grid: SpaceGrid) -> SpaceField:
+def propagate(p: SpectralProfile, t: float, sign: str, grid: SpaceGrid) -> SpaceField:
     """Evolve by the propagator and synthesise on `grid`.
 
     Refuses (raising ResolutionError with the report attached) when the
     phase-increment rule fails; at t = 0 the output is bit-identical to
     `synthesize(p, grid)`.
     """
-    require_resolution(p, cfg)
-    return synthesize(evolve_spectral(p, cfg), grid)
+    require_resolution(p, t, sign)
+    return synthesize(evolve_spectral(p, t, sign), grid)
 
 
 def hs_norm(p: SpectralProfile, s: float) -> float:

@@ -4,7 +4,7 @@ Two partitions of frequency space are used side by side:
 
 * dyadic: a radial bump `dyadic_cutoff` equal to 1 on |xi| <= 1 and 0 on
   |xi| >= 2, with a quintic smoothstep in between, rescaled to N to build
-  low/band/high projections that telescope exactly;
+  the low-frequency projection;
 * unit-scale: the triangle hat ``max(0, 1 - |xi|)`` translated to every
   integer, which sums to exactly 1 pointwise, so the translated windows
   reassemble a profile without error.
@@ -22,8 +22,6 @@ from .spectral import SpaceField, SpaceGrid, SpectralProfile, _synthesize_rows
 __all__ = [
     "WienerDecomposition",
     "dyadic_cutoff",
-    "project_band",
-    "project_high",
     "project_low",
     "square_function",
     "wiener_decompose",
@@ -52,30 +50,11 @@ def wiener_window(xi):
     return out if out.ndim else float(out)
 
 
-def _check_scale(scale: float) -> float:
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"projection scale must be finite and positive, got {scale}")
-    return float(scale)
-
-
 def project_low(p: SpectralProfile, scale: float) -> SpectralProfile:
     """Frequencies |xi| <~ scale: multiplier dyadic_cutoff(xi / scale)."""
-    n = _check_scale(scale)
-    return p.with_amplitudes(p.amplitudes * dyadic_cutoff(p.xi / n))
-
-
-def project_band(p: SpectralProfile, scale: float) -> SpectralProfile:
-    """The dyadic shell at `scale`: cutoff(xi/scale) - cutoff(2 xi/scale)."""
-    n = _check_scale(scale)
-    xi = p.xi
-    mult = dyadic_cutoff(xi / n) - dyadic_cutoff(2.0 * xi / n)
-    return p.with_amplitudes(p.amplitudes * mult)
-
-
-def project_high(p: SpectralProfile, scale: float) -> SpectralProfile:
-    """Frequencies |xi| >~ scale: multiplier 1 - dyadic_cutoff(xi / scale)."""
-    n = _check_scale(scale)
-    return p.with_amplitudes(p.amplitudes * (1.0 - dyadic_cutoff(p.xi / n)))
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"projection scale must be finite and positive, got {scale}")
+    return p.with_amplitudes(p.amplitudes * dyadic_cutoff(p.xi / float(scale)))
 
 
 def wiener_project(p: SpectralProfile, k: int) -> SpectralProfile:
@@ -83,40 +62,25 @@ def wiener_project(p: SpectralProfile, k: int) -> SpectralProfile:
     return p.with_amplitudes(p.amplitudes * wiener_window(p.xi - k))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WienerDecomposition:
-    """Profile split over the integer-translated unit windows k_min..k_max."""
+    """Profile split over the integer-translated unit windows k_min..k_max.
+
+    Row ``k - k_min`` of ``table`` holds the amplitudes of window piece k,
+    so the table has shape (K, n); its rows, summed in k order, return each
+    amplitude to within a couple of product roundings.
+    """
 
     k_min: int
-    k_max: int
-    pieces: list  # SpectralProfile per k, in k order
+    table: np.ndarray
 
-    def __post_init__(self):
-        if self.k_max < self.k_min:
-            raise ValueError("k_max must be >= k_min")
-        if len(self.pieces) != self.k_max - self.k_min + 1:
-            raise ValueError("one piece per k is required")
+    @property
+    def k_max(self) -> int:
+        return self.k_min + len(self.table) - 1
 
     @property
     def ks(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_max + 1)
-
-    def piece(self, k: int) -> SpectralProfile:
-        if not self.k_min <= k <= self.k_max:
-            raise KeyError(f"k = {k} outside decomposition range")
-        return self.pieces[k - self.k_min]
-
-    @property
-    def table(self) -> np.ndarray:
-        """Piece amplitudes stacked in k order: shape (K, n)."""
-        return np.stack([piece.amplitudes for piece in self.pieces])
-
-    def reconstruct(self) -> SpectralProfile:
-        """Sum the pieces in k order (exact up to one rounding per product)."""
-        total = np.zeros(self.pieces[0].n, dtype=np.complex128)
-        for piece in self.pieces:
-            total += piece.amplitudes
-        return self.pieces[0].with_amplitudes(total)
 
 
 def wiener_range(p: SpectralProfile) -> tuple[int, int]:
@@ -133,10 +97,14 @@ def wiener_range(p: SpectralProfile) -> tuple[int, int]:
 
 
 def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
-    """Split `p` over the unit windows of `wiener_range`."""
+    """Split `p` over the unit windows of `wiener_range`.
+
+    Row k - k_min is the same product as ``wiener_project(p, k).amplitudes``,
+    so it holds the same bits.
+    """
     k_min, k_max = wiener_range(p)
-    pieces = [wiener_project(p, k) for k in range(k_min, k_max + 1)]
-    return WienerDecomposition(k_min, k_max, pieces)
+    ks = np.arange(k_min, k_max + 1)
+    return WienerDecomposition(k_min, p.amplitudes * wiener_window(p.xi - ks[:, None]))
 
 
 def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:

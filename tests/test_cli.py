@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -219,6 +220,20 @@ class TestMainPropagate:
         assert "phase advance" in err
         assert not out.exists()
 
+    def test_grid_beyond_phase_reach_exits_one(self, tmp_path, gauss_low_csv, capsys):
+        # |x| * max|xi| > 2**52 at every node; the chirp-z grid synthesis
+        # refuses it exactly as the point row does, before any numpy warning
+        out = tmp_path / "u.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["propagate", "--profile", str(gauss_low_csv), "--t", "0",
+                       "--x-min", "1e17", "--x-max", "1.00000000001e17", "--nx", "8",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: |x| up to 1.00000000001e+17 gives non-finite or unresolved")
+        assert not out.exists()
+
 
 class TestMainTrace:
     def test_zero_tail_gives_zero_deviation(self, tmp_path, gauss_low_csv):
@@ -385,10 +400,13 @@ class TestNonFiniteInput:
          "leaves the positive double range"),
         (["counterexample", "--s", "150", "--k-min", "3", "--k-max", "3"],
          "R_k = 0.0 at k = 3"),
+        # xi**3 overflows in the phase while the tiny t_max still passes the gate
+        (["counterexample", "--s", "0", "--k-min", "345", "--k-max", "345"],
+         "phase xi**3 + sign/xi overflows at frequency reach |xi| = 1.43344e+104"),
     ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
             "continuity-x-1e300", "trace-x-1e300", "counterexample-k-1100",
             "counterexample-k-600", "counterexample-s-neg100", "counterexample-s-400",
-            "counterexample-s-150"])
+            "counterexample-s-150", "counterexample-k-345"])
     def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
         if argv[0] not in ("khinchine", "counterexample"):
             argv = argv + ["--profile", str(gauss_low_csv)]

@@ -11,7 +11,6 @@ from ostrovsky_lab.corpus import (
     profile_from_function,
 )
 from ostrovsky_lab.spectral import (
-    PropagatorConfig,
     SpaceGrid,
     SpectralProfile,
     evolve_spectral,
@@ -57,7 +56,7 @@ class TestCorpusShape:
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_resolved_at_design_time(self, corpus, sign):
         for e in corpus:
-            rep = validate_resolution(e.profile, PropagatorConfig(sign, e.max_resolved_t))
+            rep = validate_resolution(e.profile, e.max_resolved_t, sign)
             assert rep.ok, e.profile_id
 
 
@@ -119,7 +118,7 @@ class TestParsevalGrid:
         # DFT orthogonality over the exact period: holds for any t because
         # the evolved amplitudes are still just amplitudes on the same grid
         for e in corpus:
-            p = evolve_spectral(e.profile, PropagatorConfig("+", t))
+            p = evolve_spectral(e.profile, t, "+")
             field_l2 = lp_norm_space(synthesize(p, parseval_grid(p)), 2.0)
             spectral_l2 = hs_norm(e.profile, 0.0)
             assert abs(field_l2 - spectral_l2) <= 1e-12 * spectral_l2, e.profile_id

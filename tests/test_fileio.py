@@ -17,13 +17,11 @@ from ostrovsky_lab.fileio import (
     read_profile,
     read_reports,
     text_to_params,
-    write_decomposition,
     write_field,
     write_profile,
     write_reports,
 )
 from ostrovsky_lab.spectral import SpaceField, SpectralProfile
-from ostrovsky_lab.windows import wiener_decompose
 
 
 class TestFormatFloat:
@@ -134,24 +132,6 @@ class TestFieldRoundTrip:
         assert lines[1].split(",")[3] == "5.0"
         with pytest.raises(ValueError, match="expected header"):
             read_profile(target)
-
-
-class TestDecompositionFiles:
-    def test_one_file_per_window(self, tmp_path, corpus_by_id):
-        dec = wiener_decompose(corpus_by_id["gauss_low"].profile)
-        paths = write_decomposition(dec, tmp_path / "dec.csv")
-        assert [p.name for p in paths] == \
-            [f"dec_k{k}.csv" for k in range(dec.k_min, dec.k_max + 1)]
-        for k, path in zip(dec.ks, paths):
-            piece = read_profile(path)
-            np.testing.assert_array_equal(piece.amplitudes,
-                                          dec.piece(int(k)).amplitudes)
-
-    def test_basepath_without_suffix(self, tmp_path, corpus_by_id):
-        dec = wiener_decompose(corpus_by_id["band_narrow"].profile)
-        paths = write_decomposition(dec, tmp_path / "pieces")
-        assert all(p.name.startswith("pieces_k") for p in paths)
-        assert all(p.suffix == ".csv" for p in paths)
 
 
 class TestParamsText:

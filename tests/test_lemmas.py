@@ -24,7 +24,6 @@ from ostrovsky_lab.lemmas import (
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
-    PropagatorConfig,
     SpectralProfile,
     evolve_spectral,
     hs_norm,
@@ -121,7 +120,7 @@ class TestLowFrequency:
         report = check_low_frequency(p, 1e-3, 1e-2, profile_id="band_high_even")
         low = project_low(p, SPLIT_SCALE)
         grid = observation_grid(p)
-        evolved = synthesize(evolve_spectral(low, PropagatorConfig("+", 1e-3)), grid)
+        evolved = synthesize(evolve_spectral(low, 1e-3, "+"), grid)
         still = synthesize(low, grid)
         lhs = float(np.max(np.abs(evolved.values - still.values)))
         assert abs(lhs - report.measured_lhs) <= 1e-12 * max(1.0, lhs)

@@ -10,20 +10,17 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from ostrovsky_lab.randomized import (
-    GaussianDraw,
     gaussian_coefficients,
     khinchine_analytic_ratio,
     khinchine_check,
     randomize,
     randomized_point_samples,
-    sample_draw,
     stochastic_continuity,
     tail_bound_curve,
     wilson_interval,
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
-    PropagatorConfig,
     ResolutionError,
     SpectralProfile,
     evolve_spectral,
@@ -72,42 +69,20 @@ class TestGaussianCoefficients:
         assert abs(np.mean(np.abs(g) ** 4) - 8.0) <= 0.2
 
 
-class TestGaussianDraw:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="k_max"):
-            GaussianDraw(3, 1, np.zeros(1, dtype=complex))
-        with pytest.raises(ValueError, match="one coefficient per window"):
-            GaussianDraw(0, 3, np.zeros(2, dtype=complex))
-
-    def test_coefficient_lookup(self):
-        draw = sample_draw((-2, 4), seed=5, sample_index=1)
-        assert draw.coefficient(-2) == draw.coefficients[0]
-        assert draw.coefficient(4) == draw.coefficients[-1]
-        with pytest.raises(KeyError):
-            draw.coefficient(5)
-
-    def test_sample_draw_uses_counter_coefficients(self):
-        draw = sample_draw((0, 3), seed=9, sample_index=7)
-        np.testing.assert_array_equal(
-            draw.coefficients, gaussian_coefficients(9, 7, np.arange(0, 4)))
-
-
 class TestRandomize:
     def test_unit_coefficients_reproduce_input_bitwise(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        draw = GaussianDraw(-1, 4, np.ones(6, dtype=complex))
-        np.testing.assert_array_equal(randomize(p, draw).amplitudes, p.amplitudes)
+        g = np.ones(6, dtype=complex)
+        np.testing.assert_array_equal(randomize(p, -1, g).amplitudes, p.amplitudes)
 
     def test_zero_draw_annihilates(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        draw = GaussianDraw(-1, 4, np.zeros(6, dtype=complex))
-        assert not np.any(randomize(p, draw).amplitudes)
+        assert not np.any(randomize(p, -1, np.zeros(6, dtype=complex)).amplitudes)
 
     def test_range_mismatch_rejected(self, corpus_by_id):
         p = corpus_by_id["gauss_mid"].profile  # needs windows [0, 8]
-        draw = GaussianDraw(2, 8, np.ones(7, dtype=complex))
-        with pytest.raises(ValueError, match="draw covers windows"):
-            randomize(p, draw)
+        with pytest.raises(ValueError, match="coefficients cover windows"):
+            randomize(p, 2, np.ones(7, dtype=complex))
 
     def test_mean_squared_norm(self, corpus_by_id):
         # E ||f^w||^2 = 2 * sum_xi ((1-d)^2 + d^2) |a|^2 h with d = xi - floor(xi)
@@ -116,9 +91,9 @@ class TestRandomize:
         expected = 2.0 * np.sum(((1 - d) ** 2 + d**2) * np.abs(p.amplitudes) ** 2) * p.xi_step
         n = 10_000
         values = np.empty(n)
-        for i in range(n):
-            draw = sample_draw((-1, 4), seed=3, sample_index=i)
-            values[i] = hs_norm(randomize(p, draw), 0.0) ** 2
+        coeffs = gaussian_coefficients(3, np.arange(n), np.arange(-1, 5))
+        for i, g in enumerate(coeffs):
+            values[i] = hs_norm(randomize(p, -1, g), 0.0) ** 2
         sigma = np.std(values, ddof=1) / math.sqrt(n)
         assert abs(np.mean(values) - expected) <= 3.0 * sigma
 
@@ -129,8 +104,8 @@ class TestRandomizedPointSamples:
         x = 0.7
         fast = randomized_point_samples(p, x, 5, seed=4)
         probe = trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
-        for i in range(5):
-            q = randomize(p, sample_draw((-1, 4), seed=4, sample_index=i))
+        for i, g in enumerate(gaussian_coefficients(4, np.arange(5), np.arange(-1, 5))):
+            q = randomize(p, -1, g)
             direct = np.sum(probe * q.amplitudes)
             assert abs(fast[i] - direct) <= 1e-12 * max(1.0, abs(direct))
 
@@ -158,12 +133,12 @@ def _dense_point_values(p, x, ts, n, seed, sign):
     """
     k_min, k_max = wiener_range(p)
     coeffs = gaussian_coefficients(seed, np.arange(n), np.arange(k_min, k_max + 1))
-    draws = np.stack([randomize(p, GaussianDraw(k_min, k_max, g)).amplitudes for g in coeffs])
+    draws = np.stack([randomize(p, k_min, g).amplitudes for g in coeffs])
     support = p.with_amplitudes((p.amplitudes != 0.0).astype(complex))
     probe = quadrature_row(p, x)
     base = draws @ probe
     evolved = np.stack([
-        (draws * evolve_spectral(support, PropagatorConfig(sign, t)).amplitudes) @ probe
+        (draws * evolve_spectral(support, t, sign).amplitudes) @ probe
         for t in ts], axis=1)
     return base, np.abs(evolved - base[:, None])
 

@@ -19,7 +19,6 @@ from ostrovsky_lab.rough import (
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
-    PropagatorConfig,
     ResolutionError,
     SpaceGrid,
     SpectralProfile,
@@ -230,7 +229,7 @@ class TestConvergenceTrace:
             ts = [t_max, t_max / 10.0, t_max / 1000.0, 0.0]
             probe = quadrature_row(p, x)
             u0 = probe @ p.amplitudes
-            literal = [abs(probe @ evolve_spectral(p, PropagatorConfig(sign, t)).amplitudes - u0)
+            literal = [abs(probe @ evolve_spectral(p, t, sign).amplitudes - u0)
                        for t in ts]
             scale = np.sum(np.abs(probe * p.amplitudes))
             devs = convergence_trace(p, x, ts, sign)

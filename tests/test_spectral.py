@@ -1,6 +1,7 @@
 """Containers, propagator phase, synthesis and norms."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from ostrovsky_lab.spectral import (
     DEFAULT_ZERO_EXCLUSION,
     MAX_PHASE_INCREMENT,
     SQRT_2PI,
-    PropagatorConfig,
     ResolutionError,
     SpaceField,
     SpaceGrid,
@@ -142,10 +142,19 @@ class TestGrids:
         np.testing.assert_array_equal(u.x, [0.0, 0.5, 1.0])
 
     def test_propagator_config_validation(self):
-        with pytest.raises(ValueError, match="sign"):
-            PropagatorConfig(sign="x")
-        with pytest.raises(ValueError):
-            PropagatorConfig(t=math.inf)
+        # every entry point that takes the (t, sign) pair checks it
+        p = small_profile([1.0, 2.0, 1.0])
+        grid = SpaceGrid(0.0, 1.0, 4)
+        for call in (lambda t, sign: evolve_spectral(p, t, sign),
+                     lambda t, sign: validate_resolution(p, t, sign),
+                     lambda t, sign: require_resolution(p, t, sign),
+                     lambda t, sign: propagate(p, t, sign, grid)):
+            with pytest.raises(ValueError, match="sign"):
+                call(0.0, "x")
+            with pytest.raises(ValueError, match="t must be finite"):
+                call(math.inf, "+")
+            with pytest.raises(ValueError, match="t must be finite"):
+                call(math.nan, "-")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +205,14 @@ class TestPhase:
         with pytest.raises(ValueError, match="sign"):
             phase(1.0, "plus")
 
+    def test_overflow_names_the_frequency_reach_without_warning(self):
+        # xi**3 leaves the double range above about 5.6e102
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"frequency reach \|xi\| = 1e\+104"):
+                phase(np.array([2.0, -1e104, 1e103]), "-")
+            assert math.isfinite(phase(5e102))
+
 
 # ---------------------------------------------------------------------------
 # evolution
@@ -227,13 +244,13 @@ class TestEvolutionMultipliers:
 class TestEvolve:
     def test_t_zero_is_identity_bitwise(self, corpus):
         for entry in corpus:
-            out = evolve_spectral(entry.profile, PropagatorConfig("+", 0.0))
+            out = evolve_spectral(entry.profile, 0.0, "+")
             np.testing.assert_array_equal(out.amplitudes, entry.profile.amplitudes)
 
     def test_zero_amplitudes_stay_exactly_zero(self, corpus):
         p = corpus[0].profile
         mask = p.amplitudes == 0.0
-        out = evolve_spectral(p, PropagatorConfig("+", 3.7))
+        out = evolve_spectral(p, 3.7, "+")
         assert np.all(out.amplitudes[mask] == 0.0)
 
     def test_unitarity_over_corpus(self, corpus):
@@ -241,12 +258,12 @@ class TestEvolve:
         for entry in corpus:
             base = hs_norm(entry.profile, 0.0)
             for t in (1e-3, 1.0, 17.0):
-                ev = evolve_spectral(entry.profile, PropagatorConfig("+", t))
+                ev = evolve_spectral(entry.profile, t, "+")
                 assert abs(hs_norm(ev, 0.0) - base) <= 1e-13 * base
 
     def test_grid_is_unchanged(self, corpus):
         p = corpus[0].profile
-        out = evolve_spectral(p, PropagatorConfig("-", 0.5))
+        out = evolve_spectral(p, 0.5, "-")
         assert (out.xi_min, out.xi_step, out.n) == (p.xi_min, p.xi_step, p.n)
 
     @pytest.mark.parametrize("t1,t2", [(1e-3, 1e-3), (1.0, 1.0), (0.0, 1.0)])
@@ -254,9 +271,9 @@ class TestEvolve:
         assert Fraction(t1) + Fraction(t2) == Fraction(t1 + t2)
         for entry in corpus:
             p = entry.profile
-            twice = evolve_spectral(evolve_spectral(p, PropagatorConfig("+", t1)),
-                                    PropagatorConfig("+", t2))
-            once = evolve_spectral(p, PropagatorConfig("+", t1 + t2))
+            twice = evolve_spectral(evolve_spectral(p, t1, "+"),
+                                    t2, "+")
+            once = evolve_spectral(p, t1 + t2, "+")
             diff = np.abs(twice.amplitudes - once.amplitudes)
             assert np.all(diff <= 1e-14 * (1.0 + np.abs(p.amplitudes)))
 
@@ -368,7 +385,7 @@ class TestChirpSynthesis:
                 grid = observation_grid(entry.profile, n=n)
                 basis = _dense_basis(entry.profile, grid, rows)
                 for t in (0.0, entry.max_resolved_t):
-                    p = evolve_spectral(entry.profile, PropagatorConfig("+", t))
+                    p = evolve_spectral(entry.profile, t, "+")
                     fast = synthesize(p, grid).values
                     sup = np.max(np.abs(fast))
                     err = np.max(np.abs(fast[rows] - _dense(p, grid, rows, basis)))
@@ -423,6 +440,21 @@ class TestChirpSynthesis:
             assert rows.shape == (33, p.n)
             assert np.array_equal(rows.view(np.uint64), single.view(np.uint64))
 
+    def test_grid_beyond_phase_reach_refused_like_point_rows(self, corpus_by_id):
+        # the reach is max(|x_min|, |x_last|), so a grid that crosses the
+        # limit at either end is refused, as quadrature_row refuses its points
+        p = corpus_by_id["gauss_low"].profile
+        limit = 2.0**52 / max(abs(p.xi[0]), abs(p.xi[-1]))
+        for grid in (SpaceGrid.spanning(1e17, 1.00000000001e17, 8),
+                     SpaceGrid.spanning(0.0, 2.0 * limit, 8),
+                     SpaceGrid.spanning(-2.0 * limit, 0.0, 8)):
+            with pytest.raises(ValueError, match="unresolved synthesis phases"):
+                synthesize(p, grid)
+            with pytest.raises(ValueError, match="unresolved synthesis phases"):
+                quadrature_row(p, grid.points)
+        inside = SpaceGrid.spanning(-0.5 * limit, 0.5 * limit, 8)
+        assert synthesize(p, inside).n == 8
+
     def test_quadrature_row_matches_synthesis(self, corpus_by_id):
         p = corpus_by_id["chirped_mid"].profile
         grid = SpaceGrid(-0.375, 0.25, 8)  # exact nodes
@@ -438,52 +470,52 @@ class TestChirpSynthesis:
 
 class TestResolution:
     def test_t_zero_always_ok(self, corpus):
-        rep = validate_resolution(corpus[4].profile, PropagatorConfig("+", 0.0))
+        rep = validate_resolution(corpus[4].profile, 0.0, "+")
         assert rep.ok and rep.max_phase_increment == 0.0
 
     def test_zero_profile_always_ok(self):
         p = small_profile([0.0, 0.0, 0.0])
-        rep = validate_resolution(p, PropagatorConfig("+", 1e9))
+        rep = validate_resolution(p, 1e9, "+")
         assert rep.ok and rep.max_phase_increment == 0.0
 
     def test_increment_matches_direct_recomputation(self, corpus_by_id):
         p = corpus_by_id["gauss_mid"].profile
         t = 2.5e-3
-        rep = validate_resolution(p, PropagatorConfig("+", t))
+        rep = validate_resolution(p, t, "+")
         supported = p.xi[p.amplitudes != 0.0]
         direct = abs(t) * max(abs(phase_derivative(float(x))) for x in supported) * p.xi_step
         assert abs(rep.max_phase_increment - direct) <= 1e-12 * direct
 
     def test_report_carries_truncated_mass(self):
         p = SpectralProfile(-0.25, 0.25, np.array([1.0, 2.0, 1.0]), zero_exclusion=0.1)
-        rep = validate_resolution(p, PropagatorConfig("+", 0.0))
+        rep = validate_resolution(p, 0.0, "+")
         assert rep.truncated_mass == p.truncated_mass == 0.5
 
     def test_gate_threshold(self, corpus_by_id):
         entry = corpus_by_id["gauss_mid"]
-        assert validate_resolution(entry.profile, PropagatorConfig("+", entry.max_resolved_t)).ok
-        assert not validate_resolution(entry.profile, PropagatorConfig("+", 1.0)).ok
+        assert validate_resolution(entry.profile, entry.max_resolved_t, "+").ok
+        assert not validate_resolution(entry.profile, 1.0, "+").ok
 
     def test_require_resolution_returns_or_raises_the_report(self, corpus_by_id):
         p = corpus_by_id["gauss_mid"].profile
-        ok = require_resolution(p, PropagatorConfig("+", 1e-3))
-        assert ok == validate_resolution(p, PropagatorConfig("+", 1e-3)) and ok.ok
+        ok = require_resolution(p, 1e-3, "+")
+        assert ok == validate_resolution(p, 1e-3, "+") and ok.ok
         with pytest.raises(ResolutionError) as err:
-            require_resolution(p, PropagatorConfig("-", 1.0))
-        assert err.value.report == validate_resolution(p, PropagatorConfig("-", 1.0))
+            require_resolution(p, 1.0, "-")
+        assert err.value.report == validate_resolution(p, 1.0, "-")
         assert not err.value.report.ok
 
     def test_propagate_refuses_with_report_attached(self, corpus_by_id):
         entry = corpus_by_id["gauss_mid"]
         grid = SpaceGrid.spanning(-1.0, 1.0, 8)
         with pytest.raises(ResolutionError, match="phase advance") as err:
-            propagate(entry.profile, PropagatorConfig("+", 1.0), grid)
+            propagate(entry.profile, 1.0, "+", grid)
         assert err.value.report.max_phase_increment > MAX_PHASE_INCREMENT
 
     def test_propagate_at_t_zero_matches_synthesize_bitwise(self, corpus):
         p = corpus[0].profile
         grid = SpaceGrid.spanning(-2.0, 2.0, 33)
-        out = propagate(p, PropagatorConfig("+", 0.0), grid)
+        out = propagate(p, 0.0, "+", grid)
         np.testing.assert_array_equal(out.values, synthesize(p, grid).values)
 
 

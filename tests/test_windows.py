@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from ostrovsky_lab.spectral import SpaceGrid, SpectralProfile, hs_norm, synthesize
 from ostrovsky_lab.windows import (
-    WienerDecomposition,
     dyadic_cutoff,
-    project_band,
-    project_high,
     project_low,
     square_function,
     wiener_decompose,
@@ -87,22 +84,6 @@ class TestProjections:
         np.testing.assert_array_equal(low.amplitudes[inner], p.amplitudes[inner])
         assert np.all(low.amplitudes[outer] == 0.0)
 
-    def test_high_is_complementary_region(self, corpus_by_id):
-        p = corpus_by_id["mix_two_scale"].profile
-        high = project_high(p, 2.0)
-        inner = np.abs(p.xi) <= 2.0
-        outer = np.abs(p.xi) >= 4.0
-        assert np.all(high.amplitudes[inner] == 0.0)
-        np.testing.assert_array_equal(high.amplitudes[outer], p.amplitudes[outer])
-
-    def test_low_plus_high_recovers_profile(self, corpus):
-        for entry in corpus:
-            a = entry.profile.amplitudes
-            total = (project_low(entry.profile, 8.0).amplitudes
-                     + project_high(entry.profile, 8.0).amplitudes)
-            diff = np.abs(total - a)
-            assert np.all(diff <= 2 * EPS * np.abs(a))
-
     def test_telescoping_is_bitwise_exact(self):
         # cutoff(xi/N) == cutoff(2 xi/N) + band multiplier, bit for bit: the
         # two transition regions only overlap where one factor is exactly 0/1
@@ -112,12 +93,6 @@ class TestProjections:
             c2 = dyadic_cutoff(2.0 * xi / scale)
             band = c1 - c2
             assert np.array_equal(c2 + band, c1)
-
-    def test_band_multiplier_applied(self, corpus_by_id):
-        p = corpus_by_id["band_unit"].profile
-        band = project_band(p, 2.0)
-        mult = dyadic_cutoff(p.xi / 2.0) - dyadic_cutoff(p.xi)
-        np.testing.assert_array_equal(band.amplitudes, p.amplitudes * mult)
 
     @pytest.mark.parametrize("scale", [0.0, -2.0, math.inf, math.nan])
     def test_scale_validation(self, corpus, scale):
@@ -145,31 +120,29 @@ class TestWienerDecomposition:
         assert (dec.k_min, dec.k_max) == (-1, 4)
         np.testing.assert_array_equal(dec.ks, np.arange(-1, 5))
 
-    def test_piece_lookup(self, corpus_by_id):
-        dec = wiener_decompose(corpus_by_id["gauss_low"].profile)
-        assert dec.piece(0) is dec.pieces[1]
-        with pytest.raises(KeyError):
-            dec.piece(99)
-
-    def test_container_validation(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile
-        with pytest.raises(ValueError, match="k_max"):
-            WienerDecomposition(3, 2, [p])
-        with pytest.raises(ValueError, match="one piece per k"):
-            WienerDecomposition(0, 1, [p])
+    def test_table_rows_match_wiener_project_bitwise(self, corpus):
+        assert len(corpus) == 12
+        for entry in corpus:
+            p = entry.profile
+            dec = wiener_decompose(p)
+            assert dec.table.shape == (dec.k_max - dec.k_min + 1, p.n)
+            for k, row in zip(dec.ks, dec.table):
+                np.testing.assert_array_equal(row, wiener_project(p, int(k)).amplitudes)
 
     def test_zero_profile_decomposes_to_single_window(self):
         p = SpectralProfile(0.5, 0.25, np.zeros(5))
         dec = wiener_decompose(p)
         assert (dec.k_min, dec.k_max) == (0, 0)
-        assert np.all(dec.reconstruct().amplitudes == 0.0)
+        assert dec.table.shape == (1, 5) and np.all(dec.table == 0.0)
 
     def test_reconstruction_is_amplitude_exact(self, corpus):
-        # the hat windows sum to exactly 1, so summing the pieces returns
-        # each amplitude to within a couple of product roundings
+        # the hat windows sum to exactly 1, so summing the rows in k order
+        # returns each amplitude to within a couple of product roundings
         for entry in corpus:
             a = entry.profile.amplitudes
-            rec = wiener_decompose(entry.profile).reconstruct().amplitudes
+            rec = np.zeros_like(a)
+            for row in wiener_decompose(entry.profile).table:
+                rec += row
             diff = np.abs(rec - a)
             assert np.all(diff[a == 0.0] == 0.0)
             assert np.all(diff <= 2 * EPS * np.abs(a))
@@ -204,8 +177,9 @@ class TestSquareFunction:
         # the batched synthesis of all pieces agrees with one call per piece
         p = corpus_by_id["mix_band_gauss_even"].profile
         grid = SpaceGrid.spanning(-20.0, 20.0, 1500)
-        pieces = wiener_decompose(p).pieces
-        assert len(pieces) > 20
-        direct = np.sqrt(sum(np.abs(synthesize(q, grid).values) ** 2 for q in pieces))
+        table = wiener_decompose(p).table
+        assert len(table) > 20
+        direct = np.sqrt(sum(np.abs(synthesize(p.with_amplitudes(row), grid).values) ** 2
+                             for row in table))
         sf = square_function(p, grid).values.real
         assert np.max(np.abs(sf - direct)) <= 4 * EPS * np.max(direct)
