@@ -151,21 +151,44 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
                  n_t: int = 256, refine_around_peak: bool = True) -> MaximalScan:
     """Scan |U(t) f (x)| over the geometric time grid and keep the sup per x.
 
-    Every field value is a point row of p (weights times amplitudes) dotted
-    with the propagator factors; the coarse pass takes the times in blocks
-    of _BLOCK and keeps each point's first largest time.  With
+    p must be real and even on a grid exactly symmetric about 0, as every
+    counterexample_profile is; anything else raises ValueError.  The phase
+    xi**3 + sign/xi is odd, so the -xi term of the field is the conjugate of
+    the xi term and
+
+        U(t) f (x) = 2 Re sum_{xi > 0} q(x, xi) exp(i t phase(xi)),
+
+    with q a point row of p (weights times amplitudes).  The scan keeps the
+    xi > 0 support columns, takes the real rows [Re q, -Im q] once, and
+    forms each block of _BLOCK times as one real product of [cos, sin] of
+    t * phase with them, keeping each point's first largest time.  With
     `refine_around_peak` a second pass samples eight extra times inside the
-    bracket around each point's coarse argmax, which only ever raises the sup.
+    bracket around each point's coarse argmax, folded the same way, which
+    only ever raises the sup.
     """
+    xi, amps = p.xi, p.amplitudes
+    if not (np.array_equal(xi[::-1], -xi) and np.all(amps.imag == 0.0)
+            and np.array_equal(amps, amps[::-1])):
+        raise ValueError("maximal_scan needs real, even amplitudes on a grid "
+                         "exactly symmetric about xi = 0")
     require_resolution(p, t_max, sign)
     ts = maximal_time_grid(t_max, n_t)
-    rows = quadrature_row(p, grid.points) * p.amplitudes  # (n_x, n_xi)
+    support = np.flatnonzero((xi > 0.0) & (amps != 0.0))
+    # conj(q) viewed as doubles interleaves [Re q, -Im q], and exp(i t phi)
+    # interleaves [cos, sin]: their real product is Re(q exp(i t phi))
+    rows = np.conj(quadrature_row(p, grid.points, support) * amps[support]).view(np.float64)
+    # every block is the same (n_x, 2m) x (2m, _BLOCK) product, the last one
+    # padded, so a time's value does not depend on how many times are scanned
+    # or where it sits in its block, and refined time grids give monotone sups
+    factors = np.zeros((_BLOCK, support.size), dtype=np.complex128)
     sup = np.full(grid.n, -np.inf)
     peak = np.zeros(grid.n, dtype=np.intp)
     for lo in range(0, n_t, _BLOCK):
-        magnitudes = np.abs(evolution_multipliers(p, ts[lo:lo + _BLOCK], sign) @ rows.T)
-        best = magnitudes.argmax(axis=0)
-        top = magnitudes[best, np.arange(grid.n)]
+        count = min(_BLOCK, n_t - lo)
+        factors[:count] = evolution_multipliers(p, ts[lo:lo + count], sign, support)
+        magnitudes = np.abs((rows @ factors.view(np.float64).T)[:, :count])  # half |U(t) f|
+        best = magnitudes.argmax(axis=1)
+        top = magnitudes[np.arange(grid.n), best]
         larger = top > sup  # strict, so an earlier block keeps a tie
         sup = np.where(larger, top, sup)
         peak = np.where(larger, lo + best, peak)
@@ -177,9 +200,9 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
             # bracket around each point's own argmax: a per-x time, so only
             # the row-wise product with that point's row is needed
             tj = t_lo * (t_hi / t_lo) ** ((j + 1) / 9.0)
-            refined = np.einsum("xj,xj->x", evolution_multipliers(p, tj, sign), rows)
-            sup = np.maximum(sup, np.abs(refined))
-    return MaximalScan(grid.x_min, grid.x_step, sup, n_t, t_max)
+            at_tj = evolution_multipliers(p, tj, sign, support).view(np.float64)
+            sup = np.maximum(sup, np.abs(np.einsum("xj,xj->x", at_tj, rows)))
+    return MaximalScan(grid.x_min, grid.x_step, 2.0 * sup, n_t, t_max)
 
 
 def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256, sign: str = "+") -> float:

@@ -225,12 +225,21 @@ def phase(xi, sign: str = "+"):
 
 
 def phase_derivative(xi, sign: str = "+"):
-    """d/dxi of the dispersion phase: 3*xi**2 - sign/xi**2."""
+    """d/dxi of the dispersion phase: 3*xi**2 - sign/xi**2.
+
+    Rejects xi = 0, and any xi whose derivative leaves the double range
+    (3*xi**2 overflows for |xi| above about 7.7e153), naming the frequency reach.
+    """
     s = _check_sign(sign)
     x = np.asarray(xi, dtype=np.float64)
     if np.any(x == 0.0):
         raise ValueError("phase derivative is singular at xi = 0")
-    out = 3.0 * x**2 - s / x**2
+    with np.errstate(over="ignore"):
+        out = 3.0 * x**2 - s / x**2
+    if not np.all(np.isfinite(out)):
+        reach = float(np.max(np.abs(x[~np.isfinite(out)])))
+        raise ValueError("phase derivative 3*xi**2 - sign/xi**2 overflows at frequency "
+                         f"reach |xi| = {reach:.6g}")
     return out if out.ndim else float(out)
 
 
@@ -239,18 +248,23 @@ def phase_derivative(xi, sign: str = "+"):
 # ---------------------------------------------------------------------------
 
 
-def evolution_multipliers(p: SpectralProfile, ts, sign: str) -> np.ndarray:
+def evolution_multipliers(p: SpectralProfile, ts, sign: str, columns=slice(None)) -> np.ndarray:
     """Propagator factors exp(i t phase(xi)) on p's grid, one row per time: shape (T, n).
 
     Entries where p has no amplitude are exactly 1 and never see the phase,
     which keeps excluded near-singular frequencies out of the arithmetic.
     A t = 0 row of ``M - 1``, the multiplier of U(t) - I, is exactly zero.
+    `columns` (an index array or slice of p's grid) keeps only those n
+    columns, with the bits of the same columns of the full table.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    out = np.ones((ts.size, p.n), dtype=np.complex128)
-    nz = p.amplitudes != 0.0
+    xi, amps = p.xi[columns], p.amplitudes[columns]
+    nz = amps != 0.0
+    if np.all(nz):  # the same bits as below, without the masked copy
+        return np.exp(1j * np.outer(ts, phase(xi, sign)))
+    out = np.ones((ts.size, xi.size), dtype=np.complex128)
     if np.any(nz):
-        out[:, nz] = np.exp(1j * np.outer(ts, phase(p.xi[nz], sign)))
+        out[:, nz] = np.exp(1j * np.outer(ts, phase(xi[nz], sign)))
     return out
 
 
@@ -289,15 +303,17 @@ def _check_phase_reach(p: SpectralProfile, x_reach: float) -> None:
                          "phases; need |x| * max|xi| <= 2**52")
 
 
-def quadrature_row(p: SpectralProfile, x) -> np.ndarray:
+def quadrature_row(p: SpectralProfile, x, columns=slice(None)) -> np.ndarray:
     """Synthesis weights at points: u(x) = quadrature_row(p, x) @ amps.
 
     An array of points gives one row per point, shape x.shape + (p.n,).
-    Raises ValueError unless |x| * max|xi| <= 2**52.
+    `columns` (an index array or slice of p's grid) keeps only those
+    columns, with the bits of the same columns of the full row.  Raises
+    ValueError unless |x| * max|xi| <= 2**52.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_phase_reach(p, float(np.max(np.abs(x))))
-    return np.exp(1j * np.multiply.outer(x, p.xi)) * _weights(p)
+    return np.exp(1j * np.multiply.outer(x, p.xi[columns])) * _weights(p)[columns]
 
 
 def _fft_length(n: int) -> int:
@@ -411,11 +427,20 @@ def propagate(p: SpectralProfile, t: float, sign: str, grid: SpaceGrid) -> Space
 
 
 def hs_norm(p: SpectralProfile, s: float) -> float:
-    """Discrete Sobolev norm: sqrt(sum (1+xi^2)^s |amp|^2 * xi_step)."""
+    """Discrete Sobolev norm: sqrt(sum (1+xi^2)^s |amp|^2 * xi_step).
+
+    Raises ValueError, naming s and the frequency reach, when the weight
+    (1+xi^2)^s leaves the double range on p's grid.
+    """
     if not math.isfinite(s):
         raise ValueError("s must be finite")
     xi = p.xi
-    weight = (1.0 + xi * xi) ** s
+    with np.errstate(over="ignore"):
+        weight = (1.0 + xi * xi) ** s
+    if not np.all(np.isfinite(weight)):
+        reach = float(np.max(np.abs(xi[~np.isfinite(weight)])))
+        raise ValueError(f"H^s weight (1+xi^2)^s overflows at s = {s!r}, frequency reach "
+                         f"|xi| = {reach:.6g}")
     return float(np.sqrt(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step))
 
 

@@ -234,6 +234,22 @@ class TestMainPropagate:
         assert err.startswith("error: |x| up to 1.00000000001e+17 gives non-finite or unresolved")
         assert not out.exists()
 
+    def test_phase_derivative_overflow_exits_one(self, tmp_path, capsys):
+        # the phase derivative 3*xi**2 overflows at xi = 1e200 while the tiny
+        # t and x keep every other check in range; refused before any warning
+        far = tmp_path / "far.csv"
+        write_profile(SpectralProfile(1e200, 1e190, np.array([1.0, 1.0])), far)
+        out = tmp_path / "u.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["propagate", "--profile", str(far), "--t", "1e-300",
+                       "--x-min", "0", "--x-max", "1e-190", "--nx", "4", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase derivative 3*xi**2 - sign/xi**2 overflows "
+                              "at frequency reach |xi| = 1e+200")
+        assert not out.exists()
+
 
 class TestMainTrace:
     def test_zero_tail_gives_zero_deviation(self, tmp_path, gauss_low_csv):
@@ -399,7 +415,7 @@ class TestNonFiniteInput:
         (["counterexample", "--s", "400", "--k-min", "3", "--k-max", "3"],
          "leaves the positive double range"),
         (["counterexample", "--s", "150", "--k-min", "3", "--k-max", "3"],
-         "R_k = 0.0 at k = 3"),
+         "H^s weight (1+xi^2)^s overflows at s = 150.0, frequency reach |xi| = 16"),
         # xi**3 overflows in the phase while the tiny t_max still passes the gate
         (["counterexample", "--s", "0", "--k-min", "345", "--k-max", "345"],
          "phase xi**3 + sign/xi overflows at frequency reach |xi| = 1.43344e+104"),
@@ -411,7 +427,9 @@ class TestNonFiniteInput:
         if argv[0] not in ("khinchine", "counterexample"):
             argv = argv + ["--profile", str(gauss_low_csv)]
         out = tmp_path / "o.csv"
-        assert main(argv + ["--out", str(out)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 

@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from ostrovsky_lab.rough import (
+    BAND_CELLS,
     MIN_BAND_CELLS,
     TIME_SPAN,
+    WINDOW_POINTS,
     CounterexampleSpec,
     convergence_trace,
     counterexample_profile,
@@ -164,6 +166,33 @@ class TestMaximalScan:
         literal = _literal_scan(p, sign, t_max, grid, 600, refine)
         assert np.max(np.abs(scan.sup_values - literal)) <= 1e-13 * np.max(literal)
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_matches_literal_per_time_scan_at_production_shape(self, sign):
+        # counterexample_ratio's grids at k = 8 (257 x 1025, 257 support
+        # columns per sign of xi), with 300 times crossing a block boundary
+        spec = CounterexampleSpec(8, 0.1)
+        p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+        scan = maximal_scan(p, sign, spec.t_max, grid, n_t=300)
+        literal = _literal_scan(p, sign, spec.t_max, grid, 300, True)
+        assert np.max(np.abs(scan.sup_values - literal)) <= 1e-13 * np.max(literal)
+
+    @pytest.mark.parametrize("change", ["shifted grid", "complex", "not even"])
+    def test_refuses_profiles_outside_the_fold(self, scan_setup, change):
+        # the folded sum over xi > 0 holds only for a real, even profile on
+        # a grid exactly symmetric about 0
+        spec, p, grid = scan_setup
+        amps = p.amplitudes.real.copy()
+        if change == "shifted grid":
+            p = SpectralProfile(p.xi_min + p.xi_step / 2, p.xi_step, amps)
+        elif change == "complex":
+            p = p.with_amplitudes(amps * (1.0 + 1e-3j))
+        else:
+            amps[-1] *= 2.0
+            p = p.with_amplitudes(amps)
+        with pytest.raises(ValueError, match="real, even amplitudes on a grid exactly symmetric"):
+            maximal_scan(p, "+", spec.t_max, grid, n_t=8)
+
     def test_resolution_gate(self, scan_setup):
         spec, p, grid = scan_setup
         with pytest.raises(ResolutionError):
@@ -173,6 +202,18 @@ class TestMaximalScan:
         spec, p, grid = scan_setup
         coarse = maximal_scan(p, "+", spec.t_max, grid, n_t=32, refine_around_peak=False)
         fine = maximal_scan(p, "+", spec.t_max, grid, n_t=63, refine_around_peak=False)
+        assert np.all(fine.sup_values >= coarse.sup_values)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("n_t", [5, 100, 200, 300])
+    @pytest.mark.parametrize("setup", ["scan_setup", "family_k5"])
+    def test_sup_monotone_under_refinement_across_blocks(self, request, setup, sign, n_t):
+        # a time's value does not depend on how many times share its block,
+        # so the refined grid's sup at each shared node is the same double
+        spec, p, grid = request.getfixturevalue(setup)
+        coarse = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=n_t, refine_around_peak=False)
+        fine = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=2 * n_t - 1,
+                            refine_around_peak=False)
         assert np.all(fine.sup_values >= coarse.sup_values)
 
     def test_peak_refinement_only_raises(self, scan_setup):

@@ -213,6 +213,14 @@ class TestPhase:
                 phase(np.array([2.0, -1e104, 1e103]), "-")
             assert math.isfinite(phase(5e102))
 
+    def test_derivative_overflow_names_the_frequency_reach_without_warning(self):
+        # 3 * xi**2 leaves the double range above about 7.7e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"frequency reach \|xi\| = 1e\+200"):
+                phase_derivative(np.array([2.0, -1e200, 1e160]), "+")
+            assert math.isfinite(phase_derivative(7e153, "-"))
+
 
 # ---------------------------------------------------------------------------
 # evolution
@@ -543,6 +551,15 @@ class TestNorms:
     def test_hs_norm_rejects_non_finite_s(self, corpus):
         with pytest.raises(ValueError):
             hs_norm(corpus[0].profile, math.nan)
+
+    def test_hs_norm_overflow_names_s_and_reach_without_warning(self):
+        # (1 + 4^2)^s leaves the double range for s above about 250
+        p = SpectralProfile(-4.0, 1.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"s = 300.0, frequency reach \|xi\| = 4$"):
+                hs_norm(p, 300.0)
+            assert math.isfinite(hs_norm(p, 200.0))
 
     def test_lp_norm_constant_field(self):
         h = 0.125
