@@ -41,7 +41,6 @@ from .randomized import (
 )
 from .rough import (
     CounterexampleSpec,
-    MaximalScan,
     ScalingFit,
     convergence_trace,
     counterexample_profile,

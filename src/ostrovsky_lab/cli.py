@@ -238,8 +238,10 @@ def _validate(subcommand: str, params: dict) -> None:
             raise UsageError("--x-min must be below --x-max")
         if params["nx"] < 2:
             raise UsageError("--nx must be >= 2")
-    if subcommand in ("khinchine", "stochastic-continuity") and params["n"] < 1:
-        raise UsageError("--n must be >= 1")
+    # a Khinchine ratio needs two samples for its standard error
+    least = {"khinchine": 2, "stochastic-continuity": 1}.get(subcommand)
+    if least is not None and params["n"] < least:
+        raise UsageError(f"--n must be >= {least}")
 
 
 # ---------------------------------------------------------------------------

@@ -142,22 +142,28 @@ def write_reports(reports: Sequence[LemmaReport], path) -> None:
 
 
 def read_reports(path) -> list[LemmaReport]:
+    """Read a report table; a malformed row raises ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or rows[0] != REPORT_HEADER:
         raise ValueError(f"{path}: expected header {','.join(REPORT_HEADER)}")
     out = []
-    for row in rows[1:]:
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        lemma_id, profile_id, params, lhs, rhs, fitted, passed = row
-        out.append(LemmaReport(
-            lemma_id=lemma_id,
-            profile_id=profile_id,
-            params=text_to_params(params),
-            measured_lhs=float(lhs),
-            bound_rhs=float(rhs),
-            fitted_c=float(fitted),
-            passed={"true": True, "false": False}[passed],
-        ))
+        try:
+            lemma_id, profile_id, params, lhs, rhs, fitted, passed = row
+            if passed not in ("true", "false"):
+                raise ValueError(f"pass must be true or false, got {passed!r}")
+            out.append(LemmaReport(
+                lemma_id=lemma_id,
+                profile_id=profile_id,
+                params=text_to_params(params),
+                measured_lhs=float(lhs),
+                bound_rhs=float(rhs),
+                fitted_c=float(fitted),
+                passed=passed == "true",
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import CorpusEntry, default_corpus, observation_grid
 from .parallel import parallel_map
 from .spectral import (
-    ResolutionError,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
@@ -34,9 +33,9 @@ from .spectral import (
     hs_norm,
     lp_norm_space,
     phase,
-    require_resolution,
+    validate_resolution,
 )
-from .windows import project_low, square_function, wiener_decompose, wiener_project
+from .windows import project_low, square_function, wiener_decompose
 
 LEMMA_IDS = (
     "L2_2",
@@ -111,9 +110,18 @@ def _skip_report(lemma_id: str, profile_id: str, reason: str, params: dict | Non
     return _report(lemma_id, profile_id, merged, 0.0, 0.0, 0.0)
 
 
-def _sup_deviations(p: SpectralProfile, ts, sign: str, grid: SpaceGrid) -> np.ndarray:
-    """max over `grid` of |U(t)p - p| per time, from one batched synthesis of (U(t)-I)p."""
-    rows = p.amplitudes * (evolution_multipliers(p, ts, sign) - 1.0)
+def _sup_deviations(p: SpectralProfile, amplitudes: np.ndarray, ts, sign: str,
+                    grid: SpaceGrid) -> np.ndarray:
+    """max over `grid` of |(U(t) - I) a| per time t and amplitude row a on p's grid.
+
+    `amplitudes` is one row (one value per time) or a stack of rows at one
+    time (one value per row).  The multiplier is formed only on the columns
+    the rows cover, and every row comes from one batched synthesis.
+    """
+    a = np.atleast_2d(amplitudes)
+    columns = np.flatnonzero(np.any(a != 0.0, axis=0))
+    rows = np.zeros((max(a.shape[0], len(ts)), p.n), dtype=np.complex128)
+    rows[:, columns] = a[:, columns] * (evolution_multipliers(p, ts, sign, columns) - 1.0)
     return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
 
 
@@ -145,33 +153,38 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
 
 def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
                         sign: str = "+", profile_id: str = "profile",
-                        delta: float | None = None,
-                        grid: SpaceGrid | None = None) -> LemmaReport:
+                        grid: SpaceGrid | None = None) -> list[LemmaReport]:
     """Deviation of the low-frequency part against eps + C*|t|/delta * ||p||.
 
-    With ``delta=None`` the radius is the measured low-mass radius
-    (lemma id L2_2); passing ``delta=epsilon`` gives the uniform variant
-    (lemma id L2_4).  The fitted constant is the smallest C making the
-    bound hold; the verdict compares against CORPUS_CONSTANT.
-    A measured radius of 0 (the fallback for a profile whose zero-exclusion
-    radius is 0) leaves the bound undefined and yields a skip row.
+    Returns the rows [L2_2, L2_4] from one synthesis: both measure the same
+    deviation, L2_2 against the measured low-mass radius delta_epsilon(p,
+    epsilon) and L2_4 against the uniform radius delta = epsilon.  The
+    fitted constant is the smallest C making the bound hold; the verdict
+    compares against CORPUS_CONSTANT.  A refused resolution gate gives two
+    resolution_refused skip rows, and a measured radius of 0 (the fallback
+    for a profile whose zero-exclusion radius is 0) leaves the L2_2 bound
+    undefined and gives a no_low_mass_radius skip row in its place.
     """
-    lemma_id = "L2_2" if delta is None else "L2_4"
+    radius = delta_epsilon(p, epsilon)  # validates epsilon before the gate
     low = project_low(p, SPLIT_SCALE)
-    require_resolution(low, t, sign)
-    params = {"epsilon": epsilon, "t": t}
-    if delta is None:
-        delta = delta_epsilon(p, epsilon)
-        if delta == 0.0:
-            return _skip_report(lemma_id, profile_id, "no_low_mass_radius", params)
+    if not validate_resolution(low, t, sign).ok:
+        return [_skip_report(lemma_id, profile_id, "resolution_refused", {"t": t})
+                for lemma_id in ("L2_2", "L2_4")]
     if grid is None:
         grid = observation_grid(p)
-    lhs = float(_sup_deviations(low, [t], sign, grid)[0])
+    lhs = float(_sup_deviations(p, low.amplitudes, [t], sign, grid)[0])
     norm = hs_norm(p, 0.0)
-    rhs = epsilon + CORPUS_CONSTANT * abs(t) * norm / delta
-    scale = abs(t) * norm / delta
-    fitted = max(0.0, lhs - epsilon) / scale if scale > 0 else 0.0
-    return _report(lemma_id, profile_id, {**params, "delta": delta}, lhs, rhs, fitted)
+    params = {"epsilon": epsilon, "t": t}
+    rows = []
+    for lemma_id, delta in (("L2_2", radius), ("L2_4", epsilon)):
+        if delta == 0.0:
+            rows.append(_skip_report(lemma_id, profile_id, "no_low_mass_radius", params))
+            continue
+        rhs = epsilon + CORPUS_CONSTANT * abs(t) * norm / delta
+        scale = abs(t) * norm / delta
+        fitted = max(0.0, lhs - epsilon) / scale if scale > 0 else 0.0
+        rows.append(_report(lemma_id, profile_id, {**params, "delta": delta}, lhs, rhs, fitted))
+    return rows
 
 
 def high_frequency_part(p: SpectralProfile) -> SpectralProfile:
@@ -207,7 +220,8 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     Emits two self-auditing rows: the fitted constant max_t(sup dev / t)
     against the phase-weighted l1 majorant, and the log-log slope of the
     deviation curve against 1 within SLOPE_TOLERANCE.  A profile with
-    no high-frequency content yields a single skip row.
+    no high-frequency content, or a refused resolution gate at the largest
+    time, yields a single skip row.
     """
     ts = np.asarray(t_values, dtype=np.float64)
     if ts.size < 3 or np.any(ts <= 0):
@@ -215,11 +229,12 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     high = high_frequency_part(p)
     if not np.any(high.amplitudes != 0.0):
         return [_skip_report("L2_3", profile_id, "zero_high_frequency_part")]
-    require_resolution(high, float(np.max(ts)), sign)
+    if not validate_resolution(high, float(np.max(ts)), sign).ok:
+        return [_skip_report("L2_3", profile_id, "resolution_refused")]
     if grid is None:
         grid = observation_grid(p)
 
-    deviations = _sup_deviations(high, ts, sign, grid)
+    deviations = _sup_deviations(p, high.amplitudes, ts, sign, grid)
     fitted_c = float(np.max(deviations / ts))
     majorant = high_frequency_majorant(p, sign)
     slope = float(np.polyfit(np.log(ts), np.log(deviations), 1)[0])
@@ -232,28 +247,35 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     return [constant_row, slope_row]
 
 
-def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, k: int, *,
+def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
                      sign: str = "+", profile_id: str = "profile",
-                     grid: SpaceGrid | None = None) -> LemmaReport:
-    """Deviation of one unit window piece against CORPUS_CONSTANT*(eps + |t|/eps).
+                     grid: SpaceGrid | None = None) -> list[LemmaReport]:
+    """Deviation of each unit window piece against CORPUS_CONSTANT*(eps + |t|/eps).
 
-    Only stated for window indices |k| <= 8; larger k is out of scope and
-    rejected.  The grid l1 mass of the amplitudes rides along in params
-    because the estimate's constant is tied to it.
+    One row per non-zero piece of wiener_decompose(p) with |k| <=
+    MAX_WINDOW_INDEX (the estimate is stated only there), in k order; a
+    piece whose resolution gate refuses gives a resolution_refused skip
+    row.  The grid l1 mass of the amplitudes rides along in params because
+    the estimate's constant is tied to it.
     """
-    if abs(k) > MAX_WINDOW_INDEX:
-        raise ValueError(f"window index {k} out of scope; need |k| <= {MAX_WINDOW_INDEX}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    piece = wiener_project(p, k)
-    require_resolution(piece, t, sign)
-    if grid is None:
-        grid = observation_grid(p)
-    lhs = float(_sup_deviations(piece, [t], sign, grid)[0])
+    dec = wiener_decompose(p)
+    keep = (np.abs(dec.ks) <= MAX_WINDOW_INDEX) & np.any(dec.table != 0.0, axis=1)
+    ks, pieces = dec.ks[keep].tolist(), dec.table[keep]
+    gated = np.array([validate_resolution(p.with_amplitudes(row), t, sign).ok
+                      for row in pieces], dtype=bool)
+    lhs = np.zeros(len(ks))
+    if np.any(gated):
+        if grid is None:
+            grid = observation_grid(p)
+        lhs[gated] = _sup_deviations(p, pieces[gated], [t], sign, grid)
     scale = epsilon + abs(t) / epsilon
     l1_mass = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
-    params = {"epsilon": epsilon, "t": t, "k": k, "l1_mass": l1_mass}
-    return _report("L2_5", profile_id, params, lhs, CORPUS_CONSTANT * scale, lhs / scale)
+    return [_report("L2_5", profile_id, {"epsilon": epsilon, "t": t, "k": k, "l1_mass": l1_mass},
+                    value, CORPUS_CONSTANT * scale, value / scale) if ok
+            else _skip_report("L2_5", profile_id, "resolution_refused", {"k": k, "t": t})
+            for k, value, ok in zip(ks, lhs, gated)]
 
 
 def check_square_function(p: SpectralProfile, t: float | None = None, *,
@@ -328,40 +350,20 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     return _report("BERNSTEIN", profile_id, {"pieces": measured}, worst, BERNSTEIN_CONSTANT, worst)
 
 
-def _window_indices(p: SpectralProfile) -> list[int]:
-    """In-scope window indices whose piece is not identically zero."""
-    dec = wiener_decompose(p)
-    return [k for k, row in enumerate(dec.table, start=dec.k_min)
-            if abs(k) <= MAX_WINDOW_INDEX and np.any(row != 0.0)]
-
-
 def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:
-    p = entry.profile
-    pid = entry.profile_id
+    p, pid = entry.profile, entry.profile_id
     grid = observation_grid(p)
-    reports: list[LemmaReport] = []
-
-    def guarded(lemma_id: str, params: dict, fn: Callable[[], list[LemmaReport]]):
-        try:
-            reports.extend(fn())
-        except ResolutionError:
-            reports.append(_skip_report(lemma_id, pid, "resolution_refused", params))
-
-    guarded("L2_2", {"t": T_LOW}, lambda: [check_low_frequency(
-        p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)])
-    guarded("L2_3", {}, lambda: check_high_frequency(
-        p, HIGH_TIMES, sign=sign, profile_id=pid, grid=grid))
-    guarded("L2_4", {"t": T_LOW}, lambda: [check_low_frequency(
-        p, T_LOW, EPSILON, sign=sign, profile_id=pid, delta=EPSILON, grid=grid)])
-    for k in _window_indices(p):
-        guarded("L2_5", {"k": k, "t": T_LOW}, lambda k=k: [check_wiener_low(
-            p, T_LOW, WINDOW_EPSILON, k, sign=sign, profile_id=pid, grid=grid)])
-    reports.append(check_square_function(p, None, sign=sign, profile_id=pid, grid=grid))
-    for t in SQUARE_TIMES:
-        reports.append(check_square_function(p, t, sign=sign, profile_id=pid, grid=grid))
-    reports.extend(norm_equivalence_reports(p, profile_id=pid))
-    reports.append(bernstein_report(p, profile_id=pid, grid=grid))
-    return reports
+    low, uniform = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)
+    return [
+        low,
+        *check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id=pid, grid=grid),
+        uniform,
+        *check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id=pid, grid=grid),
+        *(check_square_function(p, t, sign=sign, profile_id=pid, grid=grid)
+          for t in (None, *SQUARE_TIMES)),
+        *norm_equivalence_reports(p, profile_id=pid),
+        bernstein_report(p, profile_id=pid, grid=grid),
+    ]
 
 
 def run_corpus(entries: Sequence[CorpusEntry] | None = None,
@@ -370,9 +372,10 @@ def run_corpus(entries: Sequence[CorpusEntry] | None = None,
                threads: int = 1) -> list[LemmaReport]:
     """Run every applicable check on every profile, in stable order.
 
-    Per-check failures become skip rows, never abort the run.  The report
-    sequence is keyed by (corpus order, check order), so a threaded run
-    returns the identical list.
+    A check that cannot run (a refused resolution gate, an empty part)
+    gives skip rows and never aborts the run.  The report sequence is
+    keyed by (corpus order, check order), so a threaded run returns the
+    identical list.
     """
     if entries is None:
         entries = default_corpus()

@@ -28,7 +28,6 @@ from .spectral import (
 
 __all__ = [
     "CounterexampleSpec",
-    "MaximalScan",
     "ScalingFit",
     "counterexample_profile",
     "counterexample_ratio",
@@ -129,27 +128,9 @@ def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
     return t_max * TIME_SPAN**exponents
 
 
-@dataclass
-class MaximalScan:
-    """Pointwise sup over scanned times of |U(t) f| on a spatial grid."""
-
-    x_min: float
-    x_step: float
-    sup_values: np.ndarray
-    t_count: int
-    t_max: float
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_min + self.x_step * np.arange(self.sup_values.size)
-
-    def as_field(self) -> SpaceField:
-        return SpaceField(self.x_min, self.x_step, self.sup_values)
-
-
 def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
-                 n_t: int = 256, refine_around_peak: bool = True) -> MaximalScan:
-    """Scan |U(t) f (x)| over the geometric time grid and keep the sup per x.
+                 n_t: int = 256, refine_around_peak: bool = True) -> SpaceField:
+    """Field on `grid` of the sup of |U(t) f (x)| over the geometric time grid.
 
     p must be real and even on a grid exactly symmetric about 0, as every
     counterexample_profile is; anything else raises ValueError.  The phase
@@ -202,7 +183,7 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
             tj = t_lo * (t_hi / t_lo) ** ((j + 1) / 9.0)
             at_tj = evolution_multipliers(p, tj, sign, support).view(np.float64)
             sup = np.maximum(sup, np.abs(np.einsum("xj,xj->x", at_tj, rows)))
-    return MaximalScan(grid.x_min, grid.x_step, 2.0 * sup, n_t, t_max)
+    return SpaceField(grid.x_min, grid.x_step, 2.0 * sup)
 
 
 def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256, sign: str = "+") -> float:
@@ -215,9 +196,9 @@ def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256, sign: str = "
     p = counterexample_profile(spec, xi_step)
     w = spec.x_window
     grid = SpaceGrid.spanning(-w, w, WINDOW_POINTS)
-    scan = maximal_scan(p, sign, spec.t_max, grid, n_t)
+    sups = maximal_scan(p, sign, spec.t_max, grid, n_t)
     norm = hs_norm(p, spec.s)
-    ratio = lp_norm_space(scan.as_field(), 4.0) / norm if norm > 0.0 else math.nan
+    ratio = lp_norm_space(sups, 4.0) / norm if norm > 0.0 else math.nan
     if not 0.0 < ratio < math.inf:
         raise ValueError(f"R_k = {ratio} at k = {spec.k}, s = {spec.s!r}: "
                          "the norms leave the double range")

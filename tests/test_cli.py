@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostrovsky_lab.cli import RunConfig, UsageError, main, parse_config
+from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.fileio import read_field, read_profile, read_reports, write_profile
 from ostrovsky_lab.spectral import SpectralProfile
 
@@ -84,8 +85,12 @@ class TestParseConfig:
           "--x-min", "0"], "given together"),
         (["propagate", "--out", "o", "--profile", "p", "--t", "0",
           "--x-min", "1", "--x-max", "-1"], "--x-min must be below"),
-        (["khinchine", "--out", "o", "--p", "2", "--n", "0"], "--n must be >= 1"),
-    ], ids=["k-order", "nt", "nx", "half-grid", "grid-order", "n"])
+        (["khinchine", "--out", "o", "--p", "2", "--n", "0"], "--n must be >= 2"),
+        (["khinchine", "--out", "o", "--p", "2", "--n", "1"], "--n must be >= 2"),
+        (["stochastic-continuity", "--out", "o", "--profile", "p", "--alpha", "0.1",
+          "--t", "0.1,0", "--n", "0"], "--n must be >= 1"),
+    ], ids=["k-order", "nt", "nx", "half-grid", "grid-order", "n", "khinchine-n-1",
+            "continuity-n"])
     def test_cross_parameter_validation(self, argv, match):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
@@ -343,6 +348,22 @@ class TestMainVerifyLemmas:
                 if best is None or r.fitted_c > best["fitted_c"]:
                     worst[r.lemma_id] = {"fitted_c": r.fitted_c, "profile_id": r.profile_id}
         assert summary["worst_fitted_c"] == worst
+
+    def test_refused_gates_become_skip_rows(self, tmp_path):
+        # low part, high part and window 8 of this band fail the resolution gate
+        directory = tmp_path / "refused"
+        directory.mkdir()
+        write_profile(band_profile(0.5, 12.0, 1.0, 0.0, 12.5, 0.5), directory / "band.csv")
+        for sign in "+-":
+            out = tmp_path / f"rep{sign}.csv"
+            rc = main(["verify-lemmas", "--corpus", str(directory), "--sign", sign,
+                       "--out", str(out)])
+            assert rc == 0
+            summary = _read_meta(out)["summary"]
+            assert summary["skipped_by_reason"]["resolution_refused"] == 4
+            skipped = [(r.lemma_id, r.params) for r in read_reports(out) if "skip" in r.params]
+            assert [lemma_id for lemma_id, _ in skipped] == ["L2_2", "L2_3", "L2_4", "L2_5"]
+            assert skipped[-1][1] == {"skip": "resolution_refused", "k": 8.0, "t": 1e-3}
 
     def test_only_filter(self, tmp_path, corpus_dir):
         out = tmp_path / "rep.csv"

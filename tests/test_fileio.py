@@ -180,3 +180,14 @@ class TestReportsRoundTrip:
         target.write_text("id,who,what\n")
         with pytest.raises(ValueError, match="expected header"):
             read_reports(target)
+
+    @pytest.mark.parametrize("row,message", [
+        ("L2_6,p,,1.0,2.0,0.5,yes", "pass must be true or false, got 'yes'"),
+        ("L2_6,p,,1.0,2.0", r"not enough values to unpack \(expected 7, got 5\)"),
+        ("L2_6,p,,one,2.0,0.5,true", "could not convert"),
+    ], ids=["verdict", "short-row", "number"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        target = tmp_path / "bad.csv"
+        target.write_text(",".join(REPORT_HEADER) + "\nL2_6,p,,1.0,2.0,0.5,true\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"bad.csv:3: {message}"):
+            read_reports(target)

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ostrovsky_lab.corpus import observation_grid
+from ostrovsky_lab.corpus import CorpusEntry, band_profile, observation_grid
 from ostrovsky_lab.lemmas import (
+    EPSILON,
+    HIGH_TIMES,
     LEMMA_IDS,
     MAX_WINDOW_INDEX,
     SPLIT_SCALE,
+    T_LOW,
+    WINDOW_EPSILON,
     LemmaReport,
     bernstein_report,
     check_high_frequency,
@@ -30,7 +34,7 @@ from ostrovsky_lab.spectral import (
     phase,
     synthesize,
 )
-from ostrovsky_lab.windows import project_low
+from ostrovsky_lab.windows import project_low, wiener_decompose, wiener_project
 
 EXPECTED_ROW_COUNTS = {
     "L2_2": 12,
@@ -104,20 +108,21 @@ class TestDeltaEpsilon:
 class TestLowFrequency:
     def test_t_zero_deviation_vanishes(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        report = check_low_frequency(p, 0.0, 1e-2, profile_id="gauss_low")
-        assert report.measured_lhs == 0.0
-        assert report.fitted_c == 0.0
-        assert report.passed
+        for report in check_low_frequency(p, 0.0, 1e-2, profile_id="gauss_low"):
+            assert report.measured_lhs == 0.0
+            assert report.fitted_c == 0.0
+            assert report.passed
 
     def test_uniform_variant_records_epsilon_radius(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        report = check_low_frequency(p, 1e-3, 1e-2, delta=1e-2, profile_id="gauss_low")
-        assert report.lemma_id == "L2_4"
-        assert report.params["delta"] == 1e-2
+        low, uniform = check_low_frequency(p, 1e-3, 1e-2, profile_id="gauss_low")
+        assert (low.lemma_id, uniform.lemma_id) == ("L2_2", "L2_4")
+        assert low.params["delta"] == delta_epsilon(p, 1e-2)
+        assert uniform.params["delta"] == 1e-2
 
     def test_lhs_matches_direct_synthesis(self, corpus_by_id):
         p = corpus_by_id["band_high_even"].profile
-        report = check_low_frequency(p, 1e-3, 1e-2, profile_id="band_high_even")
+        report, _ = check_low_frequency(p, 1e-3, 1e-2, profile_id="band_high_even")
         low = project_low(p, SPLIT_SCALE)
         grid = observation_grid(p)
         evolved = synthesize(evolve_spectral(low, 1e-3, "+"), grid)
@@ -128,15 +133,22 @@ class TestLowFrequency:
         assert report.fitted_c <= 1e4
         assert report.passed
 
+    def test_epsilon_validated_before_the_gate(self, corpus_by_id):
+        p = corpus_by_id["band_high_even"].profile
+        with pytest.raises(ValueError, match="positive"):
+            check_low_frequency(p, 1e3, 0.0)  # t = 1e3 would be refused
 
     def test_zero_radius_fallback_skips(self):
         # all mass sits inside radius 1/2 and the exclusion radius is 0, so
-        # the low-mass radius falls back to 0 and the bound has no value
+        # the low-mass radius falls back to 0 and the L2_2 bound has no value;
+        # the uniform radius of L2_4 still gives one
         p = SpectralProfile(2**-8, 2**-8, np.full(299, 1e3), zero_exclusion=0.0)
         assert delta_epsilon(p, 1e-2) == 0.0
-        report = check_low_frequency(p, 1e-5, 1e-2, profile_id="dense_low")
-        assert report.params["skip"] == "no_low_mass_radius"
-        assert report.passed and report.audit()
+        low, uniform = check_low_frequency(p, 1e-5, 1e-2, profile_id="dense_low")
+        assert low.params == {"skip": "no_low_mass_radius", "epsilon": 1e-2, "t": 1e-5}
+        assert low.passed and low.audit()
+        assert "skip" not in uniform.params and uniform.params["delta"] == 1e-2
+        assert uniform.measured_lhs > 0.0
 
 
 class TestHighFrequency:
@@ -190,25 +202,83 @@ class TestHighFrequency:
 
 class TestWienerLow:
     def test_out_of_scope_window(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile
-        with pytest.raises(ValueError, match="out of scope"):
-            check_wiener_low(p, 1e-3, 1e-1, MAX_WINDOW_INDEX + 1)
+        # gauss_high's windows run past MAX_WINDOW_INDEX; only those inside get rows
+        p = corpus_by_id["gauss_high"].profile
+        assert wiener_decompose(p).k_max > MAX_WINDOW_INDEX
+        rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_high")
+        assert rows and all(abs(r.params["k"]) <= MAX_WINDOW_INDEX for r in rows)
         with pytest.raises(ValueError, match="positive"):
-            check_wiener_low(p, 1e-3, 0.0, 1)
+            check_wiener_low(p, 1e-3, 0.0)
 
     def test_disjoint_window_gives_zero(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile  # support ends below xi = 3
-        report = check_wiener_low(p, 1e-3, 1e-1, 8, profile_id="gauss_low")
-        assert report.measured_lhs == 0.0
-        assert report.passed
+        # a window disjoint from the support (k = 8 for gauss_low) has a zero
+        # piece and no row; the rows are the non-zero pieces, in k order
+        p = corpus_by_id["gauss_low"].profile
+        dec = wiener_decompose(p)
+        nonzero = [int(k) for k, row in zip(dec.ks, dec.table) if np.any(row != 0.0)]
+        rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_low")
+        assert [r.params["k"] for r in rows] == nonzero
+        assert 8 not in nonzero
+        assert all(r.measured_lhs > 0.0 and r.passed for r in rows)
 
     def test_l1_mass_recorded(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        report = check_wiener_low(p, 1e-3, 1e-1, 1, profile_id="gauss_low")
         expected = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
-        assert report.params["l1_mass"] == expected
-        assert report.params["k"] == 1
-        assert report.lemma_id == "L2_5"
+        for report in check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_low"):
+            assert report.params["l1_mass"] == expected
+            assert report.lemma_id == "L2_5"
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_rows_match_one_window_syntheses(self, corpus, lemma_reports, sign):
+        # each batched L2_5 deviation against the synthesis of its own
+        # (U(t) - I) wiener_project(p, k), and one shared L2_2 / L2_4 deviation
+        reports = lemma_reports if sign == "+" else run_corpus(corpus, sign)
+        for entry in corpus:
+            p, pid = entry.profile, entry.profile_id
+            rows = [r for r in reports if r.profile_id == pid]
+            low, uniform = [r for r in rows if r.lemma_id in ("L2_2", "L2_4")]
+            assert low.measured_lhs == uniform.measured_lhs, pid
+            grid = observation_grid(p)
+            for report in (r for r in rows if r.lemma_id == "L2_5"):
+                piece = wiener_project(p, report.params["k"])
+                evolved = evolve_spectral(piece, T_LOW, sign)
+                moved = piece.with_amplitudes(evolved.amplitudes - piece.amplitudes)
+                direct = float(np.max(np.abs(synthesize(moved, grid).values)))
+                assert abs(report.measured_lhs - direct) <= 1e-12 * direct, (pid, report.params)
+
+
+class TestRefusedGates:
+    """A profile whose low part, high part and window 8 fail the resolution gate."""
+
+    @staticmethod
+    def _profile():
+        return band_profile(0.5, 12.0, 1.0, 0.0, 12.5, 0.5)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_checks_return_skip_rows(self, sign):
+        p = self._profile()
+        refused = {"skip": "resolution_refused"}
+        low = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id="b")
+        assert [(r.lemma_id, r.params) for r in low] == [
+            ("L2_2", {**refused, "t": T_LOW}), ("L2_4", {**refused, "t": T_LOW})]
+        (high,) = check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id="b")
+        assert (high.lemma_id, high.params) == ("L2_3", refused)
+        windows = check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id="b")
+        assert [r.params["k"] for r in windows] == list(range(9))
+        assert windows[-1].params == {**refused, "k": 8, "t": T_LOW}
+        assert all("skip" not in r.params and r.measured_lhs > 0.0 for r in windows[:-1])
+        for report in (*low, high, windows[-1]):
+            assert (report.measured_lhs, report.bound_rhs, report.fitted_c) == (0.0, 0.0, 0.0)
+            assert report.passed
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_corpus_run_keeps_row_order(self, sign):
+        reports = run_corpus([CorpusEntry("b", self._profile(), 0.0)], sign)
+        order = [r.lemma_id for r in reports]
+        assert order == ["L2_2", "L2_3", "L2_4"] + ["L2_5"] * 9 + [
+            "L2_6", "L2_7", "L2_7", "NORM_EQUIV", "NORM_EQUIV", "BERNSTEIN"]
+        skipped = [(r.lemma_id, r.params.get("k")) for r in reports if "skip" in r.params]
+        assert skipped == [("L2_2", None), ("L2_3", None), ("L2_4", None), ("L2_5", 8)]
 
 
 class TestSquareFunction:
