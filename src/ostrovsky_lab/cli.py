@@ -238,6 +238,8 @@ def _validate(subcommand: str, params: dict) -> None:
             raise UsageError("--x-min must be below --x-max")
         if params["nx"] < 2:
             raise UsageError("--nx must be >= 2")
+    if subcommand == "khinchine" and min(params["p"]) < 1.0:
+        raise UsageError("--p values must be >= 1")
     # a Khinchine ratio needs two samples for its standard error
     least = {"khinchine": 2, "stochastic-continuity": 1}.get(subcommand)
     if least is not None and params["n"] < least:
@@ -284,11 +286,10 @@ def _run_counterexample(params: dict) -> tuple[dict, int]:
 
 
 def _run_khinchine(params: dict) -> tuple[dict, int]:
-    results = []
-    for power in params["p"]:
-        res = khinchine_check(params["coeffs"], power, params["n"], params["seed"])
-        results.append({"p": power, "ratio": res.ratio, "stderr": res.ratio_stderr,
-                        "analytic": khinchine_analytic_ratio(power)})
+    results = [{"p": res.power, "ratio": res.ratio, "stderr": res.ratio_stderr,
+                "analytic": khinchine_analytic_ratio(res.power)}
+               for res in khinchine_check(params["coeffs"], params["p"], params["n"],
+                                          params["seed"])]
     header = ["p", "ratio", "stderr", "analytic"]
     write_table(params["out"], header,
                 ([format_float(result[key]) for key in header] for result in results))

@@ -23,6 +23,10 @@ REPORT_HEADER = ["lemma_id", "profile_id", "params", "measured_lhs",
 # relative tolerance for the uniform-spacing test on read
 SPACING_RTOL = 1e-9
 
+# rows write_field converts to Python objects at a time, so its memory stays
+# bounded whatever the field size
+FIELD_ROWS = 8192
+
 
 def format_float(value: float) -> str:
     """Shortest decimal string that round-trips to the same float."""
@@ -86,9 +90,23 @@ def read_profile(path) -> SpectralProfile:
 
 
 def write_field(u: SpaceField, path) -> None:
-    write_table(path, FIELD_HEADER,
-                ([format_float(x), format_float(v.real), format_float(v.imag),
-                  format_float(abs(v))] for x, v in zip(u.x, u.values)))
+    """Write the field as x,re,im,abs rows, the bytes `write_table` would give.
+
+    Rows are formatted straight from Python floats and complexes: no cell
+    needs csv quoting, and Python's ``abs`` of a complex is the same libm
+    ``hypot`` as numpy's scalar ``abs`` (numpy's array ``abs`` is not).  A
+    modulus beyond the double range is refused, not written as ``inf``.
+    """
+    grid = u.x
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(FIELD_HEADER) + "\n")
+        try:
+            for lo in range(0, u.n, FIELD_ROWS):
+                rows = slice(lo, lo + FIELD_ROWS)
+                handle.writelines(f"{x!r},{z.real!r},{z.imag!r},{abs(z)!r}\n"
+                                  for x, z in zip(grid[rows].tolist(), u.values[rows].tolist()))
+        except OverflowError as exc:
+            raise ValueError(f"{path}: |value| leaves the double range") from exc
 
 
 def read_field(path) -> SpaceField:

@@ -43,6 +43,10 @@ _U53 = 2.0**-53
 #: Draws per Monte Carlo block: bounds memory whatever the sample count.
 _BLOCK = 4096
 
+#: Largest array of sample magnitudes `khinchine_check` allocates (1 GiB, 8 bytes
+#: a sample); a larger `n_samples` is refused before any draw is made.
+KHINCHINE_MAX_BYTES = 2**30
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finaliser (64-bit avalanche)."""
@@ -72,9 +76,18 @@ def gaussian_coefficients(seed: int, sample_index, ks) -> np.ndarray:
         h = _mix64(h[..., None] + _GOLDEN * (kbits + np.uint64(1)))
         u1 = _uniform(_mix64(h + _GOLDEN))
         u2 = _uniform(_mix64(h + _GOLDEN + _GOLDEN))
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
-    out = radius * np.cos(angle) + 1j * radius * np.sin(angle)
+    # Box-Muller written in place into one complex array: the same operations
+    # as radius * cos + 1j * radius * sin, without its complex temporaries
+    radius = np.log(u1, out=u1)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = u2
+    angle *= 2.0 * math.pi
+    out = np.empty(radius.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out.real *= radius
+    out.imag *= radius
     return out if np.ndim(sample_index) else out[0] if out.ndim > 1 else out
 
 
@@ -129,31 +142,44 @@ class KhinchineResult:
     ratio_stderr: float
 
 
-def khinchine_check(coefficients, power: float, n_samples: int, seed: int = 0) -> KhinchineResult:
-    """Monte Carlo estimate of ||sum g_k c_k||_{L^p} / (sqrt(p) ||c||_2)."""
+def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list[KhinchineResult]:
+    """Monte Carlo estimates of ||sum g_k c_k||_{L^p} / (sqrt(p) ||c||_2), one per order.
+
+    The `n_samples` sums are drawn once and every order in `powers` reads
+    the same magnitudes |S|, so the results come back in input order and
+    each has the bits a one-order call would give.
+    """
     c = np.asarray(coefficients, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("need a non-empty coefficient sequence")
-    if power < 1.0:
-        raise ValueError("power must be >= 1")
+    if np.ndim(powers) != 1 or len(powers) == 0:
+        raise ValueError("need a non-empty sequence of moment orders")
+    if not all(power >= 1.0 for power in powers):
+        raise ValueError("every power must be >= 1")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if 8 * n_samples > KHINCHINE_MAX_BYTES:
+        raise ValueError(f"{n_samples} samples need {8 * n_samples} bytes of magnitudes, "
+                         f"above the budget of {KHINCHINE_MAX_BYTES} bytes")
     l2 = float(np.linalg.norm(c))
     if l2 == 0.0:
         raise ValueError("coefficient sequence must not vanish")
-    sums = np.empty(n_samples, dtype=np.complex128)
+    magnitudes = np.empty(n_samples, dtype=np.float64)
     for draws, values in _draw_blocks(seed, n_samples, np.arange(c.size), c):
-        sums[draws] = values
-    powered = np.abs(sums) ** power
-    mean = float(np.mean(powered))
-    stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n_samples))
-    if not (mean > 0.0 and math.isfinite(stderr_mean)):
-        raise ValueError(f"moments of order {power} leave the double range for these coefficients")
-    moment = mean ** (1.0 / power)
-    ratio = moment / (math.sqrt(power) * l2)
-    # delta method: d ratio / d mean = ratio / (p * mean)
-    ratio_stderr = ratio * stderr_mean / (power * mean)
-    return KhinchineResult(power, n_samples, moment, ratio, ratio_stderr)
+        np.abs(values, out=magnitudes[draws])
+    results = []
+    for power in powers:
+        powered = magnitudes ** power
+        mean = float(np.mean(powered))
+        stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n_samples))
+        if not (mean > 0.0 and math.isfinite(stderr_mean)):
+            raise ValueError(f"moments of order {power} leave the double range for these coefficients")
+        moment = mean ** (1.0 / power)
+        ratio = moment / (math.sqrt(power) * l2)
+        # delta method: d ratio / d mean = ratio / (p * mean)
+        ratio_stderr = ratio * stderr_mean / (power * mean)
+        results.append(KhinchineResult(power, n_samples, moment, ratio, ratio_stderr))
+    return results
 
 
 def randomized_point_samples(p: SpectralProfile, x: float, n_samples: int,

@@ -87,10 +87,11 @@ class TestParseConfig:
           "--x-min", "1", "--x-max", "-1"], "--x-min must be below"),
         (["khinchine", "--out", "o", "--p", "2", "--n", "0"], "--n must be >= 2"),
         (["khinchine", "--out", "o", "--p", "2", "--n", "1"], "--n must be >= 2"),
+        (["khinchine", "--out", "o", "--p", "2,0.5", "--n", "16"], "--p values must be >= 1"),
         (["stochastic-continuity", "--out", "o", "--profile", "p", "--alpha", "0.1",
           "--t", "0.1,0", "--n", "0"], "--n must be >= 1"),
     ], ids=["k-order", "nt", "nx", "half-grid", "grid-order", "n", "khinchine-n-1",
-            "continuity-n"])
+            "khinchine-p-below-1", "continuity-n"])
     def test_cross_parameter_validation(self, argv, match):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
@@ -190,6 +191,12 @@ class TestMainKhinchine:
         assert main(["khinchine", "--p", "2", "--n", "512", "--out", str(a)]) == 0
         assert main(["khinchine", "--p", "2", "--n", "512", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sample_count_over_budget_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "kh.csv"
+        assert main(["khinchine", "--p", "2", "--n", str(10**12), "--out", str(out)]) == 1
+        assert "above the budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainPropagate:
@@ -486,7 +493,8 @@ _TIMES = st.one_of(
         lambda ts: ",".join(repr(t) for t in sorted(ts, reverse=True))))
 _INVOCATION = st.one_of(
     st.tuples(st.just("khinchine"), st.fixed_dictionaries({
-        "p": _values(st.floats(1.0, 8.0)), "n": _COUNT,
+        # 10**12 samples are over the sample budget and refused before any draw
+        "p": _values(st.floats(1.0, 8.0)), "n": st.one_of(_COUNT, st.just(str(10**12))),
         "coeffs": _values(st.floats(-2.0, 2.0))})),
     st.tuples(st.just("trace"), st.fixed_dictionaries({
         "x": _value(st.floats(-3.0, 3.0)), "t": _TIMES})),

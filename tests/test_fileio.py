@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ostrovsky_lab import fileio
 from ostrovsky_lab.fileio import (
     FIELD_HEADER,
     PROFILE_HEADER,
@@ -20,6 +21,7 @@ from ostrovsky_lab.fileio import (
     write_field,
     write_profile,
     write_reports,
+    write_table,
 )
 from ostrovsky_lab.spectral import SpaceField, SpectralProfile
 
@@ -121,6 +123,31 @@ class TestFieldRoundTrip:
         target.write_text(f"{','.join(FIELD_HEADER)}\n{rows}")
         with pytest.raises(ValueError, match=match) as info:
             read_field(target)
+        assert str(target) in str(info.value)
+
+    def test_bytes_match_the_table_writer(self, tmp_path, monkeypatch):
+        # reference: one write_table row of format_float cells per point,
+        # the modulus taken by numpy's scalar abs; 509 rows in batches of 100
+        monkeypatch.setattr(fileio, "FIELD_ROWS", 100)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(509) + 1j * rng.standard_normal(509)
+        values *= 10.0 ** rng.uniform(-300.0, 300.0, values.size)
+        values[:5] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -2.5e-310),
+                      complex(1e300, -1e300), complex(-3e300, 4e300)]
+        u = SpaceField(-7.25, 1e-3, values)
+        fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+        write_field(u, fast)
+        write_table(reference, FIELD_HEADER,
+                    ([format_float(x), format_float(v.real), format_float(v.imag),
+                      format_float(abs(v))] for x, v in zip(u.x, u.values)))
+        assert fast.read_bytes() == reference.read_bytes()
+        assert fast.read_text().splitlines()[1] == "-7.25,-0.0,0.0,0.0"
+
+    def test_modulus_beyond_double_range_refused(self, tmp_path):
+        u = SpaceField(0.0, 1.0, np.array([1.0 + 0j, 1.5e308 + 1.5e308j]))
+        target = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match="leaves the double range") as info:
+            write_field(u, target)
         assert str(target) in str(info.value)
 
     def test_header_and_abs_column(self, tmp_path):

@@ -1,6 +1,8 @@
 """Counter-based Gaussian draws, Khinchine moments, tail statistics."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from ostrovsky_lab import randomized
 from ostrovsky_lab.randomized import (
     gaussian_coefficients,
     khinchine_analytic_ratio,
@@ -56,6 +59,17 @@ class TestGaussianCoefficients:
         c = gaussian_coefficients(1, 0, np.arange(8))
         assert not np.any(a == b)
         assert not np.any(a == c)
+
+    @pytest.mark.parametrize("sample_index,digest", [
+        (np.arange(4096), "58d290c56b0ba4ef5c425bdaccdfe462b0050f32a3949110efafb53375a675f6"),
+        (7, "a2808e48fb97d665e3518262782dacaceabc1fb8b642fb066810cb61bc110c47"),
+    ], ids=["block", "scalar-index"])
+    def test_golden_bits(self, sample_index, digest):
+        # pinned sha256 of the draws' bytes: any change to the hash or to the
+        # Box-Muller arithmetic changes every Monte Carlo count downstream
+        g = gaussian_coefficients(168667416, sample_index, np.arange(-3, 5))
+        assert g.dtype == np.complex128 and g.flags.c_contiguous
+        assert hashlib.sha256(g.tobytes()).hexdigest() == digest
 
     def test_moments(self):
         # per-component fourth moment of N(0,1) is 3, so for g = X + iY:
@@ -179,42 +193,89 @@ class TestLinearFormsAgainstDenseReference:
 class TestKhinchine:
     def test_validation(self):
         with pytest.raises(ValueError):
-            khinchine_check([], 2.0, 10)
+            khinchine_check([], [2.0], 10)
         with pytest.raises(ValueError):
-            khinchine_check([[1.0, 0.0]], 2.0, 10)
+            khinchine_check([[1.0, 0.0]], [2.0], 10)
         with pytest.raises(ValueError):
-            khinchine_check([1.0], 0.5, 10)
+            khinchine_check([1.0], [0.5], 10)
         with pytest.raises(ValueError):
-            khinchine_check([1.0], 2.0, 1)
+            khinchine_check([1.0], [2.0], 1)
         with pytest.raises(ValueError, match="vanish"):
-            khinchine_check([0.0, 0.0], 2.0, 10)
+            khinchine_check([0.0, 0.0], [2.0], 10)
+
+    @pytest.mark.parametrize("powers", [2.0, [], [[2.0]]], ids=["scalar", "empty", "nested"])
+    def test_orders_must_be_a_flat_sequence(self, powers):
+        with pytest.raises(ValueError, match="sequence of moment orders"):
+            khinchine_check([1.0], powers, 10)
+
+    def test_every_order_validated_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples before validating the orders")
+
+        monkeypatch.setattr(randomized, "_draw_blocks", no_draws)
+        with pytest.raises(ValueError, match="every power must be >= 1"):
+            khinchine_check([1.0], [2.0, 4.0, 0.5], 10)
+
+    def test_sample_budget_refused_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(randomized.np, "empty", no_allocation)
+        over = randomized.KHINCHINE_MAX_BYTES // 8 + 1
+        for n_samples in (over, 10**18):
+            with pytest.raises(ValueError, match="above the budget"):
+                khinchine_check([1.0], [2.0], n_samples)
 
     @pytest.mark.parametrize("power", [1e308, 2000.0])
     def test_moments_outside_double_range_rejected(self, power):
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="double range"):
-            khinchine_check([1.0, 0.5], power, 64)
+                pytest.raises(ValueError, match=re.escape(f"order {power} leave")):
+            khinchine_check([1.0, 0.5], [2.0, power, 3000.0], 64)
 
     def test_second_moment_matches_l2(self):
-        res = khinchine_check([1.0, 0.8, 0.6, 0.4, 0.2], 2.0, 20_000)
+        [res] = khinchine_check([1.0, 0.8, 0.6, 0.4, 0.2], [2.0], 20_000)
         # analytic ratio at p = 2 is exactly 1
         assert abs(res.ratio - 1.0) <= 3.0 * res.ratio_stderr
         assert res.ratio_stderr < 0.01
 
     def test_fourth_moment_single_spike(self):
-        res = khinchine_check([1.0], 4.0, 20_000, seed=2)
+        [res] = khinchine_check([1.0], [4.0], 20_000, seed=2)
         assert abs(res.ratio - khinchine_analytic_ratio(4.0)) <= 3.0 * res.ratio_stderr
 
     def test_ratio_consistent_with_moment(self):
         c = np.array([0.3, 1.2, 0.5])
-        res = khinchine_check(c, 4.0, 256, seed=8)
+        [res] = khinchine_check(c, [4.0], 256, seed=8)
         assert res.ratio == res.moment / (2.0 * float(np.linalg.norm(c)))
         assert res.n_samples == 256 and res.power == 4.0
 
     def test_deterministic(self):
-        a = khinchine_check([1.0, 2.0], 3.0, 512, seed=5)
-        b = khinchine_check([1.0, 2.0], 3.0, 512, seed=5)
+        a = khinchine_check([1.0, 2.0], [3.0], 512, seed=5)
+        b = khinchine_check([1.0, 2.0], [3.0], 512, seed=5)
         assert a == b
+
+    def test_each_order_has_the_bits_of_a_one_order_call(self):
+        c, n, seed = [0.7, 0.2, 0.9], randomized._BLOCK + 1003, 17
+        powers = [1, 2, 4, 3.5]
+        results = khinchine_check(c, powers, n, seed)
+        assert [res.power for res in results] == powers
+        for power, res in zip(powers, results):
+            assert res == khinchine_check(c, [power], n, seed)[0]
+
+    def test_matches_moments_of_the_complex_sums(self):
+        # reference: the sums of every draw block kept as one complex array,
+        # the moments then read from np.abs of it
+        block = randomized._BLOCK
+        c, n, seed = np.array([0.4, 1.1, 0.3, 0.8]), 2 * block + 517, 3
+        ks = np.arange(c.size)
+        sums = np.concatenate([gaussian_coefficients(seed, np.arange(lo, min(lo + block, n)), ks) @ c
+                               for lo in range(0, n, block)])
+        for res in khinchine_check(c, [1.0, 2.5, 6.0], n, seed):
+            powered = np.abs(sums) ** res.power
+            mean = float(np.mean(powered))
+            stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n))
+            assert res.moment == mean ** (1.0 / res.power)
+            assert res.ratio == res.moment / (math.sqrt(res.power) * float(np.linalg.norm(c)))
+            assert res.ratio_stderr == res.ratio * stderr_mean / (res.power * mean)
 
 
 class TestAnalyticRatio:
