@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
+    MAX_ARRAY_BYTES,
     SpectralProfile,
     evolution_multipliers,
     quadrature_row,
@@ -42,10 +43,6 @@ _U53 = 2.0**-53
 
 #: Draws per Monte Carlo block: bounds memory whatever the sample count.
 _BLOCK = 4096
-
-#: Largest array of sample magnitudes `khinchine_check` allocates (1 GiB, 8 bytes
-#: a sample); a larger `n_samples` is refused before any draw is made.
-KHINCHINE_MAX_BYTES = 2**30
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -158,9 +155,10 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
         raise ValueError("every power must be >= 1")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if 8 * n_samples > KHINCHINE_MAX_BYTES:
+    # one float64 magnitude a sample: refused before any draw is made
+    if 8 * n_samples > MAX_ARRAY_BYTES:
         raise ValueError(f"{n_samples} samples need {8 * n_samples} bytes of magnitudes, "
-                         f"above the budget of {KHINCHINE_MAX_BYTES} bytes")
+                         f"above the budget of {MAX_ARRAY_BYTES} bytes")
     l2 = float(np.linalg.norm(c))
     if l2 == 0.0:
         raise ValueError("coefficient sequence must not vanish")

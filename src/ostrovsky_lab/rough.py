@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    MAX_ARRAY_BYTES,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
@@ -145,16 +146,25 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     t * phase with them, keeping each point's first largest time.  With
     `refine_around_peak` a second pass samples eight extra times inside the
     bracket around each point's coarse argmax, folded the same way, which
-    only ever raises the sup.
+    only ever raises the sup.  A scan whose time vector, point rows or block
+    products would exceed MAX_ARRAY_BYTES is refused before they are built.
     """
+    if 8 * n_t > MAX_ARRAY_BYTES:
+        raise ValueError(f"{n_t} scan times need {8 * n_t} bytes, above the budget of "
+                         f"{MAX_ARRAY_BYTES} bytes")
     xi, amps = p.xi, p.amplitudes
     if not (np.array_equal(xi[::-1], -xi) and np.all(amps.imag == 0.0)
             and np.array_equal(amps, amps[::-1])):
         raise ValueError("maximal_scan needs real, even amplitudes on a grid "
                          "exactly symmetric about xi = 0")
+    support = np.flatnonzero((xi > 0.0) & (amps != 0.0))
+    # the point rows are n_x x 2m doubles and each block's product n_x x _BLOCK
+    need = 8 * grid.n * max(2 * support.size, _BLOCK)
+    if need > MAX_ARRAY_BYTES:
+        raise ValueError(f"scanning {grid.n} points over {support.size} support columns "
+                         f"needs {need} bytes, above the budget of {MAX_ARRAY_BYTES} bytes")
     require_resolution(p, t_max, sign)
     ts = maximal_time_grid(t_max, n_t)
-    support = np.flatnonzero((xi > 0.0) & (amps != 0.0))
     # conj(q) viewed as doubles interleaves [Re q, -Im q], and exp(i t phi)
     # interleaves [cos, sin]: their real product is Re(q exp(i t phi))
     rows = np.conj(quadrature_row(p, grid.points, support) * amps[support]).view(np.float64)
@@ -175,13 +185,16 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
         peak = np.where(larger, lo + best, peak)
 
     if refine_around_peak and n_t > 1:
-        t_lo = ts[np.maximum(peak - 1, 0)]
-        t_hi = ts[np.minimum(peak + 1, n_t - 1)]
+        # a point's bracket times depend only on its coarse argmax, and the
+        # points share few of those: one table row per distinct peak
+        peaks, point_peak = np.unique(peak, return_inverse=True)
+        t_lo = ts[np.maximum(peaks - 1, 0)]
+        t_hi = ts[np.minimum(peaks + 1, n_t - 1)]
         for j in range(8):
             # bracket around each point's own argmax: a per-x time, so only
             # the row-wise product with that point's row is needed
             tj = t_lo * (t_hi / t_lo) ** ((j + 1) / 9.0)
-            at_tj = evolution_multipliers(p, tj, sign, support).view(np.float64)
+            at_tj = evolution_multipliers(p, tj, sign, support)[point_peak].view(np.float64)
             sup = np.maximum(sup, np.abs(np.einsum("xj,xj->x", at_tj, rows)))
     return SpaceField(grid.x_min, grid.x_step, 2.0 * sup)
 

@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_ZERO_EXCLUSION",
+    "MAX_ARRAY_BYTES",
     "MAX_PHASE_INCREMENT",
     "SQRT_2PI",
     "ResolutionError",
@@ -55,6 +56,10 @@ DEFAULT_ZERO_EXCLUSION = 2.0**-20
 
 #: Largest tolerated phase advance per grid cell, in radians.
 MAX_PHASE_INCREMENT = 0.1
+
+#: Largest array a synthesis, a maximal scan or a Khinchine run may allocate
+#: (1 GiB); a call whose sizes ask for more is refused before it allocates.
+MAX_ARRAY_BYTES = 2**30
 
 _SIGNS = {"+": 1.0, "-": -1.0}
 
@@ -361,11 +366,18 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     the exact products of the grid parameters, so no phase loses digits to
     the size of the index, and the nodes are the exact x_min + m * x_step
     (``grid.points`` rounds each of them to a double).  Raises ValueError
-    unless |x| * max|xi| <= 2**52 over the grid.
+    unless |x| * max|xi| <= 2**52 over the grid, and before allocating when
+    the padded transforms would exceed MAX_ARRAY_BYTES.
     """
     _check_phase_reach(p, max(abs(grid.x_min), abs(grid.x_min + grid.x_step * (grid.n - 1))))
     rows = np.atleast_2d(rows)
     n_xi, n_x = p.n, int(grid.n)
+    length = _fft_length(n_x + n_xi - 1)
+    need = 16 * len(rows) * length
+    if need > MAX_ARRAY_BYTES:
+        raise ValueError(f"synthesizing {len(rows)} rows of {n_xi} frequencies onto {n_x} "
+                         f"points needs {need} bytes of transforms, above the budget of "
+                         f"{MAX_ARRAY_BYTES} bytes")
     x0, dx = Fraction(grid.x_min), Fraction(grid.x_step)
     xi0, h = Fraction(p.xi_min), Fraction(p.xi_step)
     half_a = dx * h / 2
@@ -378,7 +390,6 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
                           (dx * xi0, m), (half_a, m * m)])
     chirp = np.conj(_exact_phases([(half_a, k * k)]))
 
-    length = _fft_length(n_x + n_xi - 1)
     kernel = np.zeros(length, dtype=np.complex128)
     kernel[:n_x] = chirp[:n_x]
     kernel[length - n_xi + 1:] = chirp[1:n_xi][::-1]

@@ -232,6 +232,16 @@ class TestMainPropagate:
         assert "phase advance" in err
         assert not out.exists()
 
+    def test_grid_over_memory_budget_exits_one(self, tmp_path, gauss_low_csv, capsys):
+        # 10**12 points are refused from the sizes, before any array is built
+        out = tmp_path / "u.csv"
+        rc = main(["propagate", "--profile", str(gauss_low_csv), "--t", "0.25",
+                   "--nx", str(10**12), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the budget" in err
+        assert not out.exists()
+
     def test_grid_beyond_phase_reach_exits_one(self, tmp_path, gauss_low_csv, capsys):
         # |x| * max|xi| > 2**52 at every node; the chirp-z grid synthesis
         # refuses it exactly as the point row does, before any numpy warning
@@ -310,6 +320,16 @@ class TestMainCounterexample:
                    "--k-max", "4", "--nt", "8", "--out", str(out)])
         assert rc == 0
         assert _read_meta(out)["fit"] is None
+
+    def test_time_grid_over_memory_budget_exits_one(self, tmp_path, capsys):
+        # 10**12 scan times are refused from the sizes, before any array is built
+        out = tmp_path / "ce.csv"
+        rc = main(["counterexample", "--s", "0.0", "--k-min", "3", "--k-max", "5",
+                   "--nt", str(10**12), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the budget" in err
+        assert not out.exists()
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         outs = []
@@ -502,7 +522,9 @@ _INVOCATION = st.one_of(
         "alpha": _value(st.floats(0.0, 0.5)), "t": _TIMES, "n": _COUNT,
         "x": _value(st.floats(-3.0, 3.0))})),
     st.tuples(st.just("propagate"), st.fixed_dictionaries({
-        "t": _value(st.floats(-0.5, 0.5)), "nx": st.integers(1, 64).map(str)})),
+        # 10**12 points are over the array budget and refused before allocating
+        "t": _value(st.floats(-0.5, 0.5)),
+        "nx": st.one_of(st.integers(1, 64), st.just(10**12)).map(str)})),
     st.tuples(st.just("counterexample"), st.builds(
         lambda s, k_min, width, nt: {"s": s, "k-min": str(k_min),
                                      "k-max": str(k_min + width), "nt": nt},
@@ -510,7 +532,7 @@ _INVOCATION = st.one_of(
         # mostly small scales, sometimes ones whose powers of two leave the double range
         st.integers(0, 3).flatmap(
             lambda i: st.integers(300, 1200) if i == 0 else st.integers(1, 10)),
-        st.integers(0, 2), st.integers(1, 8).map(str))),
+        st.integers(0, 2), st.one_of(st.integers(1, 8), st.just(10**12)).map(str))),
 )
 
 

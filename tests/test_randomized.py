@@ -23,6 +23,7 @@ from ostrovsky_lab.randomized import (
     wilson_interval,
 )
 from ostrovsky_lab.spectral import (
+    MAX_ARRAY_BYTES,
     SQRT_2PI,
     ResolutionError,
     SpectralProfile,
@@ -221,7 +222,7 @@ class TestKhinchine:
             raise AssertionError("allocated before the budget check")
 
         monkeypatch.setattr(randomized.np, "empty", no_allocation)
-        over = randomized.KHINCHINE_MAX_BYTES // 8 + 1
+        over = MAX_ARRAY_BYTES // 8 + 1
         for n_samples in (over, 10**18):
             with pytest.raises(ValueError, match="above the budget"):
                 khinchine_check([1.0], [2.0], n_samples)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ostrovsky_lab import rough
 from ostrovsky_lab.rough import (
     BAND_CELLS,
     MIN_BAND_CELLS,
@@ -20,11 +21,13 @@ from ostrovsky_lab.rough import (
     scaling_fit,
 )
 from ostrovsky_lab.spectral import (
+    MAX_ARRAY_BYTES,
     SQRT_2PI,
     ResolutionError,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    evolution_multipliers,
     evolve_spectral,
     hs_norm,
     phase,
@@ -177,6 +180,60 @@ class TestMaximalScan:
         scan = maximal_scan(p, sign, spec.t_max, grid, n_t=300)
         literal = _literal_scan(p, sign, spec.t_max, grid, 300, True)
         assert np.max(np.abs(scan.values.real - literal)) <= 1e-13 * np.max(literal)
+
+    def test_refinement_builds_one_row_per_distinct_peak(self, monkeypatch):
+        # at counterexample_ratio's shape every point's coarse argmax is one
+        # of a few times, and each of the eight refinement tables has one
+        # row per distinct peak, not one per point
+        spec = CounterexampleSpec(8, 0.1)
+        p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+        tables = []
+
+        def recording(*args):
+            tables.append(np.array(args[1]))
+            return evolution_multipliers(*args)
+
+        monkeypatch.setattr(rough, "evolution_multipliers", recording)
+        for sign in ("+", "-"):
+            tables.clear()
+            maximal_scan(p, sign, spec.t_max, grid, n_t=1024)
+            coarse, refine = tables[:4], tables[4:]
+            assert [t.size for t in coarse] == [256] * 4 and len(refine) == 8
+            peaks = refine[0].size
+            assert 1 <= peaks < 16
+            for tj in refine:
+                assert tj.size == peaks and np.unique(tj).size == peaks
+
+    @pytest.mark.parametrize("cells, widest", [(64, "block products"), (256, "point rows")])
+    def test_budget_refused_before_allocating(self, monkeypatch, cells, widest):
+        # the time vector, the point rows (n_x x 2m doubles for m support
+        # columns) and the block products (n_x x _BLOCK doubles) are sized
+        # from n_t, grid.n and the support before any of them is built
+        spec = CounterexampleSpec(3, 0.0)
+        p = counterexample_profile(spec, 2.0**spec.k / cells)
+        columns = max(2 * (cells + 1), rough._BLOCK)
+        assert (columns == rough._BLOCK) == (widest == "block products")
+
+        def guarded(real):
+            def build(shape, *args, **kwargs):
+                # the profile's own xi grid is all a refusal may build
+                if math.prod(shape if isinstance(shape, tuple) else (shape,)) > p.n:
+                    raise AssertionError(f"allocated {shape} before the budget check")
+                return real(shape, *args, **kwargs)
+            return build
+
+        for name in ("arange", "empty", "zeros", "full"):
+            monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+        with pytest.raises(ValueError, match=f"above the budget of {MAX_ARRAY_BYTES} bytes"):
+            maximal_scan(p, "+", spec.t_max, SpaceGrid(-1.0, 1e-3, 8),
+                         n_t=MAX_ARRAY_BYTES // 8 + 1)
+        at_budget = MAX_ARRAY_BYTES // (8 * columns)
+        for n_x in (at_budget + 1, 10**12):
+            with pytest.raises(ValueError, match=f"{cells + 1} support columns needs"):
+                maximal_scan(p, "+", spec.t_max, SpaceGrid(-1.0, 1e-12, n_x), n_t=8)
+        with pytest.raises(AssertionError, match="allocated"):  # at the budget: allowed
+            maximal_scan(p, "+", spec.t_max, SpaceGrid(-1.0, 1e-12, at_budget), n_t=8)
 
     @pytest.mark.parametrize("change", ["shifted grid", "complex", "not even"])
     def test_refuses_profiles_outside_the_fold(self, scan_setup, change):

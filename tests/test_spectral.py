@@ -14,6 +14,7 @@ from ostrovsky_lab.corpus import observation_grid
 from ostrovsky_lab.lemmas import HIGH_TIMES, T_LOW
 from ostrovsky_lab.spectral import (
     DEFAULT_ZERO_EXCLUSION,
+    MAX_ARRAY_BYTES,
     MAX_PHASE_INCREMENT,
     SQRT_2PI,
     ResolutionError,
@@ -462,6 +463,26 @@ class TestChirpSynthesis:
                 quadrature_row(p, grid.points)
         inside = SpaceGrid.spanning(-0.5 * limit, 0.5 * limit, 8)
         assert synthesize(p, inside).n == 8
+
+    def test_transform_budget_refused_before_allocating(self, corpus_by_id, monkeypatch):
+        # K rows pad to K transforms of _fft_length(n_x + n_xi - 1) complex
+        # values, and that length is a power of two exactly at the budget:
+        # one point more is refused from the sizes alone
+        p = corpus_by_id["gauss_low"].profile
+        rows = np.stack([p.amplitudes, p.amplitudes])
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        for name in ("arange", "empty", "zeros"):
+            monkeypatch.setattr(np, name, no_allocation)
+        for n_x, batch in ((MAX_ARRAY_BYTES // 16 - p.n + 2, p.amplitudes),
+                           (MAX_ARRAY_BYTES // 32 - p.n + 2, rows),
+                           (10**12, p.amplitudes)):
+            with pytest.raises(ValueError, match=f"above the budget of {MAX_ARRAY_BYTES} bytes"):
+                _synthesize_rows(p, SpaceGrid(0.0, 1e-9, n_x), batch)
+        with pytest.raises(AssertionError, match="allocated"):  # at the budget: allowed
+            _synthesize_rows(p, SpaceGrid(0.0, 1e-9, MAX_ARRAY_BYTES // 16 - p.n + 1), rows[0])
 
     def test_quadrature_row_matches_synthesis(self, corpus_by_id):
         p = corpus_by_id["chirped_mid"].profile
