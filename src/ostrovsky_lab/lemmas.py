@@ -35,7 +35,7 @@ from .spectral import (
     phase,
     validate_resolution,
 )
-from .windows import project_low, square_function, wiener_decompose
+from .windows import WienerDecomposition, project_low, square_function, wiener_decompose
 
 LEMMA_IDS = (
     "L2_2",
@@ -125,6 +125,15 @@ def _sup_deviations(p: SpectralProfile, amplitudes: np.ndarray, ts, sign: str,
     return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
 
 
+def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of each run of equal values in a sorted, non-empty array.
+
+    ``sorted_values[_run_ends(sorted_values)]`` equals ``np.unique(sorted_values)``
+    without the import of numpy.ma that np.unique triggers.
+    """
+    return np.append(sorted_values[1:] != sorted_values[:-1], True)
+
+
 def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     """Largest grid radius delta <= 1/2 whose L2 mass on |xi| <= delta is <= epsilon.
 
@@ -139,8 +148,8 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     sorted_radii = radii[order]
     cumulative = np.cumsum(np.abs(p.amplitudes[order]) ** 2 * p.xi_step)
 
-    distinct = np.unique(sorted_radii)
-    inclusive = cumulative[np.searchsorted(sorted_radii, distinct, side="right") - 1]
+    last = _run_ends(sorted_radii)
+    distinct, inclusive = sorted_radii[last], cumulative[last]
     keep = distinct <= 0.5
     candidates, masses = distinct[keep], inclusive[keep]
     if candidates.size == 0 or masses[-1] <= epsilon**2:
@@ -208,7 +217,7 @@ def high_frequency_majorant(p: SpectralProfile, sign: str = "+") -> float:
     nz = high.amplitudes != 0.0
     if not np.any(nz):
         return 0.0
-    weights = _weights(high)[nz] * np.abs(phase(high.xi[nz], sign))
+    weights = _weights(high.n, high.xi_step)[nz] * np.abs(phase(high.xi[nz], sign))
     return float(np.sum(weights * np.abs(high.amplitudes[nz])))
 
 
@@ -249,18 +258,21 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
 
 def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
                      sign: str = "+", profile_id: str = "profile",
-                     grid: SpaceGrid | None = None) -> list[LemmaReport]:
+                     grid: SpaceGrid | None = None,
+                     dec: WienerDecomposition | None = None) -> list[LemmaReport]:
     """Deviation of each unit window piece against CORPUS_CONSTANT*(eps + |t|/eps).
 
     One row per non-zero piece of wiener_decompose(p) with |k| <=
     MAX_WINDOW_INDEX (the estimate is stated only there), in k order; a
     piece whose resolution gate refuses gives a resolution_refused skip
     row.  The grid l1 mass of the amplitudes rides along in params because
-    the estimate's constant is tied to it.
+    the estimate's constant is tied to it.  `dec`, if given, must be
+    wiener_decompose(p).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    dec = wiener_decompose(p)
+    if dec is None:
+        dec = wiener_decompose(p)
     keep = (np.abs(dec.ks) <= MAX_WINDOW_INDEX) & np.any(dec.table != 0.0, axis=1)
     ks, pieces = dec.ks[keep].tolist(), dec.table[keep]
     gated = np.array([validate_resolution(p.with_amplitudes(row), t, sign).ok
@@ -280,37 +292,40 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
 
 def check_square_function(p: SpectralProfile, t: float | None = None, *,
                           sign: str = "+", profile_id: str = "profile",
-                          grid: SpaceGrid | None = None) -> LemmaReport:
+                          grid: SpaceGrid | None = None,
+                          dec: WienerDecomposition | None = None) -> LemmaReport:
     """Grid max of the window square function against the L2 norm.
 
     ``t=None`` checks the profile itself (lemma id L2_6); a time value
     checks the evolved profile with the same right-hand side (L2_7).  The
     grid max of the exact discrete sum only under-estimates a continuum
-    sup, so no resolution gate applies to this upper-bound check.
+    sup, so no resolution gate applies to this upper-bound check.  `dec`,
+    if given, must be wiener_decompose(p); only the L2_6 check reads it, as
+    an evolved profile has windows of its own.
     """
     if grid is None:
         grid = observation_grid(p)
     if t is None:
-        evolved = p
+        values = square_function(p, grid, dec)
         lemma_id, params = "L2_6", {}
     else:
-        evolved = evolve_spectral(p, t, sign)
+        values = square_function(evolve_spectral(p, t, sign), grid)
         lemma_id, params = "L2_7", {"t": t}
-    values = square_function(evolved, grid)
     lhs = float(np.max(values.values.real))
     norm = hs_norm(p, 0.0)
     fitted = lhs / norm if norm > 0 else 0.0
     return _report(lemma_id, profile_id, params, lhs, norm * (1.0 + SQUARE_SLACK), fitted)
 
 
-def norm_equivalence_reports(p: SpectralProfile, *,
-                             profile_id: str = "profile") -> list[LemmaReport]:
+def norm_equivalence_reports(p: SpectralProfile, *, profile_id: str = "profile",
+                             dec: WienerDecomposition | None = None) -> list[LemmaReport]:
     """Two-sided comparison of the window piece norms with the full norm.
 
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
     ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
+    `dec`, if given, must be wiener_decompose(p).
     """
-    table = wiener_decompose(p).table
+    table = (wiener_decompose(p) if dec is None else dec).table
     piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2 for row in table))
     total = hs_norm(p, 0.0) ** 2
     ratio = piece_sum / total if total > 0 else 1.0
@@ -322,16 +337,17 @@ def norm_equivalence_reports(p: SpectralProfile, *,
 
 
 def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
-                     grid: SpaceGrid | None = None) -> LemmaReport:
+                     grid: SpaceGrid | None = None,
+                     dec: WienerDecomposition | None = None) -> LemmaReport:
     """Largest norm ratio ||piece||_q / ||piece||_r over windows and 2<=r<q<=inf.
 
     Unit-width frequency support bounds every such ratio by an absolute
     constant; the empirical corpus maximum is recorded and compared to
-    BERNSTEIN_CONSTANT.
+    BERNSTEIN_CONSTANT.  `dec`, if given, must be wiener_decompose(p).
     """
     if grid is None:
         grid = observation_grid(p)
-    table = wiener_decompose(p).table
+    table = (wiener_decompose(p) if dec is None else dec).table
     rows = table[np.any(table != 0.0, axis=1)]
     fields = _synthesize_rows(p, grid, rows) if rows.size else []
     worst = 0.0
@@ -351,18 +367,22 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
 
 def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:
+    """Every check on one profile, sharing its observation grid and its window table."""
     p, pid = entry.profile, entry.profile_id
     grid = observation_grid(p)
+    dec = wiener_decompose(p)
     low, uniform = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)
     return [
         low,
         *check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id=pid, grid=grid),
         uniform,
-        *check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id=pid, grid=grid),
+        *check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id=pid, grid=grid,
+                          dec=dec),
+        check_square_function(p, sign=sign, profile_id=pid, grid=grid, dec=dec),
         *(check_square_function(p, t, sign=sign, profile_id=pid, grid=grid)
-          for t in (None, *SQUARE_TIMES)),
-        *norm_equivalence_reports(p, profile_id=pid),
-        bernstein_report(p, profile_id=pid, grid=grid),
+          for t in SQUARE_TIMES),
+        *norm_equivalence_reports(p, profile_id=pid, dec=dec),
+        bernstein_report(p, profile_id=pid, grid=grid, dec=dec),
     ]
 
 

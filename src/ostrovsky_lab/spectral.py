@@ -19,6 +19,7 @@ on uniform grids; the two design points that deserve a comment are
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -291,9 +292,9 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def _weights(p: SpectralProfile) -> np.ndarray:
-    """Trapezoid synthesis weights w_j * xi_step / sqrt(2*pi) on p's grid."""
-    return trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI)
+def _weights(n: int, xi_step: float) -> np.ndarray:
+    """Trapezoid synthesis weights w_j * xi_step / sqrt(2*pi) on an n-point xi grid."""
+    return trapezoid_weights(n) * (xi_step / SQRT_2PI)
 
 
 def _check_phase_reach(p: SpectralProfile, x_reach: float) -> None:
@@ -318,7 +319,7 @@ def quadrature_row(p: SpectralProfile, x, columns=slice(None)) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_phase_reach(p, float(np.max(np.abs(x))))
-    return np.exp(1j * np.multiply.outer(x, p.xi[columns])) * _weights(p)[columns]
+    return np.exp(1j * np.multiply.outer(x, p.xi[columns])) * _weights(p.n, p.xi_step)[columns]
 
 
 def _fft_length(n: int) -> int:
@@ -355,6 +356,41 @@ def _exact_phases(terms) -> np.ndarray:
     return out * np.exp(1j * tail)
 
 
+#: Rows per padded transform of a grid synthesis: the transforms in flight
+#: hold at most 2 * _SYNTHESIS_BLOCK * length values, whatever the row count.
+_SYNTHESIS_BLOCK = 8
+
+
+@functools.lru_cache(maxsize=4)
+def _chirp_plan(x_min: float, x_step: float, n_x: int,
+                xi_min: float, xi_step: float, n_xi: int) -> tuple:
+    """Read-only (pre-chirp, post-chirp, FFT of the kernel) of one grid pair.
+
+    They depend on the two grids alone, so every synthesis between the same
+    pair shares them; the cache keeps the 4 most recently used pairs.
+    """
+    length = _fft_length(n_x + n_xi - 1)
+    x0, dx = Fraction(x_min), Fraction(x_step)
+    xi0, h = Fraction(xi_min), Fraction(xi_step)
+    half_a = dx * h / 2
+    j = np.arange(n_xi, dtype=np.int64)
+    m = np.arange(n_x, dtype=np.int64)
+    k = np.arange(max(n_x, n_xi), dtype=np.int64)
+
+    pre = _weights(n_xi, xi_step) * _exact_phases([(x0 * h, j), (half_a, j * j)])
+    post = _exact_phases([(x0 * xi0, np.ones(1, dtype=np.int64)),
+                          (dx * xi0, m), (half_a, m * m)])
+    chirp = np.conj(_exact_phases([(half_a, k * k)]))
+
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[:n_x] = chirp[:n_x]
+    kernel[length - n_xi + 1:] = chirp[1:n_xi][::-1]
+    plan = (pre, post, np.fft.fft(kernel))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
 def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> np.ndarray:
     """Trapezoid synthesis of amplitude rows on p's xi grid onto `grid`.
 
@@ -365,9 +401,12 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     post-chirp (Bluestein's chirp-z algorithm).  Every phase is formed from
     the exact products of the grid parameters, so no phase loses digits to
     the size of the index, and the nodes are the exact x_min + m * x_step
-    (``grid.points`` rounds each of them to a double).  Raises ValueError
-    unless |x| * max|xi| <= 2**52 over the grid, and before allocating when
-    the padded transforms would exceed MAX_ARRAY_BYTES.
+    (``grid.points`` rounds each of them to a double).  The chirps and the
+    kernel's FFT come from `_chirp_plan`, built once per grid pair, and the
+    rows are transformed _SYNTHESIS_BLOCK at a time.  Raises
+    ValueError unless |x| * max|xi| <= 2**52 over the grid, and before
+    building or allocating anything when the padded transforms would exceed
+    MAX_ARRAY_BYTES.
     """
     _check_phase_reach(p, max(abs(grid.x_min), abs(grid.x_min + grid.x_step * (grid.n - 1))))
     rows = np.atleast_2d(rows)
@@ -378,23 +417,14 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
         raise ValueError(f"synthesizing {len(rows)} rows of {n_xi} frequencies onto {n_x} "
                          f"points needs {need} bytes of transforms, above the budget of "
                          f"{MAX_ARRAY_BYTES} bytes")
-    x0, dx = Fraction(grid.x_min), Fraction(grid.x_step)
-    xi0, h = Fraction(p.xi_min), Fraction(p.xi_step)
-    half_a = dx * h / 2
-    j = np.arange(n_xi, dtype=np.int64)
-    m = np.arange(n_x, dtype=np.int64)
-    k = np.arange(max(n_x, n_xi), dtype=np.int64)
-
-    pre = _weights(p) * _exact_phases([(x0 * h, j), (half_a, j * j)])
-    post = _exact_phases([(x0 * xi0, np.ones(1, dtype=np.int64)),
-                          (dx * xi0, m), (half_a, m * m)])
-    chirp = np.conj(_exact_phases([(half_a, k * k)]))
-
-    kernel = np.zeros(length, dtype=np.complex128)
-    kernel[:n_x] = chirp[:n_x]
-    kernel[length - n_xi + 1:] = chirp[1:n_xi][::-1]
-    spectrum = np.fft.fft(rows * pre, n=length, axis=-1) * np.fft.fft(kernel)
-    return np.fft.ifft(spectrum, axis=-1)[:, :n_x] * post
+    pre, post, kernel_fft = _chirp_plan(float(grid.x_min), float(grid.x_step), n_x,
+                                        float(p.xi_min), float(p.xi_step), n_xi)
+    fields = np.empty((len(rows), n_x), dtype=np.complex128)
+    for start in range(0, len(rows), _SYNTHESIS_BLOCK):
+        block = slice(start, start + _SYNTHESIS_BLOCK)
+        spectrum = np.fft.fft(rows[block] * pre, n=length, axis=-1) * kernel_fft
+        np.multiply(np.fft.ifft(spectrum, axis=-1)[:, :n_x], post, out=fields[block])
+    return fields
 
 
 def synthesize(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:

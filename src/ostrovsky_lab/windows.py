@@ -107,12 +107,14 @@ def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
     return WienerDecomposition(k_min, p.amplitudes * wiener_window(p.xi - ks[:, None]))
 
 
-def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
+def square_function(p: SpectralProfile, grid: SpaceGrid,
+                    dec: WienerDecomposition | None = None) -> SpaceField:
     """Pointwise l2 aggregate of the synthesised Wiener pieces.
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
-    controlled by the L2 norm of `p` with room to spare.
+    controlled by the L2 norm of `p` with room to spare.  `dec`, if given,
+    must be wiener_decompose(p).
     """
-    fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
+    fields = _synthesize_rows(p, grid, (wiener_decompose(p) if dec is None else dec).table)
     out = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
     return SpaceField(grid.x_min, grid.x_step, out)

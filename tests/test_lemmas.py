@@ -1,10 +1,14 @@
 """Self-auditing estimate checks and the corpus harness."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ostrovsky_lab import lemmas, spectral, windows
 from ostrovsky_lab.corpus import CorpusEntry, band_profile, observation_grid
 from ostrovsky_lab.lemmas import (
     EPSILON,
@@ -15,6 +19,7 @@ from ostrovsky_lab.lemmas import (
     T_LOW,
     WINDOW_EPSILON,
     LemmaReport,
+    _run_ends,
     bernstein_report,
     check_high_frequency,
     check_low_frequency,
@@ -29,6 +34,7 @@ from ostrovsky_lab.lemmas import (
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
     SpectralProfile,
+    _chirp_plan,
     evolve_spectral,
     hs_norm,
     phase,
@@ -103,6 +109,24 @@ class TestDeltaEpsilon:
         p = SpectralProfile(0.125, 0.125, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
         for epsilon in (0.03, 0.06, 0.1, 0.2, 0.5):
             assert delta_epsilon(p, epsilon) == self._oracle(p, epsilon)
+
+    @staticmethod
+    def _assert_run_ends_match_unique(values):
+        mask = _run_ends(values)
+        distinct = np.unique(values)
+        assert np.array_equal(values[mask], distinct)
+        # each kept entry is the last of its run, where the cumulative mass is inclusive
+        assert np.array_equal(np.flatnonzero(mask),
+                              np.searchsorted(values, distinct, side="right") - 1)
+
+    def test_run_ends_match_unique_on_corpus_radii(self, corpus):
+        for entry in corpus:
+            self._assert_run_ends_match_unique(np.sort(np.abs(entry.profile.xi)))
+
+    @given(st.lists(st.sampled_from([0.0, 2.0**-20, 0.125, 0.5, 0.5000000000000001, 3.0]),
+                    min_size=1, max_size=40))
+    def test_run_ends_match_unique_with_repeats(self, values):
+        self._assert_run_ends_match_unique(np.sort(np.array(values)))
 
 
 class TestLowFrequency:
@@ -358,8 +382,58 @@ class TestRunCorpus:
         assert seen == corpus_order
 
     def test_serial_run_matches_threaded(self, corpus, lemma_reports):
-        serial = run_corpus(corpus, threads=1)
-        assert serial == lemma_reports
+        # each run starts from a cleared plan cache, so the threaded run
+        # builds its plans concurrently instead of reading the serial run's;
+        # a short switch interval makes the threads interleave inside it
+        interval = sys.getswitchinterval()
+        for sign in "+-":
+            _chirp_plan.cache_clear()
+            serial = run_corpus(corpus, sign=sign, threads=1)
+            _chirp_plan.cache_clear()
+            sys.setswitchinterval(1e-5)
+            try:
+                threaded = run_corpus(corpus, sign=sign, threads=4)
+            finally:
+                sys.setswitchinterval(interval)
+            assert serial == threaded, sign
+            if sign == "+":
+                assert serial == lemma_reports
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_work_counts(self, corpus, sign, monkeypatch):
+        # the benchmark tracer sees neither _synthesize_rows nor plan builds:
+        # per profile the probe grid and the observation grid need one plan
+        # each, and the window table is built once plus once per evolved L2_7
+        counts = {"syntheses": 0, "decompositions": 0}
+        builds = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        synth = counted("syntheses", spectral._synthesize_rows)
+        for module in (spectral, lemmas, windows):
+            monkeypatch.setattr(module, "_synthesize_rows", synth)
+        decompose = counted("decompositions", windows.wiener_decompose)
+        for module in (lemmas, windows):
+            monkeypatch.setattr(module, "wiener_decompose", decompose)
+        profile_reports = lemmas._profile_reports
+
+        def per_profile(entry, sign):
+            before = _chirp_plan.cache_info().misses
+            reports = profile_reports(entry, sign)
+            builds.append(_chirp_plan.cache_info().misses - before)
+            return reports
+
+        monkeypatch.setattr(lemmas, "_profile_reports", per_profile)
+        _chirp_plan.cache_clear()
+        reports = run_corpus(corpus, sign=sign, threads=1)
+        assert len(reports) == sum(EXPECTED_ROW_COUNTS.values())
+        assert len(builds) == len(corpus) == 12
+        assert max(builds) <= 2
+        assert counts == {"syntheses": 88, "decompositions": 36}
 
     def test_only_filter(self, corpus):
         rows = run_corpus(corpus, only={"L2_6"})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import czt
 
-from ostrovsky_lab.corpus import observation_grid
+from ostrovsky_lab.corpus import PROBE_POINTS, observation_grid
 from ostrovsky_lab.lemmas import HIGH_TIMES, T_LOW
 from ostrovsky_lab.spectral import (
     DEFAULT_ZERO_EXCLUSION,
@@ -27,6 +27,8 @@ from ostrovsky_lab.spectral import (
     lp_norm_space,
     phase,
     phase_derivative,
+    _SYNTHESIS_BLOCK,
+    _chirp_plan,
     _synthesize_rows,
     propagate,
     quadrature_row,
@@ -433,6 +435,24 @@ class TestChirpSynthesis:
         assert batched.shape == (6, grid.n)
         assert np.max(np.abs(batched - single)) <= 4 * EPS * np.max(np.abs(single))
 
+    def test_rows_transformed_in_blocks_give_single_call_bits(self, corpus_by_id, monkeypatch):
+        p = corpus_by_id["mix_band_gauss_even"].profile
+        grid = observation_grid(p, n=500)
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((2 * _SYNTHESIS_BLOCK + 3, p.n)) + 0j
+        single = np.stack([_synthesize_rows(p, grid, row)[0] for row in rows])
+        batches = []  # the plan is cached now, so only row transforms are recorded
+        fft = np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            batches.append(len(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        blocked = _synthesize_rows(p, grid, rows)
+        assert batches == [_SYNTHESIS_BLOCK, _SYNTHESIS_BLOCK, 3]
+        assert blocked.tobytes() == single.tobytes()
+
     def test_degenerate_sizes(self):
         # one frequency and one observation point: a 1-point transform
         p = SpectralProfile(0.75, 0.5, np.array([2.0 - 1.0j]))
@@ -483,6 +503,46 @@ class TestChirpSynthesis:
                 _synthesize_rows(p, SpaceGrid(0.0, 1e-9, n_x), batch)
         with pytest.raises(AssertionError, match="allocated"):  # at the budget: allowed
             _synthesize_rows(p, SpaceGrid(0.0, 1e-9, MAX_ARRAY_BYTES // 16 - p.n + 1), rows[0])
+
+    def test_cold_and_warm_plans_give_the_same_bits(self, corpus):
+        for entry in corpus:
+            p = entry.profile
+            period = 2.0 * math.pi / p.xi_step
+            probe = SpaceGrid.spanning(-0.5 * period, 0.5 * period, PROBE_POINTS)
+            for grid in (probe, observation_grid(p)):
+                _chirp_plan.cache_clear()
+                cold = _synthesize_rows(p, grid, p.amplitudes)
+                hits = _chirp_plan.cache_info().hits
+                warm = _synthesize_rows(p, grid, p.amplitudes)
+                assert _chirp_plan.cache_info().hits == hits + 1
+                assert cold.tobytes() == warm.tobytes(), entry.profile_id
+
+    def test_plan_arrays_are_read_only(self, corpus_by_id):
+        p = corpus_by_id["chirped_mid"].profile
+        grid = observation_grid(p, n=300)
+        synthesize(p, grid)
+        plan = _chirp_plan(grid.x_min, grid.x_step, grid.n, p.xi_min, p.xi_step, p.n)
+        assert [array.flags.writeable for array in plan] == [False, False, False]
+        with pytest.raises(ValueError, match="read-only"):
+            plan[0][0] = 0.0
+
+    def test_plan_cache_stays_within_its_bound(self, corpus):
+        _chirp_plan.cache_clear()
+        bound = _chirp_plan.cache_info().maxsize
+        assert bound == 4
+        for entry in corpus:
+            synthesize(entry.profile, observation_grid(entry.profile, n=64))
+            assert _chirp_plan.cache_info().currsize <= bound
+        assert _chirp_plan.cache_info().misses > bound
+
+    def test_budget_refusal_leaves_plan_cache_unchanged(self, corpus_by_id):
+        p = corpus_by_id["gauss_low"].profile
+        _chirp_plan.cache_clear()
+        synthesize(p, observation_grid(p, n=64))
+        before = _chirp_plan.cache_info()
+        with pytest.raises(ValueError, match="above the budget"):
+            _synthesize_rows(p, SpaceGrid(0.0, 1e-9, MAX_ARRAY_BYTES // 16), p.amplitudes)
+        assert _chirp_plan.cache_info() == before
 
     def test_quadrature_row_matches_synthesis(self, corpus_by_id):
         p = corpus_by_id["chirped_mid"].profile
