@@ -48,6 +48,7 @@ from .rough import (
     maximal_scan,
     maximal_time_grid,
     scaling_fit,
+    slope_range,
 )
 from .spectral import (
     MAX_PHASE_INCREMENT,
@@ -62,6 +63,7 @@ from .spectral import (
     lp_norm_space,
     phase,
     phase_derivative,
+    phase_moments,
     propagate,
     quadrature_row,
     require_resolution,

@@ -26,8 +26,9 @@ from .fileio import format_float, read_profile, write_field, write_reports, writ
 from .lemmas import run_corpus
 from .parallel import parallel_map, resolve_threads
 from .randomized import khinchine_analytic_ratio, khinchine_check, stochastic_continuity
-from .rough import CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit
-from .spectral import SpaceGrid, evolve_spectral, hs_norm, require_resolution, synthesize
+from .rough import (CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit,
+                    slope_range)
+from .spectral import SpaceGrid, hs_norm, propagate, validate_resolution
 
 SUBCOMMANDS = ("propagate", "counterexample", "khinchine",
                "stochastic-continuity", "verify-lemmas", "trace")
@@ -257,9 +258,8 @@ def _run_propagate(params: dict) -> tuple[dict, int]:
         grid = SpaceGrid.spanning(params["x_min"], params["x_max"], params["nx"])
     else:
         grid = observation_grid(p, n=params["nx"])
-    report = require_resolution(p, params["t"], params["sign"])
-    u = synthesize(evolve_spectral(p, params["t"], params["sign"]), grid)
-    write_field(u, params["out"])
+    write_field(propagate(p, params["t"], params["sign"], grid), params["out"])
+    report = validate_resolution(p, params["t"], params["sign"])
     block = {"resolution": {"max_phase_increment": report.max_phase_increment,
                             "truncated_mass": report.truncated_mass}}
     return block, 0
@@ -269,19 +269,20 @@ def _run_counterexample(params: dict) -> tuple[dict, int]:
     ks = list(range(params["k_min"], params["k_max"] + 1))
     threads = resolve_threads(params["threads"])
 
-    def ratio_at(k: int) -> float:
+    def ratio_at(k: int) -> tuple[float, float]:
         spec = CounterexampleSpec(k=k, s=params["s"])
         return counterexample_ratio(spec, n_t=params["nt"], sign=params["sign"])
 
-    ratios = parallel_map(ratio_at, ks, threads)
+    ratios, uppers = zip(*parallel_map(ratio_at, ks, threads))
     write_table(params["out"], ["k", "Rk", "log2Rk"],
                 ([str(k), format_float(r), format_float(math.log2(r))]
                  for k, r in zip(ks, ratios)))
-    block: dict = {"fit": None}
+    block: dict = {"rk_upper": list(uppers), "fit": None}
     if len(ks) >= 3:
         fit = scaling_fit(list(zip(ks, ratios)))
         block["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
-                        "residual": fit.residual, "expected_slope": 0.25 - params["s"]}
+                        "residual": fit.residual, "expected_slope": 0.25 - params["s"],
+                        "slope_range": list(slope_range(ks, ratios, uppers))}
     return block, 0
 
 

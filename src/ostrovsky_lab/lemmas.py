@@ -27,12 +27,11 @@ from .spectral import (
     SpaceGrid,
     SpectralProfile,
     _synthesize_rows,
-    _weights,
     evolution_multipliers,
     evolve_spectral,
     hs_norm,
     lp_norm_space,
-    phase,
+    phase_moments,
     validate_resolution,
 )
 from .windows import WienerDecomposition, project_low, square_function, wiener_decompose
@@ -134,6 +133,11 @@ def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
     return np.append(sorted_values[1:] != sorted_values[:-1], True)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     """Largest grid radius delta <= 1/2 whose L2 mass on |xi| <= delta is <= epsilon.
 
@@ -141,8 +145,7 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     capped at 1/2.  If even the innermost occupied radius carries more than
     epsilon, falls back to the zero-exclusion radius (mass there is zero).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     radii = np.abs(p.xi)
     order = np.argsort(radii, kind="stable")
     sorted_radii = radii[order]
@@ -213,12 +216,7 @@ def high_frequency_majorant(p: SpectralProfile, sign: str = "+") -> float:
     part is bounded by t times this sum for every t; the fitted constant
     of the linearity sweep must sit below it.
     """
-    high = high_frequency_part(p)
-    nz = high.amplitudes != 0.0
-    if not np.any(nz):
-        return 0.0
-    weights = _weights(high.n, high.xi_step)[nz] * np.abs(phase(high.xi[nz], sign))
-    return float(np.sum(weights * np.abs(high.amplitudes[nz])))
+    return phase_moments(high_frequency_part(p), sign)[1]
 
 
 def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
@@ -269,8 +267,7 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
     the estimate's constant is tied to it.  `dec`, if given, must be
     wiener_decompose(p).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if dec is None:
         dec = wiener_decompose(p)
     keep = (np.abs(dec.ks) <= MAX_WINDOW_INDEX) & np.any(dec.table != 0.0, axis=1)

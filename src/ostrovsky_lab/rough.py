@@ -6,6 +6,11 @@ constant.  Scanning sup_t |U(t) f_k| over a shrinking time window
 t <= 2^(-3k)/100 and measuring its L4 norm on |x| <= 2^(-k) produces ratios
 R_k whose log2 grows linearly in k with slope 1/4 - s; fitting that slope is
 the point of the module.
+
+The scan samples a geometric time grid.  The sup between its nodes is not
+searched for but bounded from the phase moments of the profile, so
+counterexample_ratio reports R_k with a certified upper end, and
+slope_range gives the fitted slopes that bracket allows.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .spectral import (
     evolution_multipliers,
     hs_norm,
     lp_norm_space,
+    phase_moments,
     quadrature_row,
     require_resolution,
 )
@@ -36,6 +42,7 @@ __all__ = [
     "maximal_scan",
     "maximal_time_grid",
     "scaling_fit",
+    "slope_range",
 ]
 
 #: Ratio between the smallest and largest scanned time.
@@ -119,8 +126,8 @@ def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
     Refining n_t -> 2*n_t - 1 keeps every existing node, so sup scans over
     refined grids are monotone.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
     if n_t == 1:
@@ -130,7 +137,7 @@ def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
 
 
 def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
-                 n_t: int = 256, refine_around_peak: bool = True) -> SpaceField:
+                 n_t: int = 256) -> SpaceField:
     """Field on `grid` of the sup of |U(t) f (x)| over the geometric time grid.
 
     p must be real and even on a grid exactly symmetric about 0, as every
@@ -143,11 +150,10 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     with q a point row of p (weights times amplitudes).  The scan keeps the
     xi > 0 support columns, takes the real rows [Re q, -Im q] once, and
     forms each block of _BLOCK times as one real product of [cos, sin] of
-    t * phase with them, keeping each point's first largest time.  With
-    `refine_around_peak` a second pass samples eight extra times inside the
-    bracket around each point's coarse argmax, folded the same way, which
-    only ever raises the sup.  A scan whose time vector, point rows or block
-    products would exceed MAX_ARRAY_BYTES is refused before they are built.
+    t * phase with them.  The sup between the nodes is not sampled; see
+    counterexample_ratio for its certified bound.  A scan whose time vector,
+    point rows or block products would exceed MAX_ARRAY_BYTES is refused
+    before they are built.
     """
     if 8 * n_t > MAX_ARRAY_BYTES:
         raise ValueError(f"{n_t} scan times need {8 * n_t} bytes, above the budget of "
@@ -173,49 +179,59 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     # or where it sits in its block, and refined time grids give monotone sups
     factors = np.zeros((_BLOCK, support.size), dtype=np.complex128)
     sup = np.full(grid.n, -np.inf)
-    peak = np.zeros(grid.n, dtype=np.intp)
     for lo in range(0, n_t, _BLOCK):
         count = min(_BLOCK, n_t - lo)
         factors[:count] = evolution_multipliers(p, ts[lo:lo + count], sign, support)
         magnitudes = np.abs((rows @ factors.view(np.float64).T)[:, :count])  # half |U(t) f|
-        best = magnitudes.argmax(axis=1)
-        top = magnitudes[np.arange(grid.n), best]
-        larger = top > sup  # strict, so an earlier block keeps a tie
-        sup = np.where(larger, top, sup)
-        peak = np.where(larger, lo + best, peak)
-
-    if refine_around_peak and n_t > 1:
-        # a point's bracket times depend only on its coarse argmax, and the
-        # points share few of those: one table row per distinct peak
-        peaks, point_peak = np.unique(peak, return_inverse=True)
-        t_lo = ts[np.maximum(peaks - 1, 0)]
-        t_hi = ts[np.minimum(peaks + 1, n_t - 1)]
-        for j in range(8):
-            # bracket around each point's own argmax: a per-x time, so only
-            # the row-wise product with that point's row is needed
-            tj = t_lo * (t_hi / t_lo) ** ((j + 1) / 9.0)
-            at_tj = evolution_multipliers(p, tj, sign, support)[point_peak].view(np.float64)
-            sup = np.maximum(sup, np.abs(np.einsum("xj,xj->x", at_tj, rows)))
+        sup = np.maximum(sup, magnitudes.max(axis=1))
     return SpaceField(grid.x_min, grid.x_step, 2.0 * sup)
 
 
-def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256, sign: str = "+") -> float:
-    """R_k: L4 norm of the maximal scan on |x| <= 2^-k over the H^s norm.
+def _window_bound(p: SpectralProfile, sign: str, sup: np.ndarray, t_max: float,
+                  n_t: int) -> np.ndarray:
+    """Per point, an upper bound of |U(t) f (x)| over [t_max * TIME_SPAN, t_max].
 
-    Raises ValueError when either norm leaves the double range, so that
-    R_k is never 0, inf or nan.
+    `sup` is the maximal scan of p on its n_t times.  With (S, L, L2) =
+    phase_moments(p, sign), |U(t) f|^2 has zero slope at an interior maximum
+    and curvature at most 2 (L^2 + S L2), and the nearest node lies within
+    half the largest step `gap`, so the bound is sqrt(sup^2 + (L^2 + S L2)
+    gap^2 / 4).  At n_t = 1 the window's left end is not a node and the sup
+    may sit there with a non-zero slope, so the first-order sup + L (1 -
+    TIME_SPAN) t_max is used instead.
+    """
+    # moments per time step (or window width) stay in range at every k the
+    # family admits; the unscaled L2 overflows from k = 147 at s = 0
+    if n_t == 1:
+        return sup + phase_moments(p, sign, (1.0 - TIME_SPAN) * t_max)[1]
+    gap = float(np.max(np.diff(maximal_time_grid(t_max, n_t))))
+    total, slope, curvature = phase_moments(p, sign, gap)
+    return np.hypot(sup, math.sqrt(slope * slope + total * curvature) / 2.0)
+
+
+def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256,
+                         sign: str = "+") -> tuple[float, float]:
+    """(R_k, R_k_upper): L4 norms on |x| <= 2^-k of the scan and of its bound, over the H^s norm.
+
+    R_k reads the maximal scan on its n_t times, and R_k_upper the certified
+    bound of the sup over the whole time window at each point (see
+    _window_bound), so R_k <= the window's true ratio <= R_k_upper.  Raises
+    ValueError when either ratio leaves the double range, so that neither
+    is 0, inf or nan.
     """
     xi_step = 2.0**spec.k / BAND_CELLS
     p = counterexample_profile(spec, xi_step)
     w = spec.x_window
     grid = SpaceGrid.spanning(-w, w, WINDOW_POINTS)
-    sups = maximal_scan(p, sign, spec.t_max, grid, n_t)
+    sup = maximal_scan(p, sign, spec.t_max, grid, n_t).values.real
     norm = hs_norm(p, spec.s)
-    ratio = lp_norm_space(sups, 4.0) / norm if norm > 0.0 else math.nan
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(f"R_k = {ratio} at k = {spec.k}, s = {spec.s!r}: "
-                         "the norms leave the double range")
-    return ratio
+    upper = _window_bound(p, sign, sup, spec.t_max, n_t)
+    ratios = tuple(lp_norm_space(SpaceField(grid.x_min, grid.x_step, field), 4.0) / norm
+                   if norm > 0.0 else math.nan for field in (sup, upper))
+    for ratio in ratios:
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(f"R_k = {ratio} at k = {spec.k}, s = {spec.s!r}: "
+                             "the norms leave the double range")
+    return ratios
 
 
 @dataclass
@@ -244,6 +260,21 @@ def scaling_fit(points) -> ScalingFit:
     (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)
     residual = float(np.max(np.abs(logs - (slope * ks + intercept))))
     return ScalingFit(pts, float(slope), float(intercept), residual)
+
+
+def slope_range(ks, lower, upper) -> tuple[float, float]:
+    """Extreme least-squares slopes of log2 R_k in k when R_k may lie anywhere in [lower, upper].
+
+    The slope is sum c_k log2 R_k with c_k = (k - mean k) / sum (k - mean k)^2,
+    so its least value takes the lower end where c_k > 0 and the upper end
+    elsewhere, and its largest value the other way round.
+    """
+    ks = np.asarray(ks, dtype=np.float64)
+    centred = ks - np.mean(ks)
+    c = centred / np.sum(centred * centred)
+    lo, hi = np.log2(lower), np.log2(upper)
+    return (float(np.sum(c * np.where(c > 0.0, lo, hi))),
+            float(np.sum(c * np.where(c > 0.0, hi, lo))))
 
 
 def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+") -> np.ndarray:

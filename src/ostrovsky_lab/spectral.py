@@ -42,6 +42,7 @@ __all__ = [
     "lp_norm_space",
     "phase",
     "phase_derivative",
+    "phase_moments",
     "propagate",
     "quadrature_row",
     "require_resolution",
@@ -297,6 +298,24 @@ def _weights(n: int, xi_step: float) -> np.ndarray:
     return trapezoid_weights(n) * (xi_step / SQRT_2PI)
 
 
+def phase_moments(p: SpectralProfile, sign: str,
+                  t: float = 1.0) -> tuple[float, float, float]:
+    """(S, L, L2): sums over p's amplitude support of |w a|, |w a| |t phi| and |w a| (t phi)^2.
+
+    w are the synthesis weights and phi = phase(xi, sign).  At t = 1 these
+    bound the field F(s) = U(s) f (x) at any point: |F| <= S, |F'| <= L and
+    |F''| <= L2 in s.  A time scale t gives the same bounds per unit of s / t,
+    and keeps L and L2 in the double range on bands where phi * xi_step or
+    phi**2 would overflow.  All three are 0 for a zero profile.
+    """
+    nz = p.amplitudes != 0.0
+    w = _weights(p.n, p.xi_step)[nz]
+    phi = np.abs(phase(p.xi[nz], sign)) * t
+    mass = np.abs(p.amplitudes[nz])
+    return (float(np.sum(w * mass)), float(np.sum(w * phi * mass)),
+            float(np.sum(w * phi * phi * mass)))
+
+
 def _check_phase_reach(p: SpectralProfile, x_reach: float) -> None:
     """Raise ValueError unless x_reach * max|xi| <= 2**52.
 
@@ -490,7 +509,7 @@ def lp_norm_space(u: SpaceField, power: float) -> float:
     a = np.abs(u.values)
     if power == math.inf:
         return float(np.max(a))
-    if power < 1.0:
+    if not power >= 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
     w = trapezoid_weights(u.n)
     return float(np.sum(w * a**power * u.x_step) ** (1.0 / power))

@@ -19,7 +19,8 @@ from ostrovsky_lab.randomized import (
     randomized_point_samples,
     stochastic_continuity,
 )
-from ostrovsky_lab.rough import CounterexampleSpec, counterexample_ratio, scaling_fit
+from ostrovsky_lab.rough import (CounterexampleSpec, counterexample_ratio, scaling_fit,
+                                  slope_range)
 from ostrovsky_lab.spectral import evolve_spectral, hs_norm, lp_norm_space, phase, synthesize
 from ostrovsky_lab.windows import wiener_decompose, wiener_window
 
@@ -33,13 +34,15 @@ def test_counterexample_scaling_slopes_match_smoothing_rate():
     ks = range(3, 9)
     slopes = {}
     for s, window in ((0.0, (0.20, 0.30)), (0.25, (-0.05, 0.05))):
-        points = [(k, counterexample_ratio(CounterexampleSpec(k, s), n_t=256))
-                  for k in ks]
-        fit = scaling_fit(points)
+        ratios, uppers = zip(*(counterexample_ratio(CounterexampleSpec(k, s), n_t=256)
+                               for k in ks))
+        fit = scaling_fit(list(zip(ks, ratios)))
         slopes[s] = fit.slope
-        print(f"s={s}: slope={fit.slope:.6f} residual={fit.residual:.2e} "
-              f"ratios={[round(r, 4) for _, r in points]}")
-        assert window[0] <= fit.slope <= window[1]
+        lo, hi = slope_range(ks, ratios, uppers)
+        print(f"s={s}: slope={fit.slope:.6f} in [{lo:.6f}, {hi:.6f}] "
+              f"residual={fit.residual:.2e} ratios={[round(r, 4) for r in ratios]}")
+        # every slope the certified bounds on R_k allow lies in the window
+        assert window[0] <= lo <= fit.slope <= hi <= window[1]
     assert slopes[0.0] > slopes[0.25]
 
 

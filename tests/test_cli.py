@@ -309,17 +309,25 @@ class TestMainCounterexample:
         lines = out.read_text().splitlines()
         assert lines[0] == "k,Rk,log2Rk"
         assert len(lines) == 4
-        fit = _read_meta(out)["fit"]
+        meta = _read_meta(out)
+        fit = meta["fit"]
         assert fit["expected_slope"] == 0.0
         assert abs(fit["slope"]) < 0.2
         assert math.isfinite(fit["intercept"])
+        # one certified upper R_k per row, and the slopes they allow
+        ratios = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(meta["rk_upper"]) == len(ratios)
+        assert all(upper >= r for upper, r in zip(meta["rk_upper"], ratios))
+        lo, hi = fit["slope_range"]
+        assert lo <= fit["slope"] <= hi
 
     def test_two_scales_skip_fit(self, tmp_path):
         out = tmp_path / "ce.csv"
         rc = main(["counterexample", "--s", "0.0", "--k-min", "3",
                    "--k-max", "4", "--nt", "8", "--out", str(out)])
         assert rc == 0
-        assert _read_meta(out)["fit"] is None
+        meta = _read_meta(out)
+        assert meta["fit"] is None and len(meta["rk_upper"]) == 2
 
     def test_time_grid_over_memory_budget_exits_one(self, tmp_path, capsys):
         # 10**12 scan times are refused from the sizes, before any array is built

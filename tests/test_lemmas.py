@@ -87,6 +87,16 @@ class TestDeltaEpsilon:
         with pytest.raises(ValueError):
             delta_epsilon(corpus_by_id["gauss_low"].profile, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_refused(self, corpus_by_id, epsilon):
+        # a nan budget used to give the capped radius, and nan L2_5 bounds
+        p = corpus_by_id["gauss_low"].profile
+        for check in (lambda: delta_epsilon(p, epsilon),
+                      lambda: check_low_frequency(p, 1e-3, epsilon),
+                      lambda: check_wiener_low(p, 1e-3, epsilon)):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                check()
+
     def test_zero_profile_hits_cap(self):
         p = SpectralProfile(-1.0, 0.25, np.zeros(9))
         assert delta_epsilon(p, 1e-3) == 0.5

@@ -19,6 +19,7 @@ from ostrovsky_lab.rough import (
     maximal_scan,
     maximal_time_grid,
     scaling_fit,
+    slope_range,
 )
 from ostrovsky_lab.spectral import (
     MAX_ARRAY_BYTES,
@@ -27,7 +28,6 @@ from ostrovsky_lab.spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
-    evolution_multipliers,
     evolve_spectral,
     hs_norm,
     phase,
@@ -101,8 +101,9 @@ class TestCounterexampleProfile:
 
 class TestMaximalTimeGrid:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            maximal_time_grid(0.0, 4)
+        for t_max in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_max must be positive and finite"):
+                maximal_time_grid(t_max, 4)
         with pytest.raises(ValueError):
             maximal_time_grid(1.0, 0)
 
@@ -130,23 +131,14 @@ def scan_setup():
     return spec, p, grid
 
 
-def _literal_scan(p, sign, t_max, grid, n_t, refine):
-    # one dense exp(i x xi) sum per time, then eight bracket times per point
+def _literal_scan(p, sign, t_max, grid, n_t):
+    # one dense exp(i x xi) sum per time
     nz = p.amplitudes != 0.0
     phi = phase(p.xi[nz], sign)
     coeff = (trapezoid_weights(p.n) * p.amplitudes * (p.xi_step / SQRT_2PI))[nz]
     basis = np.exp(1j * np.outer(grid.points, p.xi[nz]))
     ts = maximal_time_grid(t_max, n_t)
-    magnitudes = np.array([np.abs(basis @ (coeff * np.exp(1j * t * phi))) for t in ts])
-    sup = magnitudes.max(axis=0)
-    if refine and n_t > 1:
-        peak = magnitudes.argmax(axis=0)
-        for m in range(grid.n):
-            t_lo, t_hi = ts[max(peak[m] - 1, 0)], ts[min(peak[m] + 1, n_t - 1)]
-            for j in range(1, 9):
-                tj = t_lo * (t_hi / t_lo) ** (j / 9.0)
-                sup[m] = max(sup[m], abs(basis[m] @ (coeff * np.exp(1j * tj * phi))))
-    return sup
+    return np.max([np.abs(basis @ (coeff * np.exp(1j * t * phi))) for t in ts], axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -157,17 +149,15 @@ def family_k5():
 
 
 class TestMaximalScan:
-    @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("setup", ["scan_setup", "family_k5"])
-    def test_matches_literal_per_time_scan(self, request, setup, sign, refine):
+    def test_matches_literal_per_time_scan(self, request, setup, sign):
         # 600 times cross two coarse-block boundaries; over 40 times the
-        # family's window most points peak inside it, so refining raises
-        # their sup (by ~3.5e-5 relative) and a wrong argmax would show
+        # family's window most points peak inside it
         spec, p, grid = request.getfixturevalue(setup)
         t_max = 40.0 * spec.t_max
-        scan = maximal_scan(p, sign, t_max, grid, n_t=600, refine_around_peak=refine)
-        literal = _literal_scan(p, sign, t_max, grid, 600, refine)
+        scan = maximal_scan(p, sign, t_max, grid, n_t=600)
+        literal = _literal_scan(p, sign, t_max, grid, 600)
         assert np.max(np.abs(scan.values.real - literal)) <= 1e-13 * np.max(literal)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -178,32 +168,8 @@ class TestMaximalScan:
         p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
         grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
         scan = maximal_scan(p, sign, spec.t_max, grid, n_t=300)
-        literal = _literal_scan(p, sign, spec.t_max, grid, 300, True)
+        literal = _literal_scan(p, sign, spec.t_max, grid, 300)
         assert np.max(np.abs(scan.values.real - literal)) <= 1e-13 * np.max(literal)
-
-    def test_refinement_builds_one_row_per_distinct_peak(self, monkeypatch):
-        # at counterexample_ratio's shape every point's coarse argmax is one
-        # of a few times, and each of the eight refinement tables has one
-        # row per distinct peak, not one per point
-        spec = CounterexampleSpec(8, 0.1)
-        p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
-        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
-        tables = []
-
-        def recording(*args):
-            tables.append(np.array(args[1]))
-            return evolution_multipliers(*args)
-
-        monkeypatch.setattr(rough, "evolution_multipliers", recording)
-        for sign in ("+", "-"):
-            tables.clear()
-            maximal_scan(p, sign, spec.t_max, grid, n_t=1024)
-            coarse, refine = tables[:4], tables[4:]
-            assert [t.size for t in coarse] == [256] * 4 and len(refine) == 8
-            peaks = refine[0].size
-            assert 1 <= peaks < 16
-            for tj in refine:
-                assert tj.size == peaks and np.unique(tj).size == peaks
 
     @pytest.mark.parametrize("cells, widest", [(64, "block products"), (256, "point rows")])
     def test_budget_refused_before_allocating(self, monkeypatch, cells, widest):
@@ -258,8 +224,8 @@ class TestMaximalScan:
 
     def test_sup_monotone_under_time_refinement(self, scan_setup):
         spec, p, grid = scan_setup
-        coarse = maximal_scan(p, "+", spec.t_max, grid, n_t=32, refine_around_peak=False)
-        fine = maximal_scan(p, "+", spec.t_max, grid, n_t=63, refine_around_peak=False)
+        coarse = maximal_scan(p, "+", spec.t_max, grid, n_t=32)
+        fine = maximal_scan(p, "+", spec.t_max, grid, n_t=63)
         assert np.all(fine.values.real >= coarse.values.real)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -269,16 +235,9 @@ class TestMaximalScan:
         # a time's value does not depend on how many times share its block,
         # so the refined grid's sup at each shared node is the same double
         spec, p, grid = request.getfixturevalue(setup)
-        coarse = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=n_t, refine_around_peak=False)
-        fine = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=2 * n_t - 1,
-                            refine_around_peak=False)
+        coarse = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=n_t)
+        fine = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=2 * n_t - 1)
         assert np.all(fine.values.real >= coarse.values.real)
-
-    def test_peak_refinement_only_raises(self, scan_setup):
-        spec, p, grid = scan_setup
-        plain = maximal_scan(p, "+", spec.t_max, grid, n_t=32, refine_around_peak=False)
-        refined = maximal_scan(p, "+", spec.t_max, grid, n_t=32, refine_around_peak=True)
-        assert np.all(refined.values.real >= plain.values.real)
 
     def test_field_view(self, scan_setup):
         # the scan is the field of the sups on the scanned grid
@@ -289,12 +248,56 @@ class TestMaximalScan:
         assert np.all(scan.values.imag == 0.0) and np.all(scan.values.real > 0.0)
 
 
+class TestWindowBound:
+    @pytest.mark.parametrize("window", [1.0, 100.0])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_refined_sup_inside_the_bound(self, k, sign, window):
+        # counterexample_ratio's grids, at its window and at 100 times it
+        # (tau = 2^(3k) t up to 1); the 16x refined time grid keeps every
+        # node, and its sup must stay below the certified bound at each point
+        spec = CounterexampleSpec(k, 0.1)
+        p = counterexample_profile(spec, 2.0**k / BAND_CELLS)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+        t_max = window * spec.t_max
+        coarse = maximal_scan(p, sign, t_max, grid, n_t=1024).values.real
+        fine = maximal_scan(p, sign, t_max, grid, n_t=16 * 1023 + 1).values.real
+        upper = rough._window_bound(p, sign, coarse, t_max, 1024)
+        assert np.any(fine > coarse)  # some points peak between the nodes
+        assert np.all(fine >= coarse) and np.all(fine <= upper)
+        # and the bound stays narrow: 6.8e-6 and 1.6e-3 relative measured
+        assert np.max((upper - coarse) / coarse) < (1e-5 if window == 1.0 else 2e-3)
+
+    @pytest.mark.parametrize("window", [1.0, 100.0])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_single_time_bound_covers_the_window(self, sign, window):
+        # at n_t = 1 the only node is t_max, and the bound must still cover
+        # the whole window down to t_max * TIME_SPAN
+        spec = CounterexampleSpec(3, 0.1)
+        p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+        t_max = window * spec.t_max
+        single = maximal_scan(p, sign, t_max, grid, n_t=1).values.real
+        fine = maximal_scan(p, sign, t_max, grid, n_t=4097).values.real
+        upper = rough._window_bound(p, sign, single, t_max, 1)
+        assert np.any(fine > single) and np.all(fine <= upper)
+
+
 class TestCounterexampleRatio:
     def test_growth_at_s_zero(self):
-        ratios = [counterexample_ratio(CounterexampleSpec(k, 0.0), n_t=64)
-                  for k in (3, 4, 5)]
+        ratios, uppers = zip(*(counterexample_ratio(CounterexampleSpec(k, 0.0), n_t=64)
+                               for k in (3, 4, 5)))
         assert all(r > 0 for r in ratios)
         assert ratios[0] < ratios[1] < ratios[2]
+        assert all(r < u < 1.01 * r for r, u in zip(ratios, uppers))
+
+    def test_bound_stays_in_range_at_large_k(self):
+        # the unscaled phase moment L2 overflows from k = 147 at s = 0; the
+        # bound takes the moments per time step, so it stays finite at k = 340,
+        # the last k whose phase xi**3 is a finite double
+        for n_t in (1, 4):
+            r, upper = counterexample_ratio(CounterexampleSpec(340, 0.0), n_t=n_t)
+            assert r < upper < 1.1 * r
 
 
 class TestScalingFit:
@@ -304,6 +307,21 @@ class TestScalingFit:
         assert abs(fit.slope - 0.25) <= 1e-12
         assert abs(fit.intercept - 1.5) <= 1e-12
         assert fit.residual <= 1e-12
+
+    def test_slope_range_brackets_the_fit(self):
+        # equal ends give the least-squares slope; widening any end widens the range
+        ks = list(range(3, 9))
+        ratios = [2.0 ** (0.25 * k + 1.5 + 0.01 * (-1) ** k) for k in ks]
+        fit = scaling_fit(list(zip(ks, ratios)))
+        lo, hi = slope_range(ks, ratios, ratios)
+        assert abs(lo - fit.slope) <= 1e-12 and abs(hi - fit.slope) <= 1e-12
+        uppers = [r * 2.0**0.1 for r in ratios]
+        lo, hi = slope_range(ks, ratios, uppers)
+        # each extreme raises log2 R_k by 0.1 on one side of the mean k, which
+        # moves the slope by 0.1 * sum |c_k| / 2, c_k the slope's weights
+        weights = sum(abs(k - 5.5) for k in ks) / sum((k - 5.5) ** 2 for k in ks)
+        assert abs((fit.slope - lo) - 0.05 * weights) <= 1e-12
+        assert abs((hi - fit.slope) - 0.05 * weights) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError, match="three"):

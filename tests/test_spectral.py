@@ -27,6 +27,7 @@ from ostrovsky_lab.spectral import (
     lp_norm_space,
     phase,
     phase_derivative,
+    phase_moments,
     _SYNTHESIS_BLOCK,
     _chirp_plan,
     _synthesize_rows,
@@ -656,8 +657,24 @@ class TestNorms:
 
     def test_lp_norm_rejects_p_below_one(self):
         u = SpaceField(0.0, 1.0, np.ones(3))
-        with pytest.raises(ValueError):
-            lp_norm_space(u, 0.5)
+        for power in (0.5, math.nan):  # nan compares False with 1 either way
+            with pytest.raises(ValueError, match="p >= 1"):
+                lp_norm_space(u, power)
+
+    def test_phase_moments_literal_sums(self):
+        p = small_profile([1.0, -2.0j, 0.0, 0.5])  # xi = 0.5, 0.75, 1.0, 1.25
+        w = trapezoid_weights(4) * 0.25 / SQRT_2PI
+        mass = np.abs(p.amplitudes)
+        for sign in ("+", "-"):
+            phi = np.abs(phase(p.xi, sign))
+            expected = [np.sum(w * mass * phi**m) for m in (0, 1, 2)]
+            moments = phase_moments(p, sign)
+            np.testing.assert_allclose(moments, expected, rtol=1e-15)
+            # a time scale t multiplies L by t and L2 by t^2
+            np.testing.assert_allclose(phase_moments(p, sign, 1e-3),
+                                       [expected[0], expected[1] * 1e-3, expected[2] * 1e-6],
+                                       rtol=1e-15)
+        assert phase_moments(small_profile([0.0, 0.0]), "+") == (0.0, 0.0, 0.0)
 
     @settings(max_examples=30)
     @given(st.floats(min_value=1.0, max_value=64.0))
