@@ -24,14 +24,11 @@ from . import __version__
 from .corpus import CorpusEntry, default_corpus, observation_grid
 from .fileio import format_float, read_profile, write_field, write_reports, write_table
 from .lemmas import run_corpus
-from .parallel import parallel_map, resolve_threads
+from .parallel import parallel_map
 from .randomized import khinchine_analytic_ratio, khinchine_check, stochastic_continuity
 from .rough import (CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit,
                     slope_range)
 from .spectral import SpaceGrid, hs_norm, propagate, validate_resolution
-
-SUBCOMMANDS = ("propagate", "counterexample", "khinchine",
-               "stochastic-continuity", "verify-lemmas", "trace")
 
 
 class UsageError(ValueError):
@@ -51,52 +48,7 @@ _COMMON = [
     _Param("config", "path", help="line-oriented key = value file; flags override it"),
     _Param("out", "path", required=True, help="output CSV path"),
 ]
-
-_PARAMS: dict[str, list[_Param]] = {
-    "propagate": _COMMON + [
-        _Param("profile", "path", required=True, help="input profile CSV (xi,re,im)"),
-        _Param("t", "float", required=True, help="evolution time"),
-        _Param("sign", "sign", default="+", help="sign of the 1/xi phase term"),
-        _Param("nx", "int", default=4096, help="number of output x points"),
-        _Param("x-min", "float", help="left edge of an explicit x grid"),
-        _Param("x-max", "float", help="right edge of an explicit x grid"),
-    ],
-    "counterexample": _COMMON + [
-        _Param("s", "float", required=True, help="Sobolev regularity of the family"),
-        _Param("k-min", "int", required=True, help="first dyadic scale"),
-        _Param("k-max", "int", required=True, help="last dyadic scale"),
-        _Param("sign", "sign", default="+"),
-        _Param("nt", "int", default=256, help="time samples per scale"),
-        _Param("threads", "int", help="worker threads (env OSTROVSKY_LAB_THREADS)"),
-    ],
-    "khinchine": _COMMON + [
-        _Param("p", "floats", required=True, help="comma-separated moment orders"),
-        _Param("n", "int", required=True, help="Monte Carlo sample count"),
-        _Param("seed", "int", default=0),
-        _Param("coeffs", "floats", default=(1.0,), help="coefficient sequence"),
-    ],
-    "stochastic-continuity": _COMMON + [
-        _Param("alpha", "float", required=True, help="exceedance threshold"),
-        _Param("t", "floats", required=True, help="strictly decreasing times"),
-        _Param("n", "int", required=True, help="Monte Carlo sample count"),
-        _Param("seed", "int", default=0),
-        _Param("x", "float", default=0.0, help="observation point"),
-        _Param("profile", "path", required=True),
-        _Param("sign", "sign", default="+"),
-    ],
-    "verify-lemmas": _COMMON + [
-        _Param("corpus", "path", help="directory of profile CSVs (default: built-in corpus)"),
-        _Param("only", "strs", help="comma-separated lemma ids to keep"),
-        _Param("threads", "int"),
-        _Param("sign", "sign", default="+"),
-    ],
-    "trace": _COMMON + [
-        _Param("profile", "path", required=True),
-        _Param("x", "float", required=True, help="observation point"),
-        _Param("t", "floats", required=True, help="strictly decreasing times (0 allowed last)"),
-        _Param("sign", "sign", default="+"),
-    ],
-}
+_THREADS = _Param("threads", "int", default=1, help="worker threads (>= 1)")
 
 
 @dataclass(frozen=True)
@@ -182,7 +134,7 @@ def _build_parser() -> _Parser:
                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, params in _PARAMS.items():
+    for name, (_, params) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, allow_abbrev=False)
         for param in params:
             sub.add_argument(f"--{param.name}", dest=param.name.replace("-", "_"),
@@ -199,8 +151,8 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     """
     namespace = _build_parser().parse_args(argv)
     if namespace.subcommand is None:
-        raise UsageError(f"choose a subcommand: {', '.join(SUBCOMMANDS)}")
-    declared = {p.name: p for p in _PARAMS[namespace.subcommand]}
+        raise UsageError(f"choose a subcommand: {', '.join(_SUBCOMMANDS)}")
+    declared = {p.name: p for p in _SUBCOMMANDS[namespace.subcommand][1]}
 
     flags: dict[str, object] = {}
     for param in declared.values():
@@ -226,6 +178,8 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 
 
 def _validate(subcommand: str, params: dict) -> None:
+    if params.get("threads", 1) < 1:
+        raise UsageError("--threads must be >= 1")
     if subcommand == "counterexample":
         if params["k_min"] > params["k_max"]:
             raise UsageError("--k-min must not exceed --k-max")
@@ -267,13 +221,12 @@ def _run_propagate(params: dict) -> tuple[dict, int]:
 
 def _run_counterexample(params: dict) -> tuple[dict, int]:
     ks = list(range(params["k_min"], params["k_max"] + 1))
-    threads = resolve_threads(params["threads"])
 
     def ratio_at(k: int) -> tuple[float, float]:
         spec = CounterexampleSpec(k=k, s=params["s"])
         return counterexample_ratio(spec, n_t=params["nt"], sign=params["sign"])
 
-    ratios, uppers = zip(*parallel_map(ratio_at, ks, threads))
+    ratios, uppers = zip(*parallel_map(ratio_at, ks, params["threads"]))
     write_table(params["out"], ["k", "Rk", "log2Rk"],
                 ([str(k), format_float(r), format_float(math.log2(r))]
                  for k, r in zip(ks, ratios)))
@@ -301,13 +254,14 @@ def _run_stochastic_continuity(params: dict) -> tuple[dict, int]:
     p = read_profile(params["profile"])
     curve = stochastic_continuity(p, params["x"], params["alpha"], params["t"],
                                   params["n"], params["seed"], params["sign"])
-    columns = (curve.t_values, curve.empirical_probs, curve.wilson_lo, curve.wilson_hi)
-    write_table(params["out"], ["t", "prob", "wilson_lo", "wilson_hi"],
-                ([format_float(value) for value in row] for row in zip(*columns)))
+    # the sidecar values come first, so a refused norm leaves no CSV behind
     block = {"fit": {"alpha": params["alpha"], "x": params["x"],
                      "n_samples": params["n"],
                      "l2_norm": hs_norm(p, 0.0),
                      "final_prob": float(curve.empirical_probs[-1])}}
+    columns = (curve.t_values, curve.empirical_probs, curve.wilson_lo, curve.wilson_hi)
+    write_table(params["out"], ["t", "prob", "wilson_lo", "wilson_hi"],
+                ([format_float(value) for value in row] for row in zip(*columns)))
     return block, 0
 
 
@@ -321,8 +275,8 @@ def _load_corpus_dir(path: str) -> list[CorpusEntry]:
 def _run_verify_lemmas(params: dict) -> tuple[dict, int]:
     entries = (_load_corpus_dir(params["corpus"]) if params["corpus"] is not None
                else default_corpus())
-    threads = resolve_threads(params["threads"])
-    reports = run_corpus(entries, params["sign"], only=params["only"], threads=threads)
+    reports = run_corpus(entries, params["sign"], only=params["only"],
+                         threads=params["threads"])
     write_reports(reports, params["out"])
     failed = sum(1 for r in reports if not r.passed)
     skipped_by_reason = Counter(r.params["skip"] for r in reports if "skip" in r.params)
@@ -350,20 +304,58 @@ def _run_trace(params: dict) -> tuple[dict, int]:
     return {"final_deviation": float(deviations[-1])}, 0
 
 
-_HANDLERS: dict[str, Callable[[dict], tuple[dict, int]]] = {
-    "propagate": _run_propagate,
-    "counterexample": _run_counterexample,
-    "khinchine": _run_khinchine,
-    "stochastic-continuity": _run_stochastic_continuity,
-    "verify-lemmas": _run_verify_lemmas,
-    "trace": _run_trace,
+#: Every subcommand, its handler and its parameters, in the order help lists them.
+_SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[dict, int]], list[_Param]]] = {
+    "propagate": (_run_propagate, _COMMON + [
+        _Param("profile", "path", required=True, help="input profile CSV (xi,re,im)"),
+        _Param("t", "float", required=True, help="evolution time"),
+        _Param("sign", "sign", default="+", help="sign of the 1/xi phase term"),
+        _Param("nx", "int", default=4096, help="number of output x points"),
+        _Param("x-min", "float", help="left edge of an explicit x grid"),
+        _Param("x-max", "float", help="right edge of an explicit x grid"),
+    ]),
+    "counterexample": (_run_counterexample, _COMMON + [
+        _Param("s", "float", required=True, help="Sobolev regularity of the family"),
+        _Param("k-min", "int", required=True, help="first dyadic scale"),
+        _Param("k-max", "int", required=True, help="last dyadic scale"),
+        _Param("sign", "sign", default="+"),
+        _Param("nt", "int", default=256, help="time samples per scale"),
+        _THREADS,
+    ]),
+    "khinchine": (_run_khinchine, _COMMON + [
+        _Param("p", "floats", required=True, help="comma-separated moment orders"),
+        _Param("n", "int", required=True, help="Monte Carlo sample count"),
+        _Param("seed", "int", default=0),
+        _Param("coeffs", "floats", default=(1.0,), help="coefficient sequence"),
+    ]),
+    "stochastic-continuity": (_run_stochastic_continuity, _COMMON + [
+        _Param("alpha", "float", required=True, help="exceedance threshold"),
+        _Param("t", "floats", required=True, help="strictly decreasing times"),
+        _Param("n", "int", required=True, help="Monte Carlo sample count"),
+        _Param("seed", "int", default=0),
+        _Param("x", "float", default=0.0, help="observation point"),
+        _Param("profile", "path", required=True),
+        _Param("sign", "sign", default="+"),
+    ]),
+    "verify-lemmas": (_run_verify_lemmas, _COMMON + [
+        _Param("corpus", "path", help="directory of profile CSVs (default: built-in corpus)"),
+        _Param("only", "strs", help="comma-separated lemma ids to keep"),
+        _THREADS,
+        _Param("sign", "sign", default="+"),
+    ]),
+    "trace": (_run_trace, _COMMON + [
+        _Param("profile", "path", required=True),
+        _Param("x", "float", required=True, help="observation point"),
+        _Param("t", "floats", required=True, help="strictly decreasing times (0 allowed last)"),
+        _Param("sign", "sign", default="+"),
+    ]),
 }
 
 
 def dispatch(cfg: RunConfig) -> int:
     """Run the configured experiment, write CSV + sidecar, return exit code."""
     start = time.perf_counter()
-    block, code = _HANDLERS[cfg.subcommand](cfg.params)
+    block, code = _SUBCOMMANDS[cfg.subcommand][0](cfg.params)
     meta = {
         "version": __version__,
         "subcommand": cfg.subcommand,

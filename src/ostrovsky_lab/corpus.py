@@ -39,12 +39,11 @@ class CorpusEntry:
     max_resolved_t: float  # largest |t| the entry is designed to propagate at
 
 
-def profile_from_function(fn, xi_min: float, xi_max: float, xi_step: float,
-                          **kwargs) -> SpectralProfile:
+def profile_from_function(fn, xi_min: float, xi_max: float, xi_step: float) -> SpectralProfile:
     """Sample ``fn`` on the closed uniform grid [xi_min, xi_max]."""
     n = int(round((xi_max - xi_min) / xi_step)) + 1
     xi = xi_min + xi_step * np.arange(n)
-    return SpectralProfile(xi_min, xi_step, np.asarray(fn(xi), dtype=np.complex128), **kwargs)
+    return SpectralProfile(xi_min, xi_step, np.asarray(fn(xi), dtype=np.complex128))
 
 
 def gaussian_profile(center: float, sigma: float, lo: float, hi: float,

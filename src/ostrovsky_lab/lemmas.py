@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusEntry, default_corpus, observation_grid
+from .corpus import CorpusEntry, observation_grid
 from .parallel import parallel_map
 from .spectral import (
     SpaceField,
@@ -35,6 +35,16 @@ from .spectral import (
     validate_resolution,
 )
 from .windows import WienerDecomposition, project_low, square_function, wiener_decompose
+
+__all__ = [
+    "LemmaReport",
+    "check_high_frequency",
+    "check_low_frequency",
+    "check_square_function",
+    "check_wiener_low",
+    "delta_epsilon",
+    "run_corpus",
+]
 
 LEMMA_IDS = (
     "L2_2",
@@ -144,12 +154,16 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     Found by bisection over the cumulative mass at the distinct grid radii;
     capped at 1/2.  If even the innermost occupied radius carries more than
     epsilon, falls back to the zero-exclusion radius (mass there is zero).
+    Raises ValueError when the L2 mass of `p` leaves the double range.
     """
     _check_epsilon(epsilon)
     radii = np.abs(p.xi)
     order = np.argsort(radii, kind="stable")
     sorted_radii = radii[order]
-    cumulative = np.cumsum(np.abs(p.amplitudes[order]) ** 2 * p.xi_step)
+    with np.errstate(over="ignore"):
+        cumulative = np.cumsum(np.abs(p.amplitudes[order]) ** 2 * p.xi_step)
+    if not math.isfinite(cumulative[-1]):
+        raise ValueError("the L2 mass of the profile leaves the double range")
 
     last = _run_ends(sorted_radii)
     distinct, inclusive = sorted_radii[last], cumulative[last]
@@ -231,8 +245,9 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     time, yields a single skip row.
     """
     ts = np.asarray(t_values, dtype=np.float64)
-    if ts.size < 3 or np.any(ts <= 0):
-        raise ValueError("need at least 3 positive times for the linearity sweep")
+    # a slope needs distinct times; one repeated time makes np.polyfit warn
+    if len(set(ts.flat)) < 3 or not np.all(ts > 0.0):
+        raise ValueError("need at least 3 distinct positive times for the linearity sweep")
     high = high_frequency_part(p)
     if not np.any(high.amplitudes != 0.0):
         return [_skip_report("L2_3", profile_id, "zero_high_frequency_part")]
@@ -383,10 +398,8 @@ def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:
     ]
 
 
-def run_corpus(entries: Sequence[CorpusEntry] | None = None,
-               sign: str = "+",
-               only: Iterable[str] | None = None,
-               threads: int = 1) -> list[LemmaReport]:
+def run_corpus(entries: Sequence[CorpusEntry], sign: str = "+",
+               only: Iterable[str] | None = None, threads: int = 1) -> list[LemmaReport]:
     """Run every applicable check on every profile, in stable order.
 
     A check that cannot run (a refused resolution gate, an empty part)
@@ -394,8 +407,6 @@ def run_corpus(entries: Sequence[CorpusEntry] | None = None,
     keyed by (corpus order, check order), so a threaded run returns the
     identical list.
     """
-    if entries is None:
-        entries = default_corpus()
     wanted: set[str] | None = None
     if only is not None:
         wanted = set(only)

@@ -7,32 +7,11 @@ run apart from wall-clock time.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-THREADS_ENV_VAR = "OSTROVSKY_LAB_THREADS"
-
-
-def resolve_threads(requested: int | None) -> int:
-    """Pick the worker count: explicit argument, then environment, then 1."""
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                requested = int(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from exc
-        else:
-            requested = 1
-    if requested < 1:
-        raise ValueError(f"thread count must be >= 1, got {requested}")
-    return requested
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:

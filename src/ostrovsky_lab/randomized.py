@@ -159,17 +159,22 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
     if 8 * n_samples > MAX_ARRAY_BYTES:
         raise ValueError(f"{n_samples} samples need {8 * n_samples} bytes of magnitudes, "
                          f"above the budget of {MAX_ARRAY_BYTES} bytes")
-    l2 = float(np.linalg.norm(c))
+    with np.errstate(over="ignore"):
+        l2 = float(np.linalg.norm(c))
     if l2 == 0.0:
         raise ValueError("coefficient sequence must not vanish")
+    if l2 == math.inf:
+        raise ValueError("the l2 norm of the coefficients leaves the double range")
     magnitudes = np.empty(n_samples, dtype=np.float64)
     for draws, values in _draw_blocks(seed, n_samples, np.arange(c.size), c):
         np.abs(values, out=magnitudes[draws])
     results = []
     for power in powers:
-        powered = magnitudes ** power
-        mean = float(np.mean(powered))
-        stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n_samples))
+        # an overflowed moment is refused below: inf, or nan from inf - inf in np.std
+        with np.errstate(over="ignore", invalid="ignore"):
+            powered = magnitudes ** power
+            mean = float(np.mean(powered))
+            stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n_samples))
         if not (mean > 0.0 and math.isfinite(stderr_mean)):
             raise ValueError(f"moments of order {power} leave the double range for these coefficients")
         moment = mean ** (1.0 / power)

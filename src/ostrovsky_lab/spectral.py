@@ -462,8 +462,9 @@ def validate_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionRe
     if not np.any(nz) or t == 0.0:
         increment = 0.0
     else:
-        dphi = phase_derivative(p.xi[nz], sign)
-        increment = float(abs(t) * np.max(np.abs(dphi)) * p.xi_step)
+        # Python floats: an increment beyond the double range is inf, without a warning
+        dphi = float(np.max(np.abs(phase_derivative(p.xi[nz], sign))))
+        increment = abs(float(t)) * dphi * float(p.xi_step)
     return ResolutionReport(increment, p.truncated_mass, increment <= MAX_PHASE_INCREMENT)
 
 
@@ -490,7 +491,8 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
     """Discrete Sobolev norm: sqrt(sum (1+xi^2)^s |amp|^2 * xi_step).
 
     Raises ValueError, naming s and the frequency reach, when the weight
-    (1+xi^2)^s leaves the double range on p's grid.
+    (1+xi^2)^s leaves the double range on p's grid, and naming s when the
+    weighted sum does.
     """
     if not math.isfinite(s):
         raise ValueError("s must be finite")
@@ -501,15 +503,27 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
         reach = float(np.max(np.abs(xi[~np.isfinite(weight)])))
         raise ValueError(f"H^s weight (1+xi^2)^s overflows at s = {s!r}, frequency reach "
                          f"|xi| = {reach:.6g}")
-    return float(np.sqrt(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step))
+    # an underflowed weight times an overflowed square is nan, so invalid is ignored too
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step)
+    if not math.isfinite(total):
+        raise ValueError(f"H^s norm at s = {s!r} leaves the double range")
+    return math.sqrt(total)
 
 
 def lp_norm_space(u: SpaceField, power: float) -> float:
-    """Trapezoid L^p norm over the field's grid; power = inf gives the sup."""
+    """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
+
+    Raises ValueError, naming p, when the sum of |u|^p leaves the double range.
+    """
     a = np.abs(u.values)
     if power == math.inf:
         return float(np.max(a))
     if not power >= 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
     w = trapezoid_weights(u.n)
-    return float(np.sum(w * a**power * u.x_step) ** (1.0 / power))
+    with np.errstate(over="ignore"):
+        total = np.sum(w * a**power * u.x_step)
+    if not math.isfinite(total):
+        raise ValueError(f"L^{power:g} norm leaves the double range")
+    return float(total ** (1.0 / power))

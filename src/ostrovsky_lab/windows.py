@@ -113,8 +113,12 @@ def square_function(p: SpectralProfile, grid: SpaceGrid,
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
     controlled by the L2 norm of `p` with room to spare.  `dec`, if given,
-    must be wiener_decompose(p).
+    must be wiener_decompose(p).  Raises ValueError when the sum of squares
+    leaves the double range.
     """
     fields = _synthesize_rows(p, grid, (wiener_decompose(p) if dec is None else dec).table)
-    out = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
-    return SpaceField(grid.x_min, grid.x_step, out)
+    with np.errstate(over="ignore"):
+        squares = np.sum(np.abs(fields) ** 2, axis=0)
+    if not np.all(np.isfinite(squares)):
+        raise ValueError("the window square function leaves the double range")
+    return SpaceField(grid.x_min, grid.x_step, np.sqrt(squares))

@@ -46,7 +46,7 @@ class TestParseConfig:
         assert cfg.params["k_min"] == 3 and cfg.params["k_max"] == 6
         assert cfg.params["nt"] == 64
         assert cfg.params["sign"] == "+"
-        assert cfg.params["threads"] is None
+        assert cfg.params["threads"] == 1
         assert cfg.out_path == "r.csv"
 
     def test_float_list_parameter(self):
@@ -90,8 +90,12 @@ class TestParseConfig:
         (["khinchine", "--out", "o", "--p", "2,0.5", "--n", "16"], "--p values must be >= 1"),
         (["stochastic-continuity", "--out", "o", "--profile", "p", "--alpha", "0.1",
           "--t", "0.1,0", "--n", "0"], "--n must be >= 1"),
+        (["counterexample", "--out", "o", "--s", "0", "--k-min", "3",
+          "--k-max", "5", "--threads", "0"], "--threads must be >= 1"),
+        (["verify-lemmas", "--out", "o", "--threads", "0"], "--threads must be >= 1"),
     ], ids=["k-order", "nt", "nx", "half-grid", "grid-order", "n", "khinchine-n-1",
-            "khinchine-p-below-1", "continuity-n"])
+            "khinchine-p-below-1", "continuity-n", "counterexample-threads-0",
+            "verify-lemmas-threads-0"])
     def test_cross_parameter_validation(self, argv, match):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
@@ -475,13 +479,48 @@ class TestNonFiniteInput:
         # xi**3 overflows in the phase while the tiny t_max still passes the gate
         (["counterexample", "--s", "0", "--k-min", "345", "--k-max", "345"],
          "phase xi**3 + sign/xi overflows at frequency reach |xi| = 1.43344e+104"),
+        # the scan's L4 norm overflows
+        (["counterexample", "--s", "-10", "--k-min", "30", "--k-max", "30", "--nt", "4"],
+         "L^4 norm leaves the double range"),
+        (["counterexample", "--s", "-64", "--k-min", "2", "--k-max", "4", "--nt", "1"],
+         "L^4 norm leaves the double range"),
+        (["khinchine", "--p", "1,2", "--n", "10", "--coeffs", "1e300,1e300"],
+         "the l2 norm of the coefficients leaves the double range"),
+        (["khinchine", "--p", "1e308", "--n", "2"], "moments of order 1e+308 leave"),
+        # |t| * max|phi'| * h overflows in the resolution gate
+        (["propagate", "--t", "1e308"], "phase advance inf rad per cell"),
+        (["trace", "--x", "0", "--t", "1e308,0"], "phase advance inf rad per cell"),
+        (["trace", "--x", "1e308", "--t", "1e308"], "phase advance inf rad per cell"),
+        (["stochastic-continuity", "--alpha", "0.1", "--t", "1e308,0", "--n", "10"],
+         "phase advance inf rad per cell"),
     ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
             "continuity-x-1e300", "trace-x-1e300", "counterexample-k-1100",
             "counterexample-k-600", "counterexample-s-neg100", "counterexample-s-400",
-            "counterexample-s-150", "counterexample-k-345"])
+            "counterexample-s-150", "counterexample-k-345", "counterexample-l4-k-30",
+            "counterexample-l4-nt-1", "khinchine-coeffs-1e300", "khinchine-p-1e308",
+            "propagate-t-1e308", "trace-t-1e308", "trace-x-t-1e308", "continuity-t-1e308"])
     def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
         if argv[0] not in ("khinchine", "counterexample"):
             argv = argv + ["--profile", str(gauss_low_csv)]
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+    @pytest.mark.parametrize("subcommand,message", [
+        ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range"),
+        ("verify-lemmas", "the L2 mass of the profile leaves the double range"),
+    ])
+    def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message):
+        directory = tmp_path / "huge"
+        directory.mkdir()
+        profile = directory / "huge.csv"
+        write_profile(SpectralProfile(1.0, 0.125, np.full(9, 1e300)), profile)
+        argv = ([subcommand, "--profile", str(profile), "--alpha", "0.1", "--t", "1e-3,0",
+                 "--n", "10"] if subcommand == "stochastic-continuity"
+                else [subcommand, "--corpus", str(directory)])
         out = tmp_path / "o.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -556,7 +595,7 @@ def test_small_runs_exit_cleanly_with_finite_artifacts(profile_file, invocation)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o.csv"
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), np.errstate(over="ignore", invalid="ignore"):
+        with contextlib.redirect_stderr(err):
             rc = main(argv + ["--out", str(out)])
         if rc == 0:
             with open(out, encoding="utf-8", newline="") as handle:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ class TestDeltaEpsilon:
                       lambda: check_wiener_low(p, 1e-3, epsilon)):
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 check()
+
+    def test_overflowing_mass_refused_without_warning(self):
+        p = SpectralProfile(0.125, 0.125, np.full(9, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="L2 mass of the profile leaves"):
+                delta_epsilon(p, EPSILON)
 
     def test_zero_profile_hits_cap(self):
         p = SpectralProfile(-1.0, 0.25, np.zeros(9))
@@ -208,6 +216,13 @@ class TestHighFrequency:
             check_high_frequency(p, [1e-3, 1e-4])
         with pytest.raises(ValueError, match="positive times"):
             check_high_frequency(p, [1e-3, 1e-4, 0.0])
+
+    def test_repeated_times_refused(self, corpus_by_id):
+        # one distinct time is a one-point fit, which np.polyfit warns about
+        p = corpus_by_id["gauss_high"].profile
+        for times in ([1e-4, 1e-4, 1e-4], [1e-4, 1e-3, 1e-4, 1e-3]):
+            with pytest.raises(ValueError, match="3 distinct positive times"):
+                check_high_frequency(p, times)
 
     def test_zero_high_part_skips(self, corpus_by_id):
         rows = check_high_frequency(corpus_by_id["gauss_low"].profile,

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,9 +230,23 @@ class TestKhinchine:
 
     @pytest.mark.parametrize("power", [1e308, 2000.0])
     def test_moments_outside_double_range_rejected(self, power):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match=re.escape(f"order {power} leave")):
-            khinchine_check([1.0, 0.5], [2.0, power, 3000.0], 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"order {power} leave")):
+                khinchine_check([1.0, 0.5], [2.0, power, 3000.0], 64)
+            # two draws, as in `khinchine --p 1e308 --n 2`
+            with pytest.raises(ValueError, match=re.escape(f"order {power} leave")):
+                khinchine_check([1.0], [power], 2)
+
+    def test_overflowing_l2_norm_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples before refusing the norm")
+
+        monkeypatch.setattr(randomized, "_draw_blocks", no_draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="l2 norm of the coefficients leaves"):
+                khinchine_check([1e300, 1e300], [1.0, 2.0], 10)
 
     def test_second_moment_matches_l2(self):
         [res] = khinchine_check([1.0, 0.8, 0.6, 0.4, 0.2], [2.0], 20_000)

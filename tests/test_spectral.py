@@ -576,6 +576,24 @@ class TestResolution:
         direct = abs(t) * max(abs(phase_derivative(float(x))) for x in supported) * p.xi_step
         assert abs(rep.max_phase_increment - direct) <= 1e-12 * direct
 
+    def test_increment_bits_match_the_array_formula(self, corpus_by_id):
+        p = corpus_by_id["gauss_mid"].profile
+        dphi = np.abs(phase_derivative(p.xi[p.amplitudes != 0.0]))
+        for t in (2.5e-3, np.float64(-0.7), 1e-300):
+            expected = float(abs(t) * np.max(dphi) * p.xi_step)
+            assert validate_resolution(p, t, "+").max_phase_increment == expected
+
+    def test_overflowing_increment_is_inf_without_warning(self, corpus_by_id):
+        p = corpus_by_id["gauss_mid"].profile
+        grid = SpaceGrid.spanning(-1.0, 1.0, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e308, np.float64(-1e308)):
+                report = validate_resolution(p, t, "+")
+                assert report.max_phase_increment == math.inf and not report.ok
+            with pytest.raises(ResolutionError, match="phase advance inf rad per cell"):
+                propagate(p, 1e308, "+", grid)
+
     def test_report_carries_truncated_mass(self):
         p = SpectralProfile(-0.25, 0.25, np.array([1.0, 2.0, 1.0]), zero_exclusion=0.1)
         rep = validate_resolution(p, 0.0, "+")
@@ -642,6 +660,31 @@ class TestNorms:
             with pytest.raises(ValueError, match=r"s = 300.0, frequency reach \|xi\| = 4$"):
                 hs_norm(p, 300.0)
             assert math.isfinite(hs_norm(p, 200.0))
+
+    def test_norms_refuse_overflow_without_warning(self):
+        p = SpectralProfile(0.125, 0.125, np.full(9, 1e300))
+        u = SpaceField(0.0, 1.0, np.full(3, 1e100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^H\^s norm at s = 0.0 leaves the double range$"):
+                hs_norm(p, 0.0)
+            with pytest.raises(ValueError, match=r"^L\^4 norm leaves the double range$"):
+                lp_norm_space(u, 4.0)
+            assert lp_norm_space(u, 2.0) == pytest.approx(math.sqrt(2.0) * 1e100, rel=1e-15)
+
+    def test_in_range_norms_keep_their_bits(self, corpus):
+        # the refusals only add a finiteness check to the plain formulas
+        for entry in corpus:
+            p = entry.profile
+            for s in (-1.0, 0.0, 0.5):
+                weight = (1.0 + p.xi * p.xi) ** s
+                plain = float(np.sqrt(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step))
+                assert hs_norm(p, s) == plain
+            u = synthesize(p, observation_grid(p))
+            w = trapezoid_weights(u.n)
+            for power in (1.0, 2.0, 4.0, 7.5):
+                plain = float(np.sum(w * np.abs(u.values) ** power * u.x_step) ** (1.0 / power))
+                assert lp_norm_space(u, power) == plain
 
     def test_lp_norm_constant_field(self):
         h = 0.125

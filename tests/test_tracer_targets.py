@@ -43,3 +43,23 @@ def test_every_target_resolves_with_its_bound_parameters():
                 continue
             for name in BOUND_BY_HOOK.get(hook.__name__, ()):
                 assert name in parameters, f"{target.span_name} lost parameter {name!r}"
+
+
+def test_install_covers_the_cli_and_uninstall_restores_every_binding():
+    # a re-exported name or a module-level table holding a target is what
+    # install's stale-reference check trips on
+    tracer_module = _load_tracer()
+    cli = importlib.import_module(f"{tracer_module.PACKAGE}.cli")
+    modules = tracer_module.Tracer._package_modules()
+    before = {module.__name__: dict(vars(module)) for module in modules}
+    original = cli.parse_config
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert cli.parse_config is not original
+        assert cli.parse_config.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    for module in modules:
+        for name, value in before[module.__name__].items():
+            assert vars(module)[name] is value, f"{module.__name__}.{name}"

@@ -1,6 +1,7 @@
 """Dyadic cutoffs, unit windows, decomposition and the square function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,17 @@ class TestSquareFunction:
         sf = square_function(p, grid)
         direct = np.abs(synthesize(p, grid).values)
         assert np.max(np.abs(sf.values.real - direct)) <= 1e-15
+
+    def test_overflow_refused_without_warning(self):
+        # one window fires with |u| about 5e297, whose square leaves the double range
+        h = 2.0**-6
+        amps = np.zeros(129)
+        amps[64] = 1e300  # xi = 3.0
+        p = SpectralProfile(2.0, h, amps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="square function leaves the double range"):
+                square_function(p, SpaceGrid.spanning(-5.0, 5.0, 101))
 
     def test_values_are_real(self, corpus_by_id):
         p = corpus_by_id["band_unit"].profile
