@@ -34,7 +34,7 @@ from .spectral import (
     phase_moments,
     validate_resolution,
 )
-from .windows import WienerDecomposition, project_low, square_function, wiener_decompose
+from .windows import project_low, square_function, wiener_decompose
 
 __all__ = [
     "LemmaReport",
@@ -271,21 +271,18 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
 
 def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
                      sign: str = "+", profile_id: str = "profile",
-                     grid: SpaceGrid | None = None,
-                     dec: WienerDecomposition | None = None) -> list[LemmaReport]:
+                     grid: SpaceGrid | None = None) -> list[LemmaReport]:
     """Deviation of each unit window piece against CORPUS_CONSTANT*(eps + |t|/eps).
 
-    One row per non-zero piece of wiener_decompose(p) with |k| <=
-    MAX_WINDOW_INDEX (the estimate is stated only there), in k order; a
-    piece whose resolution gate refuses gives a resolution_refused skip
-    row.  The grid l1 mass of the amplitudes rides along in params because
-    the estimate's constant is tied to it.  `dec`, if given, must be
-    wiener_decompose(p).
+    One row per piece of wiener_decompose(p) with |k| <= MAX_WINDOW_INDEX
+    (the estimate is stated only there), in k order; a piece whose
+    resolution gate refuses gives a resolution_refused skip row.  The grid
+    l1 mass of the amplitudes rides along in params because the estimate's
+    constant is tied to it.
     """
     _check_epsilon(epsilon)
-    if dec is None:
-        dec = wiener_decompose(p)
-    keep = (np.abs(dec.ks) <= MAX_WINDOW_INDEX) & np.any(dec.table != 0.0, axis=1)
+    dec = wiener_decompose(p)
+    keep = np.abs(dec.ks) <= MAX_WINDOW_INDEX
     ks, pieces = dec.ks[keep].tolist(), dec.table[keep]
     gated = np.array([validate_resolution(p.with_amplitudes(row), t, sign).ok
                       for row in pieces], dtype=bool)
@@ -304,21 +301,18 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
 
 def check_square_function(p: SpectralProfile, t: float | None = None, *,
                           sign: str = "+", profile_id: str = "profile",
-                          grid: SpaceGrid | None = None,
-                          dec: WienerDecomposition | None = None) -> LemmaReport:
+                          grid: SpaceGrid | None = None) -> LemmaReport:
     """Grid max of the window square function against the L2 norm.
 
     ``t=None`` checks the profile itself (lemma id L2_6); a time value
     checks the evolved profile with the same right-hand side (L2_7).  The
     grid max of the exact discrete sum only under-estimates a continuum
-    sup, so no resolution gate applies to this upper-bound check.  `dec`,
-    if given, must be wiener_decompose(p); only the L2_6 check reads it, as
-    an evolved profile has windows of its own.
+    sup, so no resolution gate applies to this upper-bound check.
     """
     if grid is None:
         grid = observation_grid(p)
     if t is None:
-        values = square_function(p, grid, dec)
+        values = square_function(p, grid)
         lemma_id, params = "L2_6", {}
     else:
         values = square_function(evolve_spectral(p, t, sign), grid)
@@ -329,16 +323,15 @@ def check_square_function(p: SpectralProfile, t: float | None = None, *,
     return _report(lemma_id, profile_id, params, lhs, norm * (1.0 + SQUARE_SLACK), fitted)
 
 
-def norm_equivalence_reports(p: SpectralProfile, *, profile_id: str = "profile",
-                             dec: WienerDecomposition | None = None) -> list[LemmaReport]:
+def norm_equivalence_reports(p: SpectralProfile, *,
+                             profile_id: str = "profile") -> list[LemmaReport]:
     """Two-sided comparison of the window piece norms with the full norm.
 
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
     ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
-    `dec`, if given, must be wiener_decompose(p).
     """
-    table = (wiener_decompose(p) if dec is None else dec).table
-    piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2 for row in table))
+    piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2
+                          for row in wiener_decompose(p).table))
     total = hs_norm(p, 0.0) ** 2
     ratio = piece_sum / total if total > 0 else 1.0
     upper = _report("NORM_EQUIV", profile_id, {"side": "upper", "ratio": ratio},
@@ -349,19 +342,16 @@ def norm_equivalence_reports(p: SpectralProfile, *, profile_id: str = "profile",
 
 
 def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
-                     grid: SpaceGrid | None = None,
-                     dec: WienerDecomposition | None = None) -> LemmaReport:
+                     grid: SpaceGrid | None = None) -> LemmaReport:
     """Largest norm ratio ||piece||_q / ||piece||_r over windows and 2<=r<q<=inf.
 
     Unit-width frequency support bounds every such ratio by an absolute
     constant; the empirical corpus maximum is recorded and compared to
-    BERNSTEIN_CONSTANT.  `dec`, if given, must be wiener_decompose(p).
+    BERNSTEIN_CONSTANT.
     """
     if grid is None:
         grid = observation_grid(p)
-    table = (wiener_decompose(p) if dec is None else dec).table
-    rows = table[np.any(table != 0.0, axis=1)]
-    fields = _synthesize_rows(p, grid, rows) if rows.size else []
+    fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
     worst = 0.0
     measured = 0
     for values in fields:
@@ -379,23 +369,26 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
 
 def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:
-    """Every check on one profile, sharing its observation grid and its window table."""
+    """Every check on one profile, sharing its observation grid.
+
+    A refusal names the profile it came from.
+    """
     p, pid = entry.profile, entry.profile_id
-    grid = observation_grid(p)
-    dec = wiener_decompose(p)
-    low, uniform = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)
-    return [
-        low,
-        *check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id=pid, grid=grid),
-        uniform,
-        *check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id=pid, grid=grid,
-                          dec=dec),
-        check_square_function(p, sign=sign, profile_id=pid, grid=grid, dec=dec),
-        *(check_square_function(p, t, sign=sign, profile_id=pid, grid=grid)
-          for t in SQUARE_TIMES),
-        *norm_equivalence_reports(p, profile_id=pid, dec=dec),
-        bernstein_report(p, profile_id=pid, grid=grid, dec=dec),
-    ]
+    try:
+        grid = observation_grid(p)
+        low, uniform = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)
+        return [
+            low,
+            *check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id=pid, grid=grid),
+            uniform,
+            *check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id=pid, grid=grid),
+            *(check_square_function(p, t, sign=sign, profile_id=pid, grid=grid)
+              for t in (None, *SQUARE_TIMES)),
+            *norm_equivalence_reports(p, profile_id=pid),
+            bernstein_report(p, profile_id=pid, grid=grid),
+        ]
+    except ValueError as exc:
+        raise ValueError(f"{pid}: {exc}") from exc
 
 
 def run_corpus(entries: Sequence[CorpusEntry], sign: str = "+",

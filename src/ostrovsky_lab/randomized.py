@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    MAX_ARRAY_BYTES,
     SpectralProfile,
+    _require_budget,
     evolution_multipliers,
     quadrature_row,
     require_resolution,
@@ -156,9 +156,7 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
     if n_samples < 2:
         raise ValueError("need at least two samples")
     # one float64 magnitude a sample: refused before any draw is made
-    if 8 * n_samples > MAX_ARRAY_BYTES:
-        raise ValueError(f"{n_samples} samples need {8 * n_samples} bytes of magnitudes, "
-                         f"above the budget of {MAX_ARRAY_BYTES} bytes")
+    _require_budget(8 * n_samples, f"a Khinchine run of {n_samples} samples")
     with np.errstate(over="ignore"):
         l2 = float(np.linalg.norm(c))
     if l2 == 0.0:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    MAX_ARRAY_BYTES,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    _require_budget,
     evolution_multipliers,
     hs_norm,
     lp_norm_space,
@@ -155,9 +155,7 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     point rows or block products would exceed MAX_ARRAY_BYTES is refused
     before they are built.
     """
-    if 8 * n_t > MAX_ARRAY_BYTES:
-        raise ValueError(f"{n_t} scan times need {8 * n_t} bytes, above the budget of "
-                         f"{MAX_ARRAY_BYTES} bytes")
+    _require_budget(8 * n_t, f"a scan over {n_t} times")
     xi, amps = p.xi, p.amplitudes
     if not (np.array_equal(xi[::-1], -xi) and np.all(amps.imag == 0.0)
             and np.array_equal(amps, amps[::-1])):
@@ -165,10 +163,8 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
                          "exactly symmetric about xi = 0")
     support = np.flatnonzero((xi > 0.0) & (amps != 0.0))
     # the point rows are n_x x 2m doubles and each block's product n_x x _BLOCK
-    need = 8 * grid.n * max(2 * support.size, _BLOCK)
-    if need > MAX_ARRAY_BYTES:
-        raise ValueError(f"scanning {grid.n} points over {support.size} support columns "
-                         f"needs {need} bytes, above the budget of {MAX_ARRAY_BYTES} bytes")
+    _require_budget(8 * grid.n * max(2 * support.size, _BLOCK),
+                    f"scanning {grid.n} points over {support.size} support columns")
     require_resolution(p, t_max, sign)
     ts = maximal_time_grid(t_max, n_t)
     # conj(q) viewed as doubles interleaves [Re q, -Im q], and exp(i t phi)

@@ -66,6 +66,12 @@ MAX_ARRAY_BYTES = 2**30
 _SIGNS = {"+": 1.0, "-": -1.0}
 
 
+def _require_budget(need: int, what: str) -> None:
+    """Refuse `what` when it needs more than MAX_ARRAY_BYTES bytes."""
+    if need > MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} needs {need} bytes, above the budget of {MAX_ARRAY_BYTES} bytes")
+
+
 def _check_sign(sign: str) -> float:
     try:
         return _SIGNS[sign]
@@ -431,11 +437,8 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     rows = np.atleast_2d(rows)
     n_xi, n_x = p.n, int(grid.n)
     length = _fft_length(n_x + n_xi - 1)
-    need = 16 * len(rows) * length
-    if need > MAX_ARRAY_BYTES:
-        raise ValueError(f"synthesizing {len(rows)} rows of {n_xi} frequencies onto {n_x} "
-                         f"points needs {need} bytes of transforms, above the budget of "
-                         f"{MAX_ARRAY_BYTES} bytes")
+    _require_budget(16 * len(rows) * length,
+                    f"synthesizing {len(rows)} rows of {n_xi} frequencies onto {n_x} points")
     pre, post, kernel_fft = _chirp_plan(float(grid.x_min), float(grid.x_step), n_x,
                                         float(p.xi_min), float(p.xi_step), n_xi)
     fields = np.empty((len(rows), n_x), dtype=np.complex128)

@@ -64,23 +64,16 @@ def wiener_project(p: SpectralProfile, k: int) -> SpectralProfile:
 
 @dataclass(frozen=True)
 class WienerDecomposition:
-    """Profile split over the integer-translated unit windows k_min..k_max.
+    """Profile split over the integer-translated unit windows that carry it.
 
-    Row ``k - k_min`` of ``table`` holds the amplitudes of window piece k,
-    so the table has shape (K, n); its rows, summed in k order, return each
-    amplitude to within a couple of product roundings.
+    ``ks`` holds the window indices in ascending order and row i of
+    ``table`` the amplitudes of window piece ``ks[i]``, so the table has
+    shape (ks.size, n) and no row is all zero; its rows, summed in k order,
+    return each amplitude to within a couple of product roundings.
     """
 
-    k_min: int
+    ks: np.ndarray
     table: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return self.k_min + len(self.table) - 1
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_max + 1)
 
 
 def wiener_range(p: SpectralProfile) -> tuple[int, int]:
@@ -97,26 +90,26 @@ def wiener_range(p: SpectralProfile) -> tuple[int, int]:
 
 
 def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
-    """Split `p` over the unit windows of `wiener_range`.
+    """Split `p` over the windows of `wiener_range` whose piece is not zero.
 
-    Row k - k_min is the same product as ``wiener_project(p, k).amplitudes``,
-    so it holds the same bits.
+    Row i is the same product as ``wiener_project(p, ks[i]).amplitudes``,
+    so it holds the same bits; a zero profile has no rows.
     """
     k_min, k_max = wiener_range(p)
     ks = np.arange(k_min, k_max + 1)
-    return WienerDecomposition(k_min, p.amplitudes * wiener_window(p.xi - ks[:, None]))
+    table = p.amplitudes * wiener_window(p.xi - ks[:, None])
+    carrying = np.any(table != 0.0, axis=1)
+    return WienerDecomposition(ks[carrying], table[carrying])
 
 
-def square_function(p: SpectralProfile, grid: SpaceGrid,
-                    dec: WienerDecomposition | None = None) -> SpaceField:
+def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     """Pointwise l2 aggregate of the synthesised Wiener pieces.
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
-    controlled by the L2 norm of `p` with room to spare.  `dec`, if given,
-    must be wiener_decompose(p).  Raises ValueError when the sum of squares
-    leaves the double range.
+    controlled by the L2 norm of `p` with room to spare.  Raises ValueError
+    when the sum of squares leaves the double range.
     """
-    fields = _synthesize_rows(p, grid, (wiener_decompose(p) if dec is None else dec).table)
+    fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
     with np.errstate(over="ignore"):
         squares = np.sum(np.abs(fields) ** 2, axis=0)
     if not np.all(np.isfinite(squares)):

@@ -509,18 +509,24 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
-    @pytest.mark.parametrize("subcommand,message", [
-        ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range"),
-        ("verify-lemmas", "the L2 mass of the profile leaves the double range"),
+    @pytest.mark.parametrize("subcommand,message,amplitude", [
+        ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range", 1e300),
+        ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1e300),
+        # the L2 mass is in range; the Bernstein cap's L^4 norm is not
+        ("verify-lemmas", "L^4 norm leaves the double range", 1e100),
     ])
-    def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message):
+    def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message,
+                                              amplitude):
         directory = tmp_path / "huge"
         directory.mkdir()
         profile = directory / "huge.csv"
-        write_profile(SpectralProfile(1.0, 0.125, np.full(9, 1e300)), profile)
-        argv = ([subcommand, "--profile", str(profile), "--alpha", "0.1", "--t", "1e-3,0",
-                 "--n", "10"] if subcommand == "stochastic-continuity"
-                else [subcommand, "--corpus", str(directory)])
+        write_profile(SpectralProfile(1.0, 0.125, np.full(9, amplitude)), profile)
+        if subcommand == "stochastic-continuity":
+            argv = [subcommand, "--profile", str(profile), "--alpha", "0.1", "--t", "1e-3,0",
+                    "--n", "10"]
+        else:
+            # a corpus refusal names the profile, read from huge.csv as "huge"
+            argv, message = [subcommand, "--corpus", str(directory)], f"huge: {message}"
         out = tmp_path / "o.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

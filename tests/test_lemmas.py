@@ -17,6 +17,7 @@ from ostrovsky_lab.lemmas import (
     LEMMA_IDS,
     MAX_WINDOW_INDEX,
     SPLIT_SCALE,
+    SQUARE_TIMES,
     T_LOW,
     WINDOW_EPSILON,
     LemmaReport,
@@ -34,6 +35,7 @@ from ostrovsky_lab.lemmas import (
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
+    SpaceField,
     SpectralProfile,
     _chirp_plan,
     evolve_spectral,
@@ -41,7 +43,14 @@ from ostrovsky_lab.spectral import (
     phase,
     synthesize,
 )
-from ostrovsky_lab.windows import project_low, wiener_decompose, wiener_project
+from ostrovsky_lab.windows import (
+    project_low,
+    square_function,
+    wiener_decompose,
+    wiener_project,
+    wiener_range,
+    wiener_window,
+)
 
 EXPECTED_ROW_COUNTS = {
     "L2_2": 12,
@@ -253,7 +262,7 @@ class TestWienerLow:
     def test_out_of_scope_window(self, corpus_by_id):
         # gauss_high's windows run past MAX_WINDOW_INDEX; only those inside get rows
         p = corpus_by_id["gauss_high"].profile
-        assert wiener_decompose(p).k_max > MAX_WINDOW_INDEX
+        assert wiener_decompose(p).ks.max() > MAX_WINDOW_INDEX
         rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_high")
         assert rows and all(abs(r.params["k"]) <= MAX_WINDOW_INDEX for r in rows)
         with pytest.raises(ValueError, match="positive"):
@@ -365,6 +374,37 @@ class TestNormEquivalence:
         assert upper.params["ratio"] == ratio
 
 
+class TestCarryingWindowTable:
+    """Outputs of the carrying-window table against the contiguous wiener_range table."""
+
+    @staticmethod
+    def _contiguous_table(p):
+        # every window of wiener_range, the zero edge and gap pieces included
+        k_min, k_max = wiener_range(p)
+        return p.amplitudes * wiener_window(p.xi - np.arange(k_min, k_max + 1)[:, None])
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_square_function_bits(self, corpus, sign):
+        for entry in corpus:
+            p = entry.profile
+            grid = observation_grid(p)
+            for q in (p, *(evolve_spectral(p, t, sign) for t in SQUARE_TIMES)):
+                fields = spectral._synthesize_rows(q, grid, self._contiguous_table(q))
+                reference = SpaceField(grid.x_min, grid.x_step,
+                                       np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)))
+                values = square_function(q, grid).values
+                assert values.tobytes() == reference.values.tobytes(), entry.profile_id
+
+    def test_norm_equivalence_bits(self, corpus):
+        for entry in corpus:
+            p = entry.profile
+            piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2
+                                  for row in self._contiguous_table(p)))
+            _, upper = norm_equivalence_reports(p, profile_id=entry.profile_id)
+            assert upper.measured_lhs.hex() == piece_sum.hex(), entry.profile_id
+            assert upper.params["ratio"] == piece_sum / hs_norm(p, 0.0) ** 2
+
+
 class TestBernstein:
     def test_corpus_ratios_capped(self, corpus_by_id):
         report = bernstein_report(corpus_by_id["band_unit"].profile,
@@ -428,8 +468,8 @@ class TestRunCorpus:
     def test_work_counts(self, corpus, sign, monkeypatch):
         # the benchmark tracer sees neither _synthesize_rows nor plan builds:
         # per profile the probe grid and the observation grid need one plan
-        # each, and the window table is built once plus once per evolved L2_7
-        counts = {"syntheses": 0, "decompositions": 0}
+        # each, and each of the six window consumers builds its own table
+        counts = {"syntheses": 0, "decompositions": 0, "rows": 0, "zero_rows": 0}
         builds = []
 
         def counted(name, fn):
@@ -438,7 +478,15 @@ class TestRunCorpus:
                 return fn(*args, **kwargs)
             return wrapper
 
-        synth = counted("syntheses", spectral._synthesize_rows)
+        synthesize_rows = spectral._synthesize_rows
+
+        def rows_counted(p, grid, rows):
+            rows = np.atleast_2d(rows)
+            counts["rows"] += len(rows)
+            counts["zero_rows"] += int(np.sum(~np.any(rows != 0.0, axis=1)))
+            return synthesize_rows(p, grid, rows)
+
+        synth = counted("syntheses", rows_counted)
         for module in (spectral, lemmas, windows):
             monkeypatch.setattr(module, "_synthesize_rows", synth)
         decompose = counted("decompositions", windows.wiener_decompose)
@@ -458,7 +506,8 @@ class TestRunCorpus:
         assert len(reports) == sum(EXPECTED_ROW_COUNTS.values())
         assert len(builds) == len(corpus) == 12
         assert max(builds) <= 2
-        assert counts == {"syntheses": 88, "decompositions": 36}
+        # the parent's contiguous window range synthesized 581 rows, 174 of them zero
+        assert counts == {"syntheses": 88, "decompositions": 72, "rows": 407, "zero_rows": 0}
 
     def test_only_filter(self, corpus):
         rows = run_corpus(corpus, only={"L2_6"})

@@ -369,6 +369,20 @@ class TestStochasticContinuity:
         b = stochastic_continuity(p, 0.3, 0.05, [1e-2, 1e-3], 64, seed=9)
         np.testing.assert_array_equal(a.empirical_probs, b.empirical_probs)
 
+    def test_draws_only_carrying_windows(self, corpus_by_id, monkeypatch):
+        # wiener_range of band_mid_even spans the 15 windows -7..7; only the
+        # 8 that meet its two bands carry a piece and get coefficients
+        requested = []
+        draw = randomized.gaussian_coefficients
+
+        def recorded(seed, sample_index, ks):
+            requested.append(np.asarray(ks).tolist())
+            return draw(seed, sample_index, ks)
+
+        monkeypatch.setattr(randomized, "gaussian_coefficients", recorded)
+        stochastic_continuity(corpus_by_id["band_mid_even"].profile, 0.0, 0.05, [1e-3, 0.0], 16)
+        assert requested == [[-6, -5, -4, -3, 3, 4, 5, 6]]
+
 
 class TestTailBound:
     def test_validation(self):

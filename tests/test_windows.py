@@ -8,13 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ostrovsky_lab.spectral import SpaceGrid, SpectralProfile, hs_norm, synthesize
+from ostrovsky_lab.spectral import (
+    _SYNTHESIS_BLOCK,
+    SpaceGrid,
+    SpectralProfile,
+    hs_norm,
+    synthesize,
+)
 from ostrovsky_lab.windows import (
     dyadic_cutoff,
     project_low,
     square_function,
     wiener_decompose,
     wiener_project,
+    wiener_range,
     wiener_window,
 )
 
@@ -116,25 +123,31 @@ class TestWienerDecomposition:
         assert wiener_project(p, 3).amplitudes[8] == 1.7
 
     def test_cover_range(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile  # support [0.25, 2.5]
-        dec = wiener_decompose(p)
-        assert (dec.k_min, dec.k_max) == (-1, 4)
-        np.testing.assert_array_equal(dec.ks, np.arange(-1, 5))
+        # support [0.25, 2.5]: the edge windows -1 and 4 of wiener_range vanish on it
+        p = corpus_by_id["gauss_low"].profile
+        assert wiener_range(p) == (-1, 4)
+        np.testing.assert_array_equal(wiener_decompose(p).ks, [0, 1, 2, 3])
 
     def test_table_rows_match_wiener_project_bitwise(self, corpus):
         assert len(corpus) == 12
         for entry in corpus:
             p = entry.profile
             dec = wiener_decompose(p)
-            assert dec.table.shape == (dec.k_max - dec.k_min + 1, p.n)
+            assert dec.table.shape == (dec.ks.size, p.n)
+            assert np.all(np.diff(dec.ks) > 0)
             for k, row in zip(dec.ks, dec.table):
                 np.testing.assert_array_equal(row, wiener_project(p, int(k)).amplitudes)
+                assert np.any(row != 0.0)
+            # every window of wiener_range left out of the table projects to zero
+            k_min, k_max = wiener_range(p)
+            for k in sorted(set(range(k_min, k_max + 1)) - set(dec.ks.tolist())):
+                assert np.all(wiener_project(p, k).amplitudes == 0.0), (entry.profile_id, k)
 
-    def test_zero_profile_decomposes_to_single_window(self):
+    def test_zero_profile_has_no_windows(self):
         p = SpectralProfile(0.5, 0.25, np.zeros(5))
         dec = wiener_decompose(p)
-        assert (dec.k_min, dec.k_max) == (0, 0)
-        assert dec.table.shape == (1, 5) and np.all(dec.table == 0.0)
+        assert dec.ks.shape == (0,)
+        assert dec.table.shape == (0, 5)
 
     def test_reconstruction_is_amplitude_exact(self, corpus):
         # the hat windows sum to exactly 1, so summing the rows in k order
@@ -190,7 +203,7 @@ class TestSquareFunction:
         p = corpus_by_id["mix_band_gauss_even"].profile
         grid = SpaceGrid.spanning(-20.0, 20.0, 1500)
         table = wiener_decompose(p).table
-        assert len(table) > 20
+        assert len(table) > _SYNTHESIS_BLOCK  # the rows span more than one transform block
         direct = np.sqrt(sum(np.abs(synthesize(p.with_amplitudes(row), grid).values) ** 2
                              for row in table))
         sf = square_function(p, grid).values.real
