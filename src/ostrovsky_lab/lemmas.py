@@ -23,6 +23,7 @@ import numpy as np
 from .corpus import CorpusEntry, observation_grid
 from .parallel import parallel_map
 from .spectral import (
+    ZERO_EXCLUSION,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
@@ -151,10 +152,11 @@ def _check_epsilon(epsilon: float) -> None:
 def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     """Largest grid radius delta <= 1/2 whose L2 mass on |xi| <= delta is <= epsilon.
 
-    Found by bisection over the cumulative mass at the distinct grid radii;
-    capped at 1/2.  If even the innermost occupied radius carries more than
-    epsilon, falls back to the zero-exclusion radius (mass there is zero).
-    Raises ValueError when the L2 mass of `p` leaves the double range.
+    Found by bisection over the cumulative mass at the distinct positive
+    grid radii; capped at 1/2.  If even the innermost of them carries more
+    than epsilon, falls back to ZERO_EXCLUSION (mass there is zero), so the
+    radius is always positive.  Raises ValueError when the L2 mass of `p`
+    leaves the double range.
     """
     _check_epsilon(epsilon)
     radii = np.abs(p.xi)
@@ -167,13 +169,13 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
 
     last = _run_ends(sorted_radii)
     distinct, inclusive = sorted_radii[last], cumulative[last]
-    keep = distinct <= 0.5
+    keep = (distinct > 0.0) & (distinct <= 0.5)
     candidates, masses = distinct[keep], inclusive[keep]
     if candidates.size == 0 or masses[-1] <= epsilon**2:
         return 0.5
     last_ok = int(np.searchsorted(masses, epsilon**2, side="right")) - 1
     if last_ok < 0:
-        return p.zero_exclusion
+        return ZERO_EXCLUSION
     return float(candidates[last_ok])
 
 
@@ -187,9 +189,7 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
     epsilon) and L2_4 against the uniform radius delta = epsilon.  The
     fitted constant is the smallest C making the bound hold; the verdict
     compares against CORPUS_CONSTANT.  A refused resolution gate gives two
-    resolution_refused skip rows, and a measured radius of 0 (the fallback
-    for a profile whose zero-exclusion radius is 0) leaves the L2_2 bound
-    undefined and gives a no_low_mass_radius skip row in its place.
+    resolution_refused skip rows.
     """
     radius = delta_epsilon(p, epsilon)  # validates epsilon before the gate
     low = project_low(p, SPLIT_SCALE)
@@ -203,9 +203,6 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
     params = {"epsilon": epsilon, "t": t}
     rows = []
     for lemma_id, delta in (("L2_2", radius), ("L2_4", epsilon)):
-        if delta == 0.0:
-            rows.append(_skip_report(lemma_id, profile_id, "no_low_mass_radius", params))
-            continue
         rhs = epsilon + CORPUS_CONSTANT * abs(t) * norm / delta
         scale = abs(t) * norm / delta
         fitted = max(0.0, lhs - epsilon) / scale if scale > 0 else 0.0

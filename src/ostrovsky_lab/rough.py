@@ -1,11 +1,11 @@
 """Maximal-function experiments for rough (low-regularity) data.
 
-The family under test concentrates on the dyadic band 2^k <= |xi| <= 2^(k+1)
-with amplitude 2^(-k(s+1/2)), which pins its H^s norm near a k-independent
-constant.  Scanning sup_t |U(t) f_k| over a shrinking time window
-t <= 2^(-3k)/100 and measuring its L4 norm on |x| <= 2^(-k) produces ratios
-R_k whose log2 grows linearly in k with slope 1/4 - s; fitting that slope is
-the point of the module.
+The family under test concentrates on the dyadic band 2^k <= |xi| <= 2^(k+1),
+cut into BAND_CELLS cells, with amplitude 2^(-k(s+1/2)), which pins its H^s
+norm near a k-independent constant.  Scanning sup_t |U(t) f_k| over a
+shrinking time window t <= 2^(-3k)/100 and measuring its L4 norm on
+|x| <= 2^(-k) produces ratios R_k whose log2 grows linearly in k with slope
+1/4 - s; fitting that slope is the point of the module.
 
 The scan samples a geometric time grid.  The sup between its nodes is not
 searched for but bounded from the phase moments of the profile, so
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import band_profile
 from .spectral import (
     SpaceField,
     SpaceGrid,
@@ -48,10 +49,7 @@ __all__ = [
 #: Ratio between the smallest and largest scanned time.
 TIME_SPAN = 1e-4
 
-#: Minimum number of grid cells across one dyadic band.
-MIN_BAND_CELLS = 64
-
-#: Grid cells across each dyadic band in counterexample_ratio.
+#: Grid cells across each dyadic band of the family.
 BAND_CELLS = 256
 
 #: Points of the spatial grid on |x| <= 2^-k in counterexample_ratio.
@@ -99,25 +97,14 @@ class CounterexampleSpec:
         return 2.0**-self.k
 
 
-def counterexample_profile(spec: CounterexampleSpec, xi_step: float) -> SpectralProfile:
+def counterexample_profile(spec: CounterexampleSpec) -> SpectralProfile:
     """Indicator of 2^k <= |xi| <= 2^(k+1) (both signs) at the family amplitude.
 
-    The grid spans [-2^(k+1), 2^(k+1)] and `xi_step` must cut each band
-    into at least MIN_BAND_CELLS whole cells.
+    The grid spans [-2^(k+1), 2^(k+1)] and cuts each band into BAND_CELLS
+    cells.
     """
     lo, hi = spec.band
-    cells = (hi - lo) / xi_step
-    if abs(cells - round(cells)) > 1e-9 * cells:
-        raise ValueError("xi_step must divide the dyadic band into whole cells")
-    if round(cells) < MIN_BAND_CELLS:
-        raise ValueError(
-            f"xi_step cuts the band into {int(round(cells))} cells; "
-            f"need at least {MIN_BAND_CELLS}"
-        )
-    n = int(round(2.0 * hi / xi_step)) + 1
-    xi = -hi + xi_step * np.arange(n)
-    amps = np.where((np.abs(xi) >= lo) & (np.abs(xi) <= hi), spec.amplitude, 0.0)
-    return SpectralProfile(-hi, xi_step, amps)
+    return band_profile(lo, hi, spec.amplitude, -hi, hi, lo / BAND_CELLS, even=True)
 
 
 def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
@@ -137,13 +124,13 @@ def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
 
 
 def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
-                 n_t: int = 256) -> SpaceField:
+                 n_t: int) -> SpaceField:
     """Field on `grid` of the sup of |U(t) f (x)| over the geometric time grid.
 
-    p must be real and even on a grid exactly symmetric about 0, as every
-    counterexample_profile is; anything else raises ValueError.  The phase
-    xi**3 + sign/xi is odd, so the -xi term of the field is the conjugate of
-    the xi term and
+    p must be Hermitian, a(-xi) = conj(a(xi)) bit for bit, on a grid exactly
+    symmetric about 0, as every counterexample_profile is; anything else
+    raises ValueError.  The phase xi**3 + sign/xi is odd, so the -xi term of
+    the field is the conjugate of the xi term and
 
         U(t) f (x) = 2 Re sum_{xi > 0} q(x, xi) exp(i t phase(xi)),
 
@@ -157,9 +144,8 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     """
     _require_budget(8 * n_t, f"a scan over {n_t} times")
     xi, amps = p.xi, p.amplitudes
-    if not (np.array_equal(xi[::-1], -xi) and np.all(amps.imag == 0.0)
-            and np.array_equal(amps, amps[::-1])):
-        raise ValueError("maximal_scan needs real, even amplitudes on a grid "
+    if not (np.array_equal(xi[::-1], -xi) and np.array_equal(amps, np.conj(amps[::-1]))):
+        raise ValueError("maximal_scan needs Hermitian amplitudes on a grid "
                          "exactly symmetric about xi = 0")
     support = np.flatnonzero((xi > 0.0) & (amps != 0.0))
     # the point rows are n_x x 2m doubles and each block's product n_x x _BLOCK
@@ -204,7 +190,7 @@ def _window_bound(p: SpectralProfile, sign: str, sup: np.ndarray, t_max: float,
     return np.hypot(sup, math.sqrt(slope * slope + total * curvature) / 2.0)
 
 
-def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256,
+def counterexample_ratio(spec: CounterexampleSpec, n_t: int,
                          sign: str = "+") -> tuple[float, float]:
     """(R_k, R_k_upper): L4 norms on |x| <= 2^-k of the scan and of its bound, over the H^s norm.
 
@@ -214,8 +200,7 @@ def counterexample_ratio(spec: CounterexampleSpec, n_t: int = 256,
     ValueError when either ratio leaves the double range, so that neither
     is 0, inf or nan.
     """
-    xi_step = 2.0**spec.k / BAND_CELLS
-    p = counterexample_profile(spec, xi_step)
+    p = counterexample_profile(spec)
     w = spec.x_window
     grid = SpaceGrid.spanning(-w, w, WINDOW_POINTS)
     sup = maximal_scan(p, sign, spec.t_max, grid, n_t).values.real

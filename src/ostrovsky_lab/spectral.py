@@ -8,10 +8,10 @@ and fields are recovered by the inverse transform with the symmetric
 1/sqrt(2*pi) normalisation.  Everything here is plain trapezoid quadrature
 on uniform grids; the two design points that deserve a comment are
 
-* the multiplier phase blows up at xi = 0, so profiles carry a hard
-  exclusion radius: grid points with |xi| below it are zeroed at
-  construction and the removed l1 mass is recorded rather than silently
-  dropped;
+* the multiplier phase blows up at xi = 0, so profiles have a hard
+  exclusion radius, ZERO_EXCLUSION: grid points with |xi| below it are
+  zeroed at construction and the removed l1 mass is recorded rather than
+  silently dropped;
 * time evolution is only trusted while the phase advances by at most
   MAX_PHASE_INCREMENT radians per grid cell at every point that carries
   amplitude; `propagate` refuses to synthesise otherwise.
@@ -27,10 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "DEFAULT_ZERO_EXCLUSION",
     "MAX_ARRAY_BYTES",
     "MAX_PHASE_INCREMENT",
     "SQRT_2PI",
+    "ZERO_EXCLUSION",
     "ResolutionError",
     "ResolutionReport",
     "SpaceField",
@@ -53,8 +53,8 @@ __all__ = [
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Default exclusion radius around the singular frequency xi = 0.
-DEFAULT_ZERO_EXCLUSION = 2.0**-20
+#: Exclusion radius around the singular frequency xi = 0.
+ZERO_EXCLUSION = 2.0**-20
 
 #: Largest tolerated phase advance per grid cell, in radians.
 MAX_PHASE_INCREMENT = 0.1
@@ -91,14 +91,13 @@ class SpectralProfile:
     """Complex Fourier amplitudes sampled on a uniform frequency grid.
 
     Grid point j sits at ``xi_min + j * xi_step``.  Construction zeroes
-    every amplitude with ``|xi| < zero_exclusion`` and stores the removed
-    l1 mass (step-weighted) in ``truncated_mass``.
+    every amplitude with ``|xi| < ZERO_EXCLUSION``, xi = 0 included, and
+    stores the removed l1 mass (step-weighted) in ``truncated_mass``.
     """
 
     xi_min: float
     xi_step: float
     amplitudes: np.ndarray
-    zero_exclusion: float = DEFAULT_ZERO_EXCLUSION
     truncated_mass: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -106,21 +105,16 @@ class SpectralProfile:
             raise ValueError("grid origin and step must be finite")
         if self.xi_step <= 0.0:
             raise ValueError(f"xi_step must be positive, got {self.xi_step}")
-        if not (math.isfinite(self.zero_exclusion) and self.zero_exclusion >= 0.0):
-            raise ValueError("zero_exclusion must be finite and >= 0")
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-d array")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         self.amplitudes = amps
-        xi = self.xi
-        inside = np.abs(xi) < self.zero_exclusion
+        inside = np.abs(self.xi) < ZERO_EXCLUSION
         if np.any(inside):
             self.truncated_mass = float(np.sum(np.abs(amps[inside])) * self.xi_step)
             amps[inside] = 0.0
-        if np.any((xi == 0.0) & (amps != 0.0)):
-            raise ValueError("xi = 0 may not carry amplitude (phase is singular there)")
         self.amplitudes.setflags(write=False)
 
     @property
@@ -132,8 +126,8 @@ class SpectralProfile:
         return self.xi_min + self.xi_step * np.arange(self.n)
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "SpectralProfile":
-        """Same grid and exclusion radius, new amplitude array."""
-        return SpectralProfile(self.xi_min, self.xi_step, amplitudes, self.zero_exclusion)
+        """Same grid, new amplitude array."""
+        return SpectralProfile(self.xi_min, self.xi_step, amplitudes)
 
 
 @dataclass
@@ -517,7 +511,10 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
 def lp_norm_space(u: SpaceField, power: float) -> float:
     """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
 
-    Raises ValueError, naming p, when the sum of |u|^p leaves the double range.
+    When the plain sum of |u|^p overflows, the same sum is taken over
+    |u| / 2^e, with 2^e above max |u| (an exact division), and the root is
+    scaled back.  Raises ValueError, naming p, when the norm itself leaves
+    the double range.
     """
     a = np.abs(u.values)
     if power == math.inf:
@@ -527,6 +524,11 @@ def lp_norm_space(u: SpaceField, power: float) -> float:
     w = trapezoid_weights(u.n)
     with np.errstate(over="ignore"):
         total = np.sum(w * a**power * u.x_step)
-    if not math.isfinite(total):
+        if math.isfinite(total):
+            return float(total ** (1.0 / power))
+        e = math.frexp(float(np.max(a)))[1]
+        total = np.sum(w * np.ldexp(a, -e) ** power * u.x_step)
+        norm = float(np.ldexp(total ** (1.0 / power), e))
+    if not math.isfinite(norm):
         raise ValueError(f"L^{power:g} norm leaves the double range")
-    return float(total ** (1.0 / power))
+    return norm

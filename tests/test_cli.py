@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from ostrovsky_lab.cli import RunConfig, UsageError, main, parse_config
 from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.fileio import read_field, read_profile, read_reports, write_profile
-from ostrovsky_lab.spectral import SpectralProfile
+from ostrovsky_lab.rough import CounterexampleSpec, counterexample_profile
+from ostrovsky_lab.spectral import SpectralProfile, hs_norm
 
 
 @pytest.fixture()
@@ -479,11 +480,6 @@ class TestNonFiniteInput:
         # xi**3 overflows in the phase while the tiny t_max still passes the gate
         (["counterexample", "--s", "0", "--k-min", "345", "--k-max", "345"],
          "phase xi**3 + sign/xi overflows at frequency reach |xi| = 1.43344e+104"),
-        # the scan's L4 norm overflows
-        (["counterexample", "--s", "-10", "--k-min", "30", "--k-max", "30", "--nt", "4"],
-         "L^4 norm leaves the double range"),
-        (["counterexample", "--s", "-64", "--k-min", "2", "--k-max", "4", "--nt", "1"],
-         "L^4 norm leaves the double range"),
         (["khinchine", "--p", "1,2", "--n", "10", "--coeffs", "1e300,1e300"],
          "the l2 norm of the coefficients leaves the double range"),
         (["khinchine", "--p", "1e308", "--n", "2"], "moments of order 1e+308 leave"),
@@ -496,8 +492,8 @@ class TestNonFiniteInput:
     ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
             "continuity-x-1e300", "trace-x-1e300", "counterexample-k-1100",
             "counterexample-k-600", "counterexample-s-neg100", "counterexample-s-400",
-            "counterexample-s-150", "counterexample-k-345", "counterexample-l4-k-30",
-            "counterexample-l4-nt-1", "khinchine-coeffs-1e300", "khinchine-p-1e308",
+            "counterexample-s-150", "counterexample-k-345", "khinchine-coeffs-1e300",
+            "khinchine-p-1e308",
             "propagate-t-1e308", "trace-t-1e308", "trace-x-t-1e308", "continuity-t-1e308"])
     def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
         if argv[0] not in ("khinchine", "counterexample"):
@@ -509,11 +505,52 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--s", "-10", "--k-min", "30", "--k-max", "30", "--nt", "4"],
+        ["--s", "-64", "--k-min", "2", "--k-max", "4", "--nt", "1"],
+    ], ids=["counterexample-l4-k-30", "counterexample-l4-nt-1"])
+    def test_in_range_ratio_with_overflowing_l4_sum(self, tmp_path, argv):
+        # the sum of |sup|^4 leaves the double range, R_k does not.  Both norms
+        # are linear in the family amplitude, so against the s = -0.5 run (unit
+        # amplitude f) R_k(s) / R_k(-0.5) = ||f||_{H^-0.5} / ||f||_{H^s}
+        ratios = {}
+        for run in (argv, ["--s", "-0.5", *argv[2:]]):
+            out = tmp_path / f"s{run[1]}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["counterexample", *run, "--out", str(out)]) == 0
+            with open(out, encoding="utf-8", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
+            json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
+            ratios[run[1]] = {int(row["k"]): float(row["Rk"]) for row in rows}
+        s = float(argv[1])
+        for k, rk in ratios[argv[1]].items():
+            f = counterexample_profile(CounterexampleSpec(k, -0.5))
+            assert f.amplitudes.real.max() == 1.0
+            expected = hs_norm(f, -0.5) / hs_norm(f, s)
+            assert rk / ratios["-0.5"][k] == pytest.approx(expected, rel=1e-12)
+
+    def test_huge_profile_fails_only_the_unscaled_window_bound(self, tmp_path):
+        # at amplitude 1e100 every norm is in range and verify-lemmas runs; the
+        # L2_5 bound CORPUS_CONSTANT * (eps + t/eps) does not scale with the
+        # amplitude, so exactly its two rows fail, and with it the run
+        directory = tmp_path / "huge"
+        directory.mkdir()
+        write_profile(SpectralProfile(1.0, 0.125, np.full(9, 1e100)), directory / "huge.csv")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-lemmas", "--corpus", str(directory), "--out", str(out)]) == 2
+        failed = [r for r in read_reports(out) if not r.passed]
+        assert [(r.lemma_id, r.params["k"]) for r in failed] == [("L2_5", 1), ("L2_5", 2)]
+        assert [r.fitted_c for r in failed] == [pytest.approx(6.1e97, rel=0.01),
+                                                pytest.approx(1.0e98, rel=0.01)]
+
     @pytest.mark.parametrize("subcommand,message,amplitude", [
         ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range", 1e300),
         ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1e300),
-        # the L2 mass is in range; the Bernstein cap's L^4 norm is not
-        ("verify-lemmas", "L^4 norm leaves the double range", 1e100),
     ])
     def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message,
                                               amplitude):

@@ -35,6 +35,7 @@ from ostrovsky_lab.lemmas import (
 )
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
+    ZERO_EXCLUSION,
     SpaceField,
     SpectralProfile,
     _chirp_plan,
@@ -81,16 +82,16 @@ class TestLemmaReport:
 class TestDeltaEpsilon:
     @staticmethod
     def _oracle(p, epsilon):
-        # linear scan over candidate radii, no bisection bookkeeping
+        # linear scan over the positive candidate radii, no bisection bookkeeping
         radii = np.unique(np.abs(p.xi))
-        radii = radii[radii <= 0.5]
+        radii = radii[(radii > 0.0) & (radii <= 0.5)]
         ok = [r for r in radii
               if np.sum(np.abs(p.amplitudes[np.abs(p.xi) <= r]) ** 2) * p.xi_step
               <= epsilon**2]
         if radii.size == 0 or len(ok) == radii.size:
             return 0.5
         if not ok:
-            return p.zero_exclusion
+            return ZERO_EXCLUSION
         return float(ok[-1])
 
     def test_validation(self, corpus_by_id):
@@ -123,7 +124,17 @@ class TestDeltaEpsilon:
 
     def test_heavy_innermost_point_falls_back(self):
         p = SpectralProfile(0.25, 0.25, np.array([3.0, 0.0, 1.0]))
-        assert delta_epsilon(p, 1e-3) == p.zero_exclusion
+        assert delta_epsilon(p, 1e-3) == ZERO_EXCLUSION
+
+    @given(st.integers(0, 8), st.integers(-40, 0), st.booleans(),
+           st.lists(st.floats(0.0, 1e3), min_size=1, max_size=60),
+           st.sampled_from([1e-3, 1e-2, 1e-1, 1.0]))
+    def test_radius_is_positive(self, log_step, start, on_zero, amps, epsilon):
+        # grids through xi = 0 (on_zero, when the points reach it) and grids
+        # offset by half a step from it
+        h = 2.0**-log_step
+        p = SpectralProfile((start + (0.0 if on_zero else 0.5)) * h, h, np.array(amps))
+        assert delta_epsilon(p, epsilon) > 0.0
 
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-2, 1e-1, 1.0])
     def test_matches_linear_scan(self, corpus, epsilon):
@@ -189,17 +200,18 @@ class TestLowFrequency:
         with pytest.raises(ValueError, match="positive"):
             check_low_frequency(p, 1e3, 0.0)  # t = 1e3 would be refused
 
-    def test_zero_radius_fallback_skips(self):
-        # all mass sits inside radius 1/2 and the exclusion radius is 0, so
-        # the low-mass radius falls back to 0 and the L2_2 bound has no value;
-        # the uniform radius of L2_4 still gives one
-        p = SpectralProfile(2**-8, 2**-8, np.full(299, 1e3), zero_exclusion=0.0)
-        assert delta_epsilon(p, 1e-2) == 0.0
+    @pytest.mark.parametrize("xi_min", [-2**-7, 2**-8], ids=["through-zero", "off-zero"])
+    def test_heavy_grid_near_zero_gets_a_measured_row(self, xi_min):
+        # every point within radius 1/2 is heavy; the point at xi = 0 carries
+        # nothing, so with or without it on the grid the low-mass radius falls
+        # back to ZERO_EXCLUSION and both rows are measured
+        p = SpectralProfile(xi_min, 2**-8, np.full(299, 1e3))
+        assert delta_epsilon(p, 1e-2) == ZERO_EXCLUSION
         low, uniform = check_low_frequency(p, 1e-5, 1e-2, profile_id="dense_low")
-        assert low.params == {"skip": "no_low_mass_radius", "epsilon": 1e-2, "t": 1e-5}
-        assert low.passed and low.audit()
-        assert "skip" not in uniform.params and uniform.params["delta"] == 1e-2
-        assert uniform.measured_lhs > 0.0
+        assert low.params == {"epsilon": 1e-2, "t": 1e-5, "delta": ZERO_EXCLUSION}
+        assert uniform.params == {"epsilon": 1e-2, "t": 1e-5, "delta": 1e-2}
+        assert low.measured_lhs == uniform.measured_lhs > 0.0
+        assert low.passed == low.audit() and uniform.passed == uniform.audit()
 
 
 class TestHighFrequency:

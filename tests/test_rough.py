@@ -7,9 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from ostrovsky_lab import rough
+from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.rough import (
-    BAND_CELLS,
-    MIN_BAND_CELLS,
     TIME_SPAN,
     WINDOW_POINTS,
     CounterexampleSpec,
@@ -51,10 +50,16 @@ class TestCounterexampleSpec:
             CounterexampleSpec(k=3, s=math.nan)
 
 
+def family_shaped(spec, cells):
+    """The family's band indicator with `cells` cells per band (BAND_CELLS in the family)."""
+    lo, hi = spec.band
+    return band_profile(lo, hi, spec.amplitude, -hi, hi, lo / cells, even=True)
+
+
 class TestCounterexampleProfile:
     def test_indicator_on_both_signs(self):
         spec = CounterexampleSpec(k=3, s=0.0)
-        p = counterexample_profile(spec, 2.0**3 / 64)
+        p = counterexample_profile(spec)
         xi = p.xi
         assert xi[0] == -16.0 and xi[-1] == 16.0
         inside = (np.abs(xi) >= 8.0) & (np.abs(xi) <= 16.0)
@@ -62,20 +67,26 @@ class TestCounterexampleProfile:
         assert np.all(p.amplitudes[~inside] == 0.0)
         np.testing.assert_array_equal(p.amplitudes, p.amplitudes[::-1])
 
-    def test_step_must_divide_band(self):
-        with pytest.raises(ValueError, match="whole cells"):
-            counterexample_profile(CounterexampleSpec(3, 0.0), 3e-2)
-
-    def test_step_must_resolve_band(self):
-        with pytest.raises(ValueError, match=str(MIN_BAND_CELLS)):
-            counterexample_profile(CounterexampleSpec(3, 0.0), 2.0**3 / 32)
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.25])
+    def test_matches_the_explicit_grid_bitwise(self, s):
+        # the grid [-2^(k+1), 2^(k+1)] in steps of 2^k / 256 (1025 points),
+        # the amplitude on 2^k <= |xi| <= 2^(k+1) and 0 elsewhere
+        for k in range(1, 13):
+            spec = CounterexampleSpec(k, s)
+            lo, hi, step = 2.0**k, 2.0 ** (k + 1), 2.0**k / 256
+            xi = -hi + step * np.arange(1025)
+            amps = np.where((np.abs(xi) >= lo) & (np.abs(xi) <= hi), spec.amplitude, 0.0)
+            p = counterexample_profile(spec)
+            assert (p.xi_min, p.xi_step, p.truncated_mass) == (-hi, step, 0.0)
+            assert p.xi.tobytes() == xi.tobytes()
+            assert p.amplitudes.tobytes() == amps.astype(np.complex128).tobytes()
 
     def test_h_quarter_norm_frozen(self):
         # plain-sum value on 256 cells per band; the continuum integral
         # 2 * int_64^128 (1+xi^2)^(1/4) * 2^(-2*6*(3/4)) dxi evaluates to
         # 1.5614014... (quadrature oracle below) and the grid sum sits a
         # half cell above it, (257/256 - 1)/2 relative
-        p = counterexample_profile(CounterexampleSpec(6, 0.25), 2.0**6 / 256)
+        p = counterexample_profile(CounterexampleSpec(6, 0.25))
         value = hs_norm(p, 0.25)
         assert abs(value - 1.5644183611246836) <= 1e-12
         amp = CounterexampleSpec(6, 0.25).amplitude
@@ -86,14 +97,13 @@ class TestCounterexampleProfile:
 
     def test_l2_norm_near_sqrt_band_mass(self):
         # s = 0: norm^2 = 2 * amp^2 * band width (up to the half-cell ends)
-        p = counterexample_profile(CounterexampleSpec(6, 0.0), 2.0**6 / 256)
+        p = counterexample_profile(CounterexampleSpec(6, 0.0))
         value = hs_norm(p, 0.0)
         assert abs(value - 1.4169730060943293) <= 1e-12
         assert abs(value - math.sqrt(2.0)) / math.sqrt(2.0) <= 2.5e-3
 
     def test_h_quarter_norm_flat_in_k(self):
-        norms = [hs_norm(counterexample_profile(CounterexampleSpec(k, 0.25),
-                                                2.0**k / 256), 0.25)
+        norms = [hs_norm(counterexample_profile(CounterexampleSpec(k, 0.25)), 0.25)
                  for k in range(3, 9)]
         mean = sum(norms) / len(norms)
         assert max(abs(v - mean) / mean for v in norms) <= 0.01
@@ -126,7 +136,7 @@ class TestMaximalTimeGrid:
 @pytest.fixture(scope="module")
 def scan_setup():
     spec = CounterexampleSpec(3, 0.0)
-    p = counterexample_profile(spec, 2.0**3 / 64)
+    p = family_shaped(spec, 64)
     grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, 65)
     return spec, p, grid
 
@@ -144,7 +154,7 @@ def _literal_scan(p, sign, t_max, grid, n_t):
 @pytest.fixture(scope="module")
 def family_k5():
     spec = CounterexampleSpec(5, 0.1)
-    p = counterexample_profile(spec, 2.0**5 / 64)
+    p = family_shaped(spec, 64)
     return spec, p, SpaceGrid.spanning(-spec.x_window, spec.x_window, 65)
 
 
@@ -165,7 +175,7 @@ class TestMaximalScan:
         # counterexample_ratio's grids at k = 8 (257 x 1025, 257 support
         # columns per sign of xi), with 300 times crossing a block boundary
         spec = CounterexampleSpec(8, 0.1)
-        p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
+        p = counterexample_profile(spec)
         grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
         scan = maximal_scan(p, sign, spec.t_max, grid, n_t=300)
         literal = _literal_scan(p, sign, spec.t_max, grid, 300)
@@ -177,7 +187,7 @@ class TestMaximalScan:
         # columns) and the block products (n_x x _BLOCK doubles) are sized
         # from n_t, grid.n and the support before any of them is built
         spec = CounterexampleSpec(3, 0.0)
-        p = counterexample_profile(spec, 2.0**spec.k / cells)
+        p = family_shaped(spec, cells)
         columns = max(2 * (cells + 1), rough._BLOCK)
         assert (columns == rough._BLOCK) == (widest == "block products")
 
@@ -201,10 +211,32 @@ class TestMaximalScan:
         with pytest.raises(AssertionError, match="allocated"):  # at the budget: allowed
             maximal_scan(p, "+", spec.t_max, SpaceGrid(-1.0, 1e-12, at_budget), n_t=8)
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_hermitian_data_matches_literal_scan(self, k, sign):
+        # random a(xi) on the family's xi > 0 support, mirrored as
+        # a(-xi) = conj(a(xi)): amplitudes neither real nor even whose field
+        # is real, scanned 200 times over 40 times the family window
+        spec = CounterexampleSpec(k, 0.0)
+        family = counterexample_profile(spec)
+        half = (family.xi > 0.0) & (family.amplitudes != 0.0)
+        rng = np.random.default_rng(k)
+        amps = np.zeros(family.n, dtype=np.complex128)
+        amps[half] = rng.standard_normal(half.sum()) + 1j * rng.standard_normal(half.sum())
+        p = family.with_amplitudes(amps + np.conj(amps[::-1]))
+        assert np.array_equal(p.amplitudes, np.conj(p.amplitudes[::-1]))
+        assert np.any(p.amplitudes.imag != 0.0)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, 65)
+        t_max = 40.0 * spec.t_max
+        scan = maximal_scan(p, sign, t_max, grid, n_t=200)
+        literal = _literal_scan(p, sign, t_max, grid, 200)
+        assert np.max(np.abs(scan.values.real - literal)) <= 1e-13 * np.max(literal)
+
     @pytest.mark.parametrize("change", ["shifted grid", "complex", "not even"])
     def test_refuses_profiles_outside_the_fold(self, scan_setup, change):
-        # the folded sum over xi > 0 holds only for a real, even profile on
-        # a grid exactly symmetric about 0
+        # the folded sum over xi > 0 holds only for Hermitian amplitudes on
+        # a grid exactly symmetric about 0; even amplitudes times 1 + 1e-3j
+        # are not Hermitian
         spec, p, grid = scan_setup
         amps = p.amplitudes.real.copy()
         if change == "shifted grid":
@@ -214,7 +246,7 @@ class TestMaximalScan:
         else:
             amps[-1] *= 2.0
             p = p.with_amplitudes(amps)
-        with pytest.raises(ValueError, match="real, even amplitudes on a grid exactly symmetric"):
+        with pytest.raises(ValueError, match="Hermitian amplitudes on a grid exactly symmetric"):
             maximal_scan(p, "+", spec.t_max, grid, n_t=8)
 
     def test_resolution_gate(self, scan_setup):
@@ -257,7 +289,7 @@ class TestWindowBound:
         # (tau = 2^(3k) t up to 1); the 16x refined time grid keeps every
         # node, and its sup must stay below the certified bound at each point
         spec = CounterexampleSpec(k, 0.1)
-        p = counterexample_profile(spec, 2.0**k / BAND_CELLS)
+        p = counterexample_profile(spec)
         grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
         t_max = window * spec.t_max
         coarse = maximal_scan(p, sign, t_max, grid, n_t=1024).values.real
@@ -274,7 +306,7 @@ class TestWindowBound:
         # at n_t = 1 the only node is t_max, and the bound must still cover
         # the whole window down to t_max * TIME_SPAN
         spec = CounterexampleSpec(3, 0.1)
-        p = counterexample_profile(spec, 2.0**spec.k / BAND_CELLS)
+        p = counterexample_profile(spec)
         grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
         t_max = window * spec.t_max
         single = maximal_scan(p, sign, t_max, grid, n_t=1).values.real

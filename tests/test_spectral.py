@@ -13,10 +13,10 @@ from scipy.signal import czt
 from ostrovsky_lab.corpus import PROBE_POINTS, observation_grid
 from ostrovsky_lab.lemmas import HIGH_TIMES, T_LOW
 from ostrovsky_lab.spectral import (
-    DEFAULT_ZERO_EXCLUSION,
     MAX_ARRAY_BYTES,
     MAX_PHASE_INCREMENT,
     SQRT_2PI,
+    ZERO_EXCLUSION,
     ResolutionError,
     SpaceField,
     SpaceGrid,
@@ -62,26 +62,22 @@ class TestSpectralProfile:
         np.testing.assert_array_equal(p.xi, [0.5, 0.75, 1.0])
 
     def test_zero_exclusion_zeroes_and_records_mass(self):
-        h = 0.25
-        p = SpectralProfile(-2 * h, h, np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                            zero_exclusion=0.3)
-        # |xi| = 0.5, 0.25, 0, 0.25, 0.5; the middle three fall inside 0.3
-        np.testing.assert_array_equal(p.amplitudes, [1.0, 0.0, 0.0, 0.0, 5.0])
-        assert p.truncated_mass == (2.0 + 3.0 + 4.0) * h
+        # on a 2^-22 grid the 7 points with |xi| <= 3 * 2^-22 fall inside
+        # ZERO_EXCLUSION = 4 * 2^-22; the points at 4 and 5 * 2^-22 do not
+        h = 2.0**-22
+        p = SpectralProfile(-5 * h, h, np.arange(1.0, 12.0))
+        assert ZERO_EXCLUSION == 4 * h
+        np.testing.assert_array_equal(p.amplitudes, [1.0, 2.0] + [0.0] * 7 + [10.0, 11.0])
+        assert p.truncated_mass == sum(range(3, 10)) * h
 
     def test_default_exclusion_only_touches_the_origin(self):
         h = 0.25
         p = SpectralProfile(-h, h, np.array([1.0, 1.0, 1.0]))
         np.testing.assert_array_equal(p.amplitudes, [1.0, 0.0, 1.0])
         assert p.truncated_mass == h
-        assert p.zero_exclusion == DEFAULT_ZERO_EXCLUSION
-
-    def test_amplitude_exactly_at_zero_rejected_without_exclusion(self):
-        with pytest.raises(ValueError, match="may not carry amplitude"):
-            SpectralProfile(-0.25, 0.25, np.array([1.0, 1.0, 1.0]), zero_exclusion=0.0)
 
     def test_zero_amplitude_at_origin_is_fine(self):
-        p = SpectralProfile(-0.25, 0.25, np.array([1.0, 0.0, 1.0]), zero_exclusion=0.0)
+        p = SpectralProfile(-0.25, 0.25, np.array([1.0, 0.0, 1.0]))
         assert p.truncated_mass == 0.0
 
     def test_amplitudes_are_read_only(self):
@@ -102,17 +98,18 @@ class TestSpectralProfile:
         dict(xi_min=0.5, xi_step=0.25, amplitudes=np.ones((2, 2))),
         dict(xi_min=0.5, xi_step=0.25, amplitudes=np.array([])),
         dict(xi_min=0.5, xi_step=0.25, amplitudes=np.array([1.0, math.inf])),
-        dict(xi_min=0.5, xi_step=0.25, amplitudes=np.ones(2), zero_exclusion=-1.0),
     ])
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ValueError):
             SpectralProfile(**kwargs)
 
     def test_with_amplitudes_keeps_grid_and_exclusion(self):
-        p = small_profile([1.0, 2.0], zero_exclusion=0.1)
-        q = p.with_amplitudes(np.array([3.0, 4.0]))
-        assert (q.xi_min, q.xi_step, q.zero_exclusion) == (0.5, 0.25, 0.1)
-        np.testing.assert_array_equal(q.amplitudes, [3.0, 4.0])
+        p = small_profile([1.0, 2.0, 3.0], xi_min=-0.25)
+        q = p.with_amplitudes(np.array([3.0, 4.0, 5.0]))
+        assert (q.xi_min, q.xi_step) == (-0.25, 0.25)
+        # the new amplitude at xi = 0 is excluded too
+        np.testing.assert_array_equal(q.amplitudes, [3.0, 0.0, 5.0])
+        assert q.truncated_mass == 4.0 * 0.25
 
 
 class TestGrids:
@@ -595,7 +592,7 @@ class TestResolution:
                 propagate(p, 1e308, "+", grid)
 
     def test_report_carries_truncated_mass(self):
-        p = SpectralProfile(-0.25, 0.25, np.array([1.0, 2.0, 1.0]), zero_exclusion=0.1)
+        p = SpectralProfile(-0.25, 0.25, np.array([1.0, 2.0, 1.0]))
         rep = validate_resolution(p, 0.0, "+")
         assert rep.truncated_mass == p.truncated_mass == 0.5
 
@@ -668,9 +665,12 @@ class TestNorms:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^H\^s norm at s = 0.0 leaves the double range$"):
                 hs_norm(p, 0.0)
-            with pytest.raises(ValueError, match=r"^L\^4 norm leaves the double range$"):
-                lp_norm_space(u, 4.0)
+            # the sum of |u|^4 overflows, the norm does not
+            assert lp_norm_space(u, 4.0) == pytest.approx(2.0**0.25 * 1e100, rel=1e-15)
             assert lp_norm_space(u, 2.0) == pytest.approx(math.sqrt(2.0) * 1e100, rel=1e-15)
+            # (0.5 + 1 + 0.5) * 4 * 1e308 is out of range whatever the scaling
+            with pytest.raises(ValueError, match=r"^L\^1 norm leaves the double range$"):
+                lp_norm_space(SpaceField(0.0, 4.0, np.full(3, 1e308)), 1.0)
 
     def test_in_range_norms_keep_their_bits(self, corpus):
         # the refusals only add a finiteness check to the plain formulas
