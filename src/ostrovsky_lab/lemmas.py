@@ -326,10 +326,18 @@ def norm_equivalence_reports(p: SpectralProfile, *,
 
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
     ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
+    Raises ValueError, naming the profile, when either side leaves the
+    double range, although the norms themselves may be in range.
     """
-    piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2
-                          for row in wiener_decompose(p).table))
-    total = hs_norm(p, 0.0) ** 2
+    try:  # a float square that overflows raises, a sum of squares gives inf
+        piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2
+                              for row in wiener_decompose(p).table))
+        total = hs_norm(p, 0.0) ** 2
+        if piece_sum == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"NORM_EQUIV: the squared L2 norms of {profile_id} leave the "
+                         "double range") from None
     ratio = piece_sum / total if total > 0 else 1.0
     upper = _report("NORM_EQUIV", profile_id, {"side": "upper", "ratio": ratio},
                     piece_sum, total * (1.0 + NORM_EQUIV_SLACK), ratio)

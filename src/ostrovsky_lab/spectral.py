@@ -255,6 +255,23 @@ def phase_derivative(xi, sign: str = "+"):
 # ---------------------------------------------------------------------------
 
 
+def _phasors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(1j * outer(a, b)) for real arrays, bit for bit, as one new C-ordered array.
+
+    The phases are written into the imaginary half of the output, and cos
+    and sin of them into its two halves, so no complex temporary is formed.
+    exp(1j * -0.0) is 1 + 0j where sin(-0.0) is -0.0, so adding 0.0 first
+    turns -0.0 into +0.0 and leaves every other phase alone.
+    """
+    out = np.empty(np.shape(a) + np.shape(b), dtype=np.complex128)
+    arg = out.imag
+    np.multiply.outer(a, b, out=arg)
+    arg += 0.0
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=arg)
+    return out
+
+
 def evolution_multipliers(p: SpectralProfile, ts, sign: str, columns=slice(None)) -> np.ndarray:
     """Propagator factors exp(i t phase(xi)) on p's grid, one row per time: shape (T, n).
 
@@ -262,16 +279,19 @@ def evolution_multipliers(p: SpectralProfile, ts, sign: str, columns=slice(None)
     which keeps excluded near-singular frequencies out of the arithmetic.
     A t = 0 row of ``M - 1``, the multiplier of U(t) - I, is exactly zero.
     `columns` (an index array or slice of p's grid) keeps only those n
-    columns, with the bits of the same columns of the full table.
+    columns, with the bits of the same columns of the full table.  The
+    factors are cos and sin of t * phase, bit for bit the complex
+    exponential, written into one new C-ordered array, which is returned as
+    it is when every column carries amplitude.
     """
-    ts = np.asarray(ts, dtype=np.float64)
+    ts = np.ravel(np.asarray(ts, dtype=np.float64))
     xi, amps = p.xi[columns], p.amplitudes[columns]
     nz = amps != 0.0
     if np.all(nz):  # the same bits as below, without the masked copy
-        return np.exp(1j * np.outer(ts, phase(xi, sign)))
+        return _phasors(ts, phase(xi, sign))
     out = np.ones((ts.size, xi.size), dtype=np.complex128)
     if np.any(nz):
-        out[:, nz] = np.exp(1j * np.outer(ts, phase(xi[nz], sign)))
+        out[:, nz] = _phasors(ts, phase(xi[nz], sign))
     return out
 
 
@@ -338,7 +358,9 @@ def quadrature_row(p: SpectralProfile, x, columns=slice(None)) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_phase_reach(p, float(np.max(np.abs(x))))
-    return np.exp(1j * np.multiply.outer(x, p.xi[columns])) * _weights(p.n, p.xi_step)[columns]
+    rows = _phasors(x, p.xi[columns])
+    rows *= _weights(p.n, p.xi_step)[columns]
+    return rows
 
 
 def _fft_length(n: int) -> int:
@@ -489,7 +511,8 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
 
     Raises ValueError, naming s and the frequency reach, when the weight
     (1+xi^2)^s leaves the double range on p's grid, and naming s when the
-    weighted sum does.
+    norm itself does; an overflowing weighted sum alone is retaken by
+    _rescaled.
     """
     if not math.isfinite(s):
         raise ValueError("s must be finite")
@@ -500,21 +523,15 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
         reach = float(np.max(np.abs(xi[~np.isfinite(weight)])))
         raise ValueError(f"H^s weight (1+xi^2)^s overflows at s = {s!r}, frequency reach "
                          f"|xi| = {reach:.6g}")
-    # an underflowed weight times an overflowed square is nan, so invalid is ignored too
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step)
-    if not math.isfinite(total):
-        raise ValueError(f"H^s norm at s = {s!r} leaves the double range")
-    return math.sqrt(total)
+    return float(_rescaled(lambda a: np.sqrt(np.sum(weight * a**2) * p.xi_step),
+                           np.abs(p.amplitudes), f"H^s norm at s = {s!r}"))
 
 
 def lp_norm_space(u: SpaceField, power: float) -> float:
     """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
 
-    When the plain sum of |u|^p overflows, the same sum is taken over
-    |u| / 2^e, with 2^e above max |u| (an exact division), and the root is
-    scaled back.  Raises ValueError, naming p, when the norm itself leaves
-    the double range.
+    Raises ValueError, naming p, when the norm itself leaves the double
+    range; an overflowing sum of |u|^p alone is retaken by _rescaled.
     """
     a = np.abs(u.values)
     if power == math.inf:
@@ -522,13 +539,26 @@ def lp_norm_space(u: SpaceField, power: float) -> float:
     if not power >= 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
     w = trapezoid_weights(u.n)
-    with np.errstate(over="ignore"):
-        total = np.sum(w * a**power * u.x_step)
-        if math.isfinite(total):
-            return float(total ** (1.0 / power))
-        e = math.frexp(float(np.max(a)))[1]
-        total = np.sum(w * np.ldexp(a, -e) ** power * u.x_step)
-        norm = float(np.ldexp(total ** (1.0 / power), e))
-    if not math.isfinite(norm):
-        raise ValueError(f"L^{power:g} norm leaves the double range")
-    return norm
+    return float(_rescaled(lambda v: np.sum(w * v**power * u.x_step) ** (1.0 / power),
+                           a, f"L^{power:g} norm"))
+
+
+def _rescaled(norm, magnitudes: np.ndarray, what: str):
+    """norm(magnitudes) for a norm of degree 1 in them, kept wherever its value is in range.
+
+    The plain value is taken first, so in-range bits do not change.  When
+    it overflows (a sum of powers can, while its root is in range), the
+    value is taken again on magnitudes / 2^e, with 2^e above their max (an
+    exact division), and scaled back by 2^e.  Raises ValueError, naming
+    `what`, only when the value itself leaves the double range.
+    """
+    # an underflowed weight times an overflowed power is nan, so invalid is ignored too
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = norm(magnitudes)
+        if np.isfinite(value).all():
+            return value
+        e = math.frexp(float(np.max(magnitudes)))[1]
+        value = np.ldexp(norm(np.ldexp(magnitudes, -e)), e)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} leaves the double range")
+    return value

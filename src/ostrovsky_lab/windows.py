@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpaceField, SpaceGrid, SpectralProfile, _synthesize_rows
+from .spectral import SpaceField, SpaceGrid, SpectralProfile, _rescaled, _synthesize_rows
 
 __all__ = [
     "WienerDecomposition",
@@ -107,11 +107,10 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
     controlled by the L2 norm of `p` with room to spare.  Raises ValueError
-    when the sum of squares leaves the double range.
+    when a value leaves the double range; an overflowing sum of squares
+    alone is retaken on rescaled pieces (see spectral._rescaled).
     """
     fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
-    with np.errstate(over="ignore"):
-        squares = np.sum(np.abs(fields) ** 2, axis=0)
-    if not np.all(np.isfinite(squares)):
-        raise ValueError("the window square function leaves the double range")
-    return SpaceField(grid.x_min, grid.x_step, np.sqrt(squares))
+    values = _rescaled(lambda a: np.sqrt(np.sum(a**2, axis=0)), np.abs(fields),
+                       "the window square function")
+    return SpaceField(grid.x_min, grid.x_step, values)

@@ -532,6 +532,18 @@ class TestNonFiniteInput:
             expected = hs_norm(f, -0.5) / hs_norm(f, s)
             assert rk / ratios["-0.5"][k] == pytest.approx(expected, rel=1e-12)
 
+    def test_in_range_norm_of_a_huge_profile_is_reported(self, tmp_path):
+        # the sum of squares overflows, the L2 norm sqrt(9/8) * 1e300 does not
+        profile, out = tmp_path / "huge.csv", tmp_path / "o.csv"
+        write_profile(SpectralProfile(1.0, 0.125, np.full(9, 1e300)), profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stochastic-continuity", "--profile", str(profile), "--alpha", "0.1",
+                         "--t", "1e-3,0", "--n", "10", "--out", str(out)]) == 0
+        meta = json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"),
+                          parse_constant=_reject_constant)
+        assert meta["fit"]["l2_norm"] == pytest.approx(math.sqrt(1.125) * 1e300, rel=1e-15)
+
     def test_huge_profile_fails_only_the_unscaled_window_bound(self, tmp_path):
         # at amplitude 1e100 every norm is in range and verify-lemmas runs; the
         # L2_5 bound CORPUS_CONSTANT * (eps + t/eps) does not scale with the
@@ -549,8 +561,12 @@ class TestNonFiniteInput:
                                                 pytest.approx(1.0e98, rel=0.01)]
 
     @pytest.mark.parametrize("subcommand,message,amplitude", [
-        ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range", 1e300),
+        # nine amplitudes at step 1/8 have the L2 norm sqrt(9/8) * amplitude,
+        # out of range at 1.7e308; at 1e300 the norm is in range and runs
+        ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range", 1.7e308),
         ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1e300),
+        # the norm 1.06e160 is in range, its square is not: a refusal, not a traceback
+        ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1e160),
     ])
     def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message,
                                               amplitude):

@@ -360,6 +360,19 @@ class TestSquareFunction:
         assert evolved.lemma_id == "L2_7" and evolved.params == {"t": 0.5}
         assert static.passed and evolved.passed
 
+    def test_in_range_sup_of_a_huge_profile(self):
+        # the sums of squares overflow, the sup and the norm do not: both are
+        # retaken on rescaled magnitudes, exactly 2^531 times the unit case
+        unit = SpectralProfile(1.0, 0.125, np.ones(9))
+        small = check_square_function(unit)
+        big = check_square_function(unit.with_amplitudes(np.full(9, 2.0**531)))
+        assert big.measured_lhs == 2.0**531 * small.measured_lhs
+        assert big.bound_rhs == 2.0**531 * small.bound_rhs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = check_square_function(unit.with_amplitudes(np.full(9, 1e160)))
+        assert found.measured_lhs == pytest.approx(2.8209449e159, rel=1e-7) and found.passed
+
     def test_zero_profile_passes_vacuously(self):
         p = SpectralProfile(1.0, 0.5, np.zeros(5))
         report = check_square_function(p)
@@ -376,6 +389,14 @@ class TestSquareFunction:
 
 
 class TestNormEquivalence:
+    def test_overflowing_squares_refused_naming_the_profile(self):
+        # the L2 norm, about 1.06e160, is in range; its square is not
+        p = SpectralProfile(1.0, 0.125, np.full(9, 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^NORM_EQUIV: the squared L2 norms of huge "):
+                norm_equivalence_reports(p, profile_id="huge")
+
     def test_two_sided_rows(self, corpus_by_id):
         p = corpus_by_id["mix_two_scale"].profile
         lower, upper = norm_equivalence_reports(p, profile_id="mix_two_scale")

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from ostrovsky_lab import rough
 from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.rough import (
+    BAND_CELLS,
     TIME_SPAN,
     WINDOW_POINTS,
     CounterexampleSpec,
@@ -151,6 +152,25 @@ def _literal_scan(p, sign, t_max, grid, n_t):
     return np.max([np.abs(basis @ (coeff * np.exp(1j * t * phi))) for t in ts], axis=0)
 
 
+def _exp_scan(p, sign, t_max, grid, n_t):
+    """maximal_scan written with np.exp(1j * ...) and one zero-padded block buffer."""
+    xi, amps = p.xi, p.amplitudes
+    support = np.flatnonzero((xi > 0.0) & (amps != 0.0))
+    weights = trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI)
+    rows = np.exp(1j * np.multiply.outer(grid.points, xi[support])) * weights[support]
+    rows = np.conj(rows * amps[support]).view(np.float64)
+    phi = phase(xi[support], sign)
+    ts = maximal_time_grid(t_max, n_t)
+    factors = np.zeros((rough._BLOCK, support.size), dtype=np.complex128)
+    sup = np.full(grid.n, -np.inf)
+    for lo in range(0, n_t, rough._BLOCK):
+        count = min(rough._BLOCK, n_t - lo)
+        factors[:count] = np.exp(1j * np.outer(ts[lo:lo + count], phi))
+        magnitudes = np.abs((rows @ factors.view(np.float64).T)[:, :count])
+        sup = np.maximum(sup, magnitudes.max(axis=1))
+    return 2.0 * sup
+
+
 @pytest.fixture(scope="module")
 def family_k5():
     spec = CounterexampleSpec(5, 0.1)
@@ -271,6 +291,21 @@ class TestMaximalScan:
         fine = maximal_scan(p, sign, 10 * spec.t_max, grid, n_t=2 * n_t - 1)
         assert np.all(fine.values.real >= coarse.values.real)
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.2371, 0.25])
+    def test_equals_complex_exponential_scan_bitwise(self, s, sign):
+        # the scan's cos/sin tables, shared point-row table and direct block
+        # operands keep every counterexample byte: the scan written with
+        # complex exponentials and one padded block buffer is its reference.
+        # 1000 times give three full blocks and a padded one
+        for k in range(3, 9):
+            spec = CounterexampleSpec(k, s)
+            p = counterexample_profile(spec)
+            grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+            scan = maximal_scan(p, sign, spec.t_max, grid, n_t=1000).values.real
+            reference = _exp_scan(p, sign, spec.t_max, grid, 1000)
+            assert scan.tobytes() == reference.tobytes(), k
+
     def test_field_view(self, scan_setup):
         # the scan is the field of the sups on the scanned grid
         spec, p, grid = scan_setup
@@ -278,6 +313,65 @@ class TestMaximalScan:
         assert isinstance(scan, SpaceField)
         np.testing.assert_array_equal(scan.x, grid.points)
         assert np.all(scan.values.imag == 0.0) and np.all(scan.values.real > 0.0)
+
+
+class TestPointRowTable:
+    def test_family_rows_are_one_table_scaled_bitwise(self):
+        # every grid of the family is dyadic, so x * xi is the same double at
+        # every k and the weights carry the whole scale: all admissible k
+        # read one table, up to k = 340 where the weights are 2^340 apart
+        rough._unit_rows.cache_clear()
+        for k in [*range(3, 12), 340]:
+            spec = CounterexampleSpec(k, 0.0)
+            p = counterexample_profile(spec)
+            grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+            support = np.flatnonzero((p.xi > 0.0) & (p.amplitudes != 0.0))
+            rows = rough._point_rows(p, grid, support)
+            assert rows.flags.writeable and rows.shape == (WINDOW_POINTS, BAND_CELLS + 1)
+            assert rows.tobytes() == quadrature_row(p, grid.points, support).tobytes(), k
+        info = rough._unit_rows.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
+    def test_table_is_read_only_and_keyed_by_geometry(self, scan_setup):
+        # a grid pair that is no power-of-two rescaling of the cached one
+        # builds its own table, and the shared table cannot be written
+        spec, p, grid = scan_setup
+        support = np.flatnonzero((p.xi > 0.0) & (p.amplitudes != 0.0))
+        rough._unit_rows.cache_clear()
+        rough._point_rows(p, grid, support)
+        shifted = SpaceGrid(grid.x_min * 1.5, grid.x_step, grid.n)
+        rows = rough._point_rows(p, shifted, support)
+        assert rows.tobytes() == quadrature_row(p, shifted.points, support).tobytes()
+        assert rough._unit_rows.cache_info().misses == 2
+        table = rough._unit_rows(-0.5, 0.25, 5, np.array([0.0, 1.0]).tobytes(),
+                                 np.array([3, 4]).tobytes())
+        assert table.shape == (2, 2) and not table.flags.writeable
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_builds_the_table_once(self, tmp_path, monkeypatch, threads):
+        # the benchmark tracer sees maximal_scan but not the row builds: a
+        # k = 3..8 counterexample run builds its point-row table once, also
+        # with scans running side by side, and forms one multiplier block
+        # per _BLOCK times of each scan, none copied into a padded buffer
+        from ostrovsky_lab import cli
+
+        counts = {"rows": 0, "blocks": 0, "pads": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rough, "quadrature_row", counted("rows", rough.quadrature_row))
+        monkeypatch.setattr(rough, "evolution_multipliers",
+                            counted("blocks", rough.evolution_multipliers))
+        monkeypatch.setattr(np, "pad", counted("pads", np.pad))
+        rough._unit_rows.cache_clear()
+        argv = ["counterexample", "--s", "0.1", "--k-min", "3", "--k-max", "8", "--nt", "1024",
+                "--threads", str(threads), "--out", str(tmp_path / "ce.csv")]
+        assert cli.main(argv) == 0
+        assert counts == {"rows": 1, "blocks": 6 * 1024 // rough._BLOCK, "pads": 0}
 
 
 class TestWindowBound:

@@ -249,6 +249,46 @@ class TestEvolutionMultipliers:
             row = evolution_multipliers(entry.profile, [0.0], "-")[0]
             assert not np.any(row - 1.0)
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_cos_sin_tables_equal_complex_exponentials_bitwise(self, corpus, sign):
+        # evolution_multipliers and quadrature_row write cos and sin of the
+        # phase into one complex array; this platform's libm must give the
+        # bits of the complex exponentials below, signed zeros included,
+        # or every CSV would change without notice.  The times cover t = 0
+        # and t < 0, where t * phase is -0.0 or negative
+        ts = [*HIGH_TIMES, T_LOW, 0.1, 1.0, 0.0, -1e-3]
+        for entry in corpus:
+            p = entry.profile
+            support = np.flatnonzero(p.amplitudes != 0.0)
+            xs = np.append(observation_grid(p, n=33).points, [0.0, -0.0])
+            for columns in (slice(None), support):
+                assert _bits(evolution_multipliers(p, ts, sign, columns)) == \
+                    _bits(_exp_multipliers(p, ts, sign, columns))
+                assert _bits(quadrature_row(p, xs, columns)) == \
+                    _bits(_exp_quadrature_row(p, xs, columns))
+            assert _bits(quadrature_row(p, 0.7)) == _bits(_exp_quadrature_row(p, 0.7))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _exp_multipliers(p, ts, sign, columns=slice(None)):
+    """evolution_multipliers written with np.exp(1j * ...): its bitwise reference."""
+    ts = np.asarray(ts, dtype=np.float64)
+    xi, amps = p.xi[columns], p.amplitudes[columns]
+    nz = amps != 0.0
+    out = np.ones((ts.size, xi.size), dtype=np.complex128)
+    out[:, nz] = np.exp(1j * np.outer(ts, phase(xi[nz], sign)))
+    return out
+
+
+def _exp_quadrature_row(p, x, columns=slice(None)):
+    """quadrature_row written with np.exp(1j * ...): its bitwise reference."""
+    weights = trapezoid_weights(p.n) * (p.xi_step / SQRT_2PI)
+    return np.exp(1j * np.multiply.outer(np.asarray(x, dtype=np.float64), p.xi[columns])) * \
+        weights[columns]
+
 
 class TestEvolve:
     def test_t_zero_is_identity_bitwise(self, corpus):
@@ -663,14 +703,31 @@ class TestNorms:
         u = SpaceField(0.0, 1.0, np.full(3, 1e100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # the sum of squares overflows, the norm sqrt(9/8) * 1e300 does not
+            assert hs_norm(p, 0.0) == pytest.approx(math.sqrt(1.125) * 1e300, rel=1e-15)
             with pytest.raises(ValueError, match=r"^H\^s norm at s = 0.0 leaves the double range$"):
-                hs_norm(p, 0.0)
+                hs_norm(p.with_amplitudes(np.full(9, 1.7e308)), 0.0)
             # the sum of |u|^4 overflows, the norm does not
             assert lp_norm_space(u, 4.0) == pytest.approx(2.0**0.25 * 1e100, rel=1e-15)
             assert lp_norm_space(u, 2.0) == pytest.approx(math.sqrt(2.0) * 1e100, rel=1e-15)
             # (0.5 + 1 + 0.5) * 4 * 1e308 is out of range whatever the scaling
             with pytest.raises(ValueError, match=r"^L\^1 norm leaves the double range$"):
                 lp_norm_space(SpaceField(0.0, 4.0, np.full(3, 1e308)), 1.0)
+
+    def test_overflowing_sums_retaken_exactly(self):
+        # past the overflow of the plain sum, a power-of-two amplitude
+        # scales each norm by exactly that power
+        unit = SpectralProfile(1.0, 0.125, np.ones(9))
+        u = synthesize(unit, SpaceGrid.spanning(-2.0, 2.0, 33))
+        # max |u| in [1/2, 1), so the retake divides by exactly the power applied
+        u = SpaceField(u.x_min, u.x_step, u.values * 2.0**-math.frexp(np.max(np.abs(u.values)))[1])
+        for e in (600, 1000):
+            big = unit.with_amplitudes(np.full(9, 2.0**e))
+            assert hs_norm(big, 0.0) == 2.0**e * hs_norm(unit, 0.0)
+            assert hs_norm(big, 0.5) == 2.0**e * hs_norm(unit, 0.5)
+            scaled = SpaceField(u.x_min, u.x_step, u.values * 2.0**e)
+            for power in (1.0, 2.0, 4.0):  # the L^1 sum stays in range
+                assert lp_norm_space(scaled, power) == 2.0**e * lp_norm_space(u, power)
 
     def test_in_range_norms_keep_their_bits(self, corpus):
         # the refusals only add a finiteness check to the plain formulas

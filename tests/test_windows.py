@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ostrovsky_lab import windows
 from ostrovsky_lab.spectral import (
     _SYNTHESIS_BLOCK,
     SpaceGrid,
@@ -176,16 +177,24 @@ class TestSquareFunction:
         direct = np.abs(synthesize(p, grid).values)
         assert np.max(np.abs(sf.values.real - direct)) <= 1e-15
 
-    def test_overflow_refused_without_warning(self):
-        # one window fires with |u| about 5e297, whose square leaves the double range
+    def test_overflow_refused_without_warning(self, monkeypatch):
+        # one window fires with |u| about 5e297, whose square leaves the
+        # double range while the square function does not
         h = 2.0**-6
         amps = np.zeros(129)
         amps[64] = 1e300  # xi = 3.0
         p = SpectralProfile(2.0, h, amps)
+        grid = SpaceGrid.spanning(-5.0, 5.0, 101)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            sf = square_function(p, grid)
+            direct = np.abs(synthesize(p, grid).values)
+            assert np.max(np.abs(sf.values.real - direct)) <= 4 * EPS * np.max(direct)
+            # four pieces of 1e308 at a point aggregate to 2e308: refused
+            monkeypatch.setattr(windows, "_synthesize_rows",
+                                lambda p, grid, rows: np.full((4, grid.n), 1e308 + 0j))
             with pytest.raises(ValueError, match="square function leaves the double range"):
-                square_function(p, SpaceGrid.spanning(-5.0, 5.0, 101))
+                square_function(p, grid)
 
     def test_values_are_real(self, corpus_by_id):
         p = corpus_by_id["band_unit"].profile
