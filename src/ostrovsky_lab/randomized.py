@@ -142,9 +142,13 @@ class KhinchineResult:
 def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list[KhinchineResult]:
     """Monte Carlo estimates of ||sum g_k c_k||_{L^p} / (sqrt(p) ||c||_2), one per order.
 
-    The `n_samples` sums are drawn once and every order in `powers` reads
-    the same magnitudes |S|, so the results come back in input order and
-    each has the bits a one-order call would give.
+    The `n_samples` sums are drawn once, one block of draws at a time, and
+    each block is reduced as it arrives: every order in `powers` takes the
+    block's |S|^p, its mean and its centred sum of squares, and merges them
+    into that order's running (count, mean, M2) by the pairwise update of
+    Chan, Golub & LeVeque (1983).  So memory is one block whatever
+    `n_samples`, the results come back in input order, and each order has
+    the bits a one-order call would give.
     """
     c = np.asarray(coefficients, dtype=np.complex128)
     if c.ndim != 1 or c.size == 0:
@@ -155,25 +159,32 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
         raise ValueError("every power must be >= 1")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    # one float64 magnitude a sample: refused before any draw is made
-    _require_budget(8 * n_samples, f"a Khinchine run of {n_samples} samples")
     with np.errstate(over="ignore"):
         l2 = float(np.linalg.norm(c))
     if l2 == 0.0:
         raise ValueError("coefficient sequence must not vanish")
     if l2 == math.inf:
         raise ValueError("the l2 norm of the coefficients leaves the double range")
-    magnitudes = np.empty(n_samples, dtype=np.float64)
-    for draws, values in _draw_blocks(seed, n_samples, np.arange(c.size), c):
-        np.abs(values, out=magnitudes[draws])
+    totals = [(0, 0.0, 0.0)] * len(powers)  # (count, mean, M2) of |S|^p per order
+    # an overflowed moment is refused below: inf, or nan from inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, values in _draw_blocks(seed, n_samples, np.arange(c.size), c):
+            magnitudes = np.abs(values)
+            size = magnitudes.size
+            for i, power in enumerate(powers):
+                centred = magnitudes ** power
+                block_mean = float(np.sum(centred)) / size
+                centred -= block_mean
+                count, mean, m2 = totals[i]
+                total = count + size
+                delta = block_mean - mean
+                # on the first block count is 0: its last term is then 0, even where delta * delta overflows
+                totals[i] = (total, mean + delta * (size / total),
+                             m2 + float(np.dot(centred, centred)) + delta * (count * size / total) * delta)
     results = []
-    for power in powers:
-        # an overflowed moment is refused below: inf, or nan from inf - inf in np.std
-        with np.errstate(over="ignore", invalid="ignore"):
-            powered = magnitudes ** power
-            mean = float(np.mean(powered))
-            stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n_samples))
-        if not (mean > 0.0 and math.isfinite(stderr_mean)):
+    for power, (_, mean, m2) in zip(powers, totals):
+        stderr_mean = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+        if not (0.0 < mean < math.inf and math.isfinite(stderr_mean)):
             raise ValueError(f"moments of order {power} leave the double range for these coefficients")
         moment = mean ** (1.0 / power)
         ratio = moment / (math.sqrt(power) * l2)
@@ -194,6 +205,7 @@ def randomized_point_samples(p: SpectralProfile, x: float, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    _require_budget(16 * n_samples, f"{n_samples} point samples")
     dec = wiener_decompose(p)
     out = np.empty(n_samples, dtype=np.complex128)
     for draws, values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ quadrature_row(p, x)):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -130,6 +131,14 @@ class TestRandomizedPointSamples:
         np.testing.assert_array_equal(
             randomized_point_samples(p, 0.3, 4), np.zeros(4, dtype=complex))
 
+    def test_sample_budget_refused_before_allocating(self, corpus_by_id, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(randomized.np, "empty", no_allocation)
+        with pytest.raises(ValueError, match="above the budget"):
+            randomized_point_samples(corpus_by_id["gauss_low"].profile, 0.1, 10**12)
+
     def test_validation_and_determinism(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
         with pytest.raises(ValueError):
@@ -218,15 +227,32 @@ class TestKhinchine:
         with pytest.raises(ValueError, match="every power must be >= 1"):
             khinchine_check([1.0], [2.0, 4.0, 0.5], 10)
 
-    def test_sample_budget_refused_before_allocating(self, monkeypatch):
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("allocated before the budget check")
+    def test_sample_counts_past_the_array_budget_reach_the_draws(self, monkeypatch):
+        # nothing of size n_samples is allocated, so no sample count is refused for its bytes
+        class Drawing(Exception):
+            pass
 
-        monkeypatch.setattr(randomized.np, "empty", no_allocation)
-        over = MAX_ARRAY_BYTES // 8 + 1
-        for n_samples in (over, 10**18):
-            with pytest.raises(ValueError, match="above the budget"):
-                khinchine_check([1.0], [2.0], n_samples)
+        def drawing(*args):
+            raise Drawing
+
+        monkeypatch.setattr(randomized, "_draw_blocks", drawing)
+        with pytest.raises(Drawing):
+            khinchine_check([1.0], [2.0], MAX_ARRAY_BYTES // 8 + 1)
+
+    def test_traced_peak_does_not_grow_with_the_sample_count(self):
+        block = randomized._BLOCK
+
+        def traced_peak(n_samples):
+            tracemalloc.start()
+            try:
+                khinchine_check([0.7, 0.2, 0.9], [1.0, 2.0, 4.0], n_samples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(block)  # first-call allocations out of the way
+        # one block of complex sums is 16 * block bytes
+        assert abs(traced_peak(64 * block) - traced_peak(8 * block)) < 16 * block
 
     @pytest.mark.parametrize("power", [1e308, 2000.0])
     def test_moments_outside_double_range_rejected(self, power):
@@ -279,19 +305,30 @@ class TestKhinchine:
 
     def test_matches_moments_of_the_complex_sums(self):
         # reference: the sums of every draw block kept as one complex array,
-        # the moments then read from np.abs of it
+        # the moments then read from np.mean and np.std of every |S|^p; the
+        # streamed merge sums in another order, hence a tolerance
         block = randomized._BLOCK
-        c, n, seed = np.array([0.4, 1.1, 0.3, 0.8]), 2 * block + 517, 3
+        c = np.array([0.4, 1.1, 0.3, 0.8])
         ks = np.arange(c.size)
-        sums = np.concatenate([gaussian_coefficients(seed, np.arange(lo, min(lo + block, n)), ks) @ c
-                               for lo in range(0, n, block)])
-        for res in khinchine_check(c, [1.0, 2.5, 6.0], n, seed):
-            powered = np.abs(sums) ** res.power
-            mean = float(np.mean(powered))
-            stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n))
-            assert res.moment == mean ** (1.0 / res.power)
-            assert res.ratio == res.moment / (math.sqrt(res.power) * float(np.linalg.norm(c)))
-            assert res.ratio_stderr == res.ratio * stderr_mean / (res.power * mean)
+        l2 = float(np.linalg.norm(c))
+        powers = [1.0, 2.0, 2.5, 4.0, 6.0]
+        for n in (2, 3, block, block + 1, 3 * block + 517):
+            for seed in (3, 11, 29):
+                sums = np.concatenate([
+                    gaussian_coefficients(seed, np.arange(lo, min(lo + block, n)), ks) @ c
+                    for lo in range(0, n, block)])
+                for power, res in zip(powers, khinchine_check(c, powers, n, seed)):
+                    powered = np.abs(sums) ** power
+                    mean = float(np.mean(powered))
+                    stderr_mean = float(np.std(powered, ddof=1) / math.sqrt(n))
+                    moment = mean ** (1.0 / power)
+                    ratio = moment / (math.sqrt(power) * l2)
+                    stderr = ratio * stderr_mean / (power * mean)
+                    case = f"n={n} seed={seed} p={power}"
+                    assert res.power == power and res.n_samples == n, case
+                    assert abs(res.moment - moment) <= 1e-12 * moment, case
+                    assert abs(res.ratio - ratio) <= 1e-12 * ratio, case
+                    assert abs(res.ratio_stderr - stderr) <= 1e-12 * stderr, case
 
 
 class TestAnalyticRatio:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.signal import czt
 
@@ -38,6 +38,7 @@ from ostrovsky_lab.spectral import (
     trapezoid_weights,
     validate_resolution,
 )
+from ostrovsky_lab.windows import square_function
 
 EPS = np.finfo(float).eps
 
@@ -48,6 +49,19 @@ nonzero_xi = st.floats(
 
 def small_profile(amps, xi_min=0.5, xi_step=0.25, **kwargs):
     return SpectralProfile(xi_min, xi_step, np.asarray(amps, dtype=np.complex128), **kwargs)
+
+
+# Exact power-of-two scaling of the norms fails at both ends of the double range:
+# - a sum of powers that underflows is not retaken, so for inputs of order 1
+#   L^4 loses bits below 2^-256, and hs_norm, L^2 and the square function
+#   below about 2^-510;
+# - at the top, |a| of a complex input can overflow while its parts and the
+#   norm are finite, and the chirp-z synthesis of the window pieces overflows
+#   (a RuntimeWarning from the FFT) although the square function's sup is finite;
+# - |v|**4 and its 1/4 root go through pow, which is not exactly scale
+#   covariant, and the overflow retake rescales by the binade of max |v|.
+_INEXACT_SCALING = pytest.mark.xfail(strict=True, reason="norms lose bits or overflow at the "
+                                     "ends of the double range")
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +742,42 @@ class TestNorms:
             scaled = SpaceField(u.x_min, u.x_step, u.values * 2.0**e)
             for power in (1.0, 2.0, 4.0):  # the L^1 sum stays in range
                 assert lp_norm_space(scaled, power) == 2.0**e * lp_norm_space(u, power)
+
+    @pytest.mark.parametrize("name", [
+        pytest.param("hs_norm", marks=_INEXACT_SCALING),
+        pytest.param("L^2", marks=_INEXACT_SCALING),
+        pytest.param("L^4", marks=_INEXACT_SCALING),
+        "L^inf",
+        pytest.param("square function", marks=_INEXACT_SCALING),
+    ])
+    # no shrinking: the expected failures would spend seconds shrinking examples nobody reads
+    @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(data=st.data())
+    def test_norms_scale_exactly_by_powers_of_two(self, name, data):
+        # norm(2^e f) == 2^e norm(f) bit for bit, over every e at which the
+        # scaled norm is finite and the smallest non-zero input stays normal
+        part = st.one_of(st.just(0.0), st.floats(2.0**-30, 1.0).flatmap(
+            lambda v: st.sampled_from([v, -v])))
+        parts = data.draw(st.lists(part, min_size=4, max_size=24).filter(any))
+        amps = np.array(parts[0::2], dtype=np.complex128)
+        amps[: len(parts[1::2])] += 1j * np.array(parts[1::2])
+        s = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 1.0]))
+        p = small_profile(amps, xi_min=data.draw(st.sampled_from([-1.5, 0.5, 3.0])), xi_step=0.125)
+        norm = {
+            "hs_norm": lambda a: hs_norm(p.with_amplitudes(a), s),
+            "L^2": lambda a: lp_norm_space(SpaceField(0.0, 0.25, a), 2.0),
+            "L^4": lambda a: lp_norm_space(SpaceField(0.0, 0.25, a), 4.0),
+            "L^inf": lambda a: lp_norm_space(SpaceField(0.0, 0.25, a), math.inf),
+            "square function": lambda a: float(np.max(
+                square_function(p.with_amplitudes(a), SpaceGrid.spanning(-4.0, 4.0, 33)).values.real)),
+        }[name]
+        base = norm(amps)
+        inputs = np.abs(np.concatenate([amps.real, amps.imag]))
+        e_lo = -1021 - math.frexp(float(np.min(inputs[inputs > 0.0])))[1]
+        e_hi = 1024 - max(math.frexp(base)[1], math.frexp(float(np.max(inputs)))[1])
+        e = data.draw(st.integers(e_lo, e_hi))
+        scaled = amps * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # 2^e itself may not be a double
+        assert norm(scaled) == math.ldexp(base, e)
 
     def test_in_range_norms_keep_their_bits(self, corpus):
         # the refusals only add a finiteness check to the plain formulas
