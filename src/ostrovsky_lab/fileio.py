@@ -2,7 +2,8 @@
 
 All files are UTF-8 with LF line endings and shortest-roundtrip float
 formatting (``repr``), so identical inputs produce byte-identical files
-on every platform and the written values parse back exactly.
+on every platform and the written values parse back exactly.  Float
+tables are formatted a block at a time by ``_ryu.format_rows``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ REPORT_HEADER = ["lemma_id", "profile_id", "params", "measured_lhs",
 # relative tolerance for the uniform-spacing test on read
 SPACING_RTOL = 1e-9
 
-# rows write_field converts to Python objects at a time, so its memory stays
-# bounded whatever the field size
-FIELD_ROWS = 8192
+# rows write_field and write_profile format at a time, so their memory stays
+# bounded whatever the table size (formatting holds about 0.5 kB a cell)
+FIELD_ROWS = 2048
 
 
 def format_float(value: float) -> str:
@@ -41,10 +42,24 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> N
         out.writerows(rows)
 
 
+def _write_blocks(path, header: Sequence[str], blocks) -> int:
+    """Write a header and the rows of (rows, columns) float blocks; return the cells left to repr."""
+    from ._ryu import format_rows  # compiled only by processes that write float tables
+
+    fallback = 0
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for block in blocks:
+            data, missed = format_rows(block)
+            handle.write(data)
+            fallback += missed
+    return fallback
+
+
 def write_profile(p: SpectralProfile, path) -> None:
-    write_table(path, PROFILE_HEADER,
-                ([format_float(xi), format_float(a.real), format_float(a.imag)]
-                 for xi, a in zip(p.xi, p.amplitudes)))
+    table = np.stack([p.xi, p.amplitudes.real, p.amplitudes.imag], axis=1)
+    _write_blocks(path, PROFILE_HEADER,
+                  (table[lo:lo + FIELD_ROWS] for lo in range(0, p.n, FIELD_ROWS)))
 
 
 def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
@@ -89,24 +104,27 @@ def read_profile(path) -> SpectralProfile:
                            amplitudes=table[:, 1] + 1j * table[:, 2])
 
 
-def write_field(u: SpaceField, path) -> None:
+def write_field(u: SpaceField, path) -> dict:
     """Write the field as x,re,im,abs rows, the bytes `write_table` would give.
 
-    Rows are formatted straight from Python floats and complexes: no cell
-    needs csv quoting, and Python's ``abs`` of a complex is the same libm
-    ``hypot`` as numpy's scalar ``abs`` (numpy's array ``abs`` is not).  A
+    The modulus is ``np.hypot`` of the parts, the libm ``hypot`` that
+    Python's ``abs`` of a complex calls (numpy's array ``abs`` is not).  A
     modulus beyond the double range is refused, not written as ``inf``.
+    Returns the cell count and how many of the cells ``repr`` formatted.
     """
     grid = u.x
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(FIELD_HEADER) + "\n")
-        try:
-            for lo in range(0, u.n, FIELD_ROWS):
-                rows = slice(lo, lo + FIELD_ROWS)
-                handle.writelines(f"{x!r},{z.real!r},{z.imag!r},{abs(z)!r}\n"
-                                  for x, z in zip(grid[rows].tolist(), u.values[rows].tolist()))
-        except OverflowError as exc:
-            raise ValueError(f"{path}: |value| leaves the double range") from exc
+
+    def blocks():
+        for lo in range(0, u.n, FIELD_ROWS):
+            z = u.values[lo:lo + FIELD_ROWS]
+            with np.errstate(over="ignore"):
+                modulus = np.hypot(z.real, z.imag)
+            if np.isinf(modulus).any():
+                raise ValueError(f"{path}: |value| leaves the double range")
+            yield np.stack([grid[lo:lo + FIELD_ROWS], z.real, z.imag, modulus], axis=1)
+
+    fallback = _write_blocks(path, FIELD_HEADER, blocks())
+    return {"cells": 4 * u.n, "fallback_cells": fallback}
 
 
 def read_field(path) -> SpaceField:

@@ -511,8 +511,8 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
 
     Raises ValueError, naming s and the frequency reach, when the weight
     (1+xi^2)^s leaves the double range on p's grid, and naming s when the
-    norm itself does; an overflowing weighted sum alone is retaken by
-    _rescaled.
+    norm itself does; a weighted sum that leaves the range alone is retaken
+    by _rescaled.
     """
     if not math.isfinite(s):
         raise ValueError("s must be finite")
@@ -524,41 +524,42 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
         raise ValueError(f"H^s weight (1+xi^2)^s overflows at s = {s!r}, frequency reach "
                          f"|xi| = {reach:.6g}")
     return float(_rescaled(lambda a: np.sqrt(np.sum(weight * a**2) * p.xi_step),
-                           np.abs(p.amplitudes), f"H^s norm at s = {s!r}"))
+                           p.amplitudes, 2.0, f"H^s norm at s = {s!r}"))
 
 
 def lp_norm_space(u: SpaceField, power: float) -> float:
     """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
 
     Raises ValueError, naming p, when the norm itself leaves the double
-    range; an overflowing sum of |u|^p alone is retaken by _rescaled.
+    range; a sum of |u|^p that leaves the range alone is retaken by _rescaled.
     """
-    a = np.abs(u.values)
     if power == math.inf:
-        return float(np.max(a))
+        return float(np.max(np.abs(u.values)))
     if not power >= 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
     w = trapezoid_weights(u.n)
     return float(_rescaled(lambda v: np.sum(w * v**power * u.x_step) ** (1.0 / power),
-                           a, f"L^{power:g} norm"))
+                           u.values, power, f"L^{power:g} norm"))
 
 
-def _rescaled(norm, magnitudes: np.ndarray, what: str):
-    """norm(magnitudes) for a norm of degree 1 in them, kept wherever its value is in range.
+def _rescaled(norm, values: np.ndarray, power: float, what: str):
+    """norm(|values|) for a norm of degree 1 in them, kept wherever its value is in range.
 
     The plain value is taken first, so in-range bits do not change.  When
-    it overflows (a sum of powers can, while its root is in range), the
-    value is taken again on magnitudes / 2^e, with 2^e above their max (an
-    exact division), and scaled back by 2^e.  Raises ValueError, naming
-    `what`, only when the value itself leaves the double range.
+    it overflows, or its sum of powers underflows (value**power below the
+    smallest normal double), it is taken again on values / 2^e, with 2^e
+    above their largest real or imaginary part (an exact division, and
+    |values| stays finite), and scaled back by 2^e.  Raises ValueError,
+    naming `what`, only when the value itself leaves the double range.
     """
     # an underflowed weight times an overflowed power is nan, so invalid is ignored too
     with np.errstate(over="ignore", invalid="ignore"):
-        value = norm(magnitudes)
-        if np.isfinite(value).all():
+        value = norm(np.abs(values))
+        if np.isfinite(value).all() and not np.any(value**power < np.finfo(np.float64).tiny):
             return value
-        e = math.frexp(float(np.max(magnitudes)))[1]
-        value = np.ldexp(norm(np.ldexp(magnitudes, -e)), e)
+        parts = values.view(np.float64)
+        e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+        value = np.ldexp(norm(np.abs(np.ldexp(parts, -e).view(values.dtype))), e)
     if not np.isfinite(value).all():
         raise ValueError(f"{what} leaves the double range")
     return value

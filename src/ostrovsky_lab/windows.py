@@ -107,10 +107,10 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
     controlled by the L2 norm of `p` with room to spare.  Raises ValueError
-    when a value leaves the double range; an overflowing sum of squares
-    alone is retaken on rescaled pieces (see spectral._rescaled).
+    when a value leaves the double range; a sum of squares that leaves
+    the range alone is retaken on rescaled pieces (see spectral._rescaled).
     """
     fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
-    values = _rescaled(lambda a: np.sqrt(np.sum(a**2, axis=0)), np.abs(fields),
+    values = _rescaled(lambda a: np.sqrt(np.sum(a**2, axis=0)), fields, 2.0,
                        "the window square function")
     return SpaceField(grid.x_min, grid.x_step, values)

@@ -1,13 +1,16 @@
 """CSV round-trips and their rejection paths."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ostrovsky_lab import fileio
+from ostrovsky_lab import _ryu, fileio
+from ostrovsky_lab.corpus import observation_grid
 from ostrovsky_lab.fileio import (
     FIELD_HEADER,
     PROFILE_HEADER,
@@ -23,7 +26,35 @@ from ostrovsky_lab.fileio import (
     write_reports,
     write_table,
 )
-from ostrovsky_lab.spectral import SpaceField, SpectralProfile
+from ostrovsky_lab.spectral import SpaceField, SpectralProfile, synthesize
+
+
+def _repr_rows(table):
+    """The reference: each cell through repr, comma-joined rows."""
+    return "".join(",".join(repr(float(c)) for c in row) + "\n" for row in table).encode()
+
+
+def _boundary_values():
+    normal_min = 2.2250738585072014e-308
+    values = [0.0, 5e-324, normal_min, np.nextafter(normal_min, 0.0), 1e16, 1e-4, 1e-5,
+              float(2**53 - 1), float(2**53), float(2**53 + 2), 1.7976931348623157e308]
+    values += [2.0**e for e in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]  # every power of ten a double rounds to
+    values += [float(10**k) for k in range(23)]  # the exact ones
+    finite = np.array(values)
+    with np.errstate(over="ignore"):  # the successor of the largest double is inf
+        neighbours = np.concatenate([np.nextafter(finite, 0.0), np.nextafter(finite, np.inf)])
+    finite = np.concatenate([finite, neighbours[np.isfinite(neighbours)]])
+    return np.concatenate([finite, -finite])
+
+
+def _sweep(seed=20, n=200_000):
+    """Seeded doubles spread over every binade: random mantissas, uniform exponents."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**52, n, dtype=np.uint64)
+    bits |= rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    return bits.view(np.float64)
 
 
 class TestFormatFloat:
@@ -38,6 +69,56 @@ class TestFormatFloat:
         assert float(format_float(value)) == value
 
 
+class TestBlockFormatter:
+    """The block formatter against repr, cell for cell."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40), st.sampled_from([1, 2, 4]))
+    def test_raw_bit_patterns(self, patterns, columns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        table = np.resize(values, (-(-values.size // columns), columns)) if values.size else values
+        if values.size:
+            assert _ryu.format_rows(table) == (_repr_rows(table), 0)
+
+    def test_boundary_values(self):
+        values = _boundary_values()
+        assert {0.0, 5e-324, 1e16, 1.7976931348623157e308, 2.0**-1074, 2.0**1023} <= set(values)
+        table = values.reshape(-1, 2)
+        assert _ryu.format_rows(table) == (_repr_rows(table), 0)
+
+    def test_seeded_sweep(self):
+        table = _sweep().reshape(-1, 4)
+        assert _ryu.format_rows(table) == (_repr_rows(table), 0)
+
+    def test_non_finite_cells_go_to_repr(self):
+        table = np.array([[np.inf, 1.0], [-np.inf, np.nan], [-0.0, 2.5e-310]])
+        assert _ryu.format_rows(table) == (b"inf,1.0\n-inf,nan\n-0.0,2.5e-310\n", 3)
+
+    def test_hypot_is_the_modulus_of_abs(self):
+        # np.hypot of the parts, as write_field takes it, against Python's abs(complex)
+        values = np.concatenate([_boundary_values(), _sweep()])
+        values = values[np.abs(values) < 1e307]  # keep every modulus finite
+        re, im = values, np.roll(values, 1)
+        with np.errstate(under="ignore"):
+            modulus = np.hypot(re, im)
+        reference = [abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+        assert modulus.tobytes() == np.array(reference).tobytes()
+
+    def test_shared_tables_are_read_only(self):
+        for table in (*_ryu._ryu_constants(), *_ryu._layout_tables()):
+            assert not table.flags.writeable
+
+    def test_loaded_and_built_on_first_use(self):
+        # a CLI process that writes no float table does not compile the formatter,
+        # and importing it builds no table
+        code = ("import sys, ostrovsky_lab.cli\nprint('ostrovsky_lab._ryu' in sys.modules)\n"
+                "from ostrovsky_lab import _ryu\n"
+                "print(_ryu._ryu_constants.cache_info().currsize,"
+                " _ryu._layout_tables.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "0", "0"]
+
+
 class TestProfileRoundTrip:
     def test_amplitudes_and_grid_exact(self, tmp_path, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
@@ -49,6 +130,16 @@ class TestProfileRoundTrip:
         # (xi_max - xi_min) / (n - 1) happens to divide exactly here
         assert q.xi_step == p.xi_step
         assert q.n == p.n
+
+    def test_corpus_bytes_match_the_table_writer(self, tmp_path, corpus):
+        for entry in corpus:
+            p = entry.profile
+            fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+            write_profile(p, fast)
+            write_table(reference, PROFILE_HEADER,
+                        ([format_float(xi), format_float(a.real), format_float(a.imag)]
+                         for xi, a in zip(p.xi, p.amplitudes)))
+            assert fast.read_bytes() == reference.read_bytes(), entry.profile_id
 
     def test_written_files_are_byte_stable(self, tmp_path, corpus_by_id):
         p = corpus_by_id["band_unit"].profile
@@ -149,6 +240,18 @@ class TestFieldRoundTrip:
         with pytest.raises(ValueError, match="leaves the double range") as info:
             write_field(u, target)
         assert str(target) in str(info.value)
+
+    def test_large_field_takes_the_fast_path(self, tmp_path, corpus_by_id):
+        # a broken fast path would send cells to repr; it must stay under 1%
+        u = synthesize(corpus_by_id["gauss_high"].profile,
+                       observation_grid(corpus_by_id["gauss_high"].profile, n=65536))
+        target = tmp_path / "u.csv"
+        counts = write_field(u, target)
+        assert counts["cells"] == 4 * 65536
+        assert counts["fallback_cells"] < 0.01 * counts["cells"]
+        modulus = [abs(z) for z in u.values.tolist()]
+        expected = _repr_rows(np.column_stack([u.x, u.values.real, u.values.imag, modulus]))
+        assert target.read_bytes() == b"x,re,im,abs\n" + expected
 
     def test_header_and_abs_column(self, tmp_path):
         u = SpaceField(0.0, 1.0, np.array([3 + 4j]))
