@@ -27,6 +27,7 @@ from .spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
+    _rescaled,
     _synthesize_rows,
     evolution_multipliers,
     evolve_spectral,
@@ -152,28 +153,26 @@ def _check_epsilon(epsilon: float) -> None:
 def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     """Largest grid radius delta <= 1/2 whose L2 mass on |xi| <= delta is <= epsilon.
 
-    Found by bisection over the cumulative mass at the distinct positive
-    grid radii; capped at 1/2.  If even the innermost of them carries more
-    than epsilon, falls back to ZERO_EXCLUSION (mass there is zero), so the
-    radius is always positive.  Raises ValueError when the L2 mass of `p`
-    leaves the double range.
+    Found by bisection over the partial L2 norms (by spectral._rescaled) at
+    the distinct positive grid radii; capped at 1/2.  If even the innermost
+    of them carries more than epsilon, falls back to ZERO_EXCLUSION (mass
+    there is zero), so the radius is always positive.  Raises ValueError
+    when a partial norm leaves the double range.
     """
     _check_epsilon(epsilon)
     radii = np.abs(p.xi)
     order = np.argsort(radii, kind="stable")
     sorted_radii = radii[order]
-    with np.errstate(over="ignore"):
-        cumulative = np.cumsum(np.abs(p.amplitudes[order]) ** 2 * p.xi_step)
-    if not math.isfinite(cumulative[-1]):
-        raise ValueError("the L2 mass of the profile leaves the double range")
+    partial = _rescaled(lambda a: np.sqrt(np.cumsum(np.abs(a[order]) ** 2 * p.xi_step)),
+                        p.amplitudes, 2.0, "the L2 mass of the profile")
 
     last = _run_ends(sorted_radii)
-    distinct, inclusive = sorted_radii[last], cumulative[last]
+    distinct, inclusive = sorted_radii[last], partial[last]
     keep = (distinct > 0.0) & (distinct <= 0.5)
-    candidates, masses = distinct[keep], inclusive[keep]
-    if candidates.size == 0 or masses[-1] <= epsilon**2:
+    candidates, norms = distinct[keep], inclusive[keep]
+    if candidates.size == 0 or norms[-1] <= epsilon:
         return 0.5
-    last_ok = int(np.searchsorted(masses, epsilon**2, side="right")) - 1
+    last_ok = int(np.searchsorted(norms, epsilon, side="right")) - 1
     if last_ok < 0:
         return ZERO_EXCLUSION
     return float(candidates[last_ok])

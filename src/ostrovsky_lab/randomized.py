@@ -16,10 +16,11 @@ import numpy as np
 
 from .spectral import (
     SpectralProfile,
+    _deviation_multipliers,
+    _downscaled,
+    _in_range,
     _require_budget,
-    evolution_multipliers,
     quadrature_row,
-    require_resolution,
 )
 from .windows import wiener_decompose, wiener_range
 
@@ -148,49 +149,50 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
     into that order's running (count, mean, M2) by the pairwise update of
     Chan, Golub & LeVeque (1983).  So memory is one block whatever
     `n_samples`, the results come back in input order, and each order has
-    the bits a one-order call would give.
+    the bits a one-order call would give.  When ||c||_2, a mean or an M2 is
+    not a finite normal double, the run is retaken on spectral._downscaled(c)
+    and the moment scaled back; the ratio and its error are scale-free.
     """
     c = np.asarray(coefficients, dtype=np.complex128)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("need a non-empty coefficient sequence")
+    if c.ndim != 1 or not np.any(c):
+        raise ValueError("need a 1-d coefficient sequence; it must not vanish")
     if np.ndim(powers) != 1 or len(powers) == 0:
         raise ValueError("need a non-empty sequence of moment orders")
     if not all(power >= 1.0 for power in powers):
         raise ValueError("every power must be >= 1")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    with np.errstate(over="ignore"):
-        l2 = float(np.linalg.norm(c))
-    if l2 == 0.0:
-        raise ValueError("coefficient sequence must not vanish")
-    if l2 == math.inf:
-        raise ValueError("the l2 norm of the coefficients leaves the double range")
-    totals = [(0, 0.0, 0.0)] * len(powers)  # (count, mean, M2) of |S|^p per order
-    # an overflowed moment is refused below: inf, or nan from inf - inf
+    # a sum that overflows is inf, or nan from inf - inf: retaken, then refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, values in _draw_blocks(seed, n_samples, np.arange(c.size), c):
-            magnitudes = np.abs(values)
-            size = magnitudes.size
-            for i, power in enumerate(powers):
-                centred = magnitudes ** power
-                block_mean = float(np.sum(centred)) / size
-                centred -= block_mean
-                count, mean, m2 = totals[i]
-                total = count + size
-                delta = block_mean - mean
-                # on the first block count is 0: its last term is then 0, even where delta * delta overflows
-                totals[i] = (total, mean + delta * (size / total),
-                             m2 + float(np.dot(centred, centred)) + delta * (count * size / total) * delta)
-    results = []
-    for power, (_, mean, m2) in zip(powers, totals):
-        stderr_mean = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
-        if not (0.0 < mean < math.inf and math.isfinite(stderr_mean)):
-            raise ValueError(f"moments of order {power} leave the double range for these coefficients")
-        moment = mean ** (1.0 / power)
-        ratio = moment / (math.sqrt(power) * l2)
-        # delta method: d ratio / d mean = ratio / (p * mean)
-        ratio_stderr = ratio * stderr_mean / (power * mean)
-        results.append(KhinchineResult(power, n_samples, moment, ratio, ratio_stderr))
+        for scaled, e in ((c, 0), _downscaled(c)):
+            l2 = float(np.linalg.norm(scaled))
+            totals = [(0, 0.0, 0.0)] * len(powers)  # (count, mean, M2) of |S|^p per order
+            for _, values in _draw_blocks(seed, n_samples, np.arange(c.size), scaled):
+                magnitudes = np.abs(values)
+                size = magnitudes.size
+                for i, power in enumerate(powers):
+                    centred = magnitudes ** power
+                    block_mean = float(np.sum(centred)) / size
+                    centred -= block_mean
+                    count, mean, m2 = totals[i]
+                    total = count + size
+                    delta = block_mean - mean
+                    # count is 0 on the first block: the last term is 0 even if delta * delta overflows
+                    m2 = m2 + float(np.dot(centred, centred)) + delta * (count * size / total) * delta
+                    totals[i] = (total, mean + delta * (size / total), m2)
+            if _in_range(np.array([l2, *(v for _, mean, m2 in totals for v in (mean, m2))])):
+                break
+        results = []
+        for power, (_, mean, m2) in zip(powers, totals):
+            root = mean ** (1.0 / power)
+            moment = float(np.ldexp(root, e))
+            if not (_in_range(np.array([mean, m2])) and math.isfinite(moment)):
+                raise ValueError(f"moments of order {power} leave the double range for these coefficients")
+            stderr_mean = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+            ratio = root / (math.sqrt(power) * l2)
+            # delta method: d ratio / d mean = ratio / (p * mean)
+            ratio_stderr = ratio * stderr_mean / (power * mean)
+            results.append(KhinchineResult(power, n_samples, moment, ratio, ratio_stderr))
     return results
 
 
@@ -271,19 +273,14 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
     U(t) - I is exactly zero in a t = 0 row, so that column of D, every
     deviation there, and its exceedance count are exactly zero.
     """
-    ts = np.asarray(t_values, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("need a non-empty t sequence")
-    if np.any(np.diff(ts) >= 0.0):
-        raise ValueError("t_values must be strictly decreasing")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    require_resolution(p, float(np.max(np.abs(ts))), sign)
+    ts, deviation = _deviation_multipliers(p, t_values, sign)
 
     dec = wiener_decompose(p)
-    probe = quadrature_row(p, x) * (evolution_multipliers(p, ts, sign) - 1.0)  # (T, n)
+    probe = quadrature_row(p, x) * deviation  # (T, n)
     exceed = np.zeros(ts.size, dtype=np.int64)
     for _, values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ probe.T):
         exceed += np.sum(np.abs(values) > alpha, axis=0)

@@ -28,6 +28,7 @@ from .spectral import (
     SpaceGrid,
     SpectralProfile,
     _check_phase_reach,
+    _deviation_multipliers,
     _require_budget,
     evolution_multipliers,
     hs_norm,
@@ -316,11 +317,5 @@ def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+")
     multiplier ``M - 1`` is exactly zero in a t = 0 row, so a t = 0 entry
     is exactly 0.0.
     """
-    ts = np.asarray(t_sequence, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("need a non-empty t sequence")
-    if ts.size > 1 and np.any(np.diff(ts) >= 0.0):
-        raise ValueError("t_sequence must be strictly decreasing")
-    require_resolution(p, float(np.max(np.abs(ts))), sign)
-    rows = p.amplitudes * (evolution_multipliers(p, ts, sign) - 1.0)
-    return np.abs(rows @ quadrature_row(p, x))
+    _, deviation = _deviation_multipliers(p, t_sequence, sign)
+    return np.abs(p.amplitudes * deviation @ quadrature_row(p, x))

@@ -213,6 +213,17 @@ class ResolutionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _of_xi(f, xi, what: str):
+    """f(xi) as a float or an array; a ValueError, `what` and the largest |xi| where it overflows."""
+    x = np.asarray(xi, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        out = f(x)
+    if not np.all(np.isfinite(out)):
+        reach = float(np.max(np.abs(x[~np.isfinite(out)])))
+        raise ValueError(f"{what} frequency reach |xi| = {reach:.6g}")
+    return out if out.ndim else float(out)
+
+
 def phase(xi, sign: str = "+"):
     """Dispersion phase xi**3 + sign/xi.
 
@@ -220,15 +231,9 @@ def phase(xi, sign: str = "+"):
     overflows for |xi| above about 5.6e102), naming the frequency reach.
     """
     s = _check_sign(sign)
-    x = np.asarray(xi, dtype=np.float64)
-    if np.any(x == 0.0):
+    if np.any(np.asarray(xi) == 0.0):
         raise ValueError("phase is singular at xi = 0")
-    with np.errstate(over="ignore"):
-        out = x**3 + s / x
-    if not np.all(np.isfinite(out)):
-        reach = float(np.max(np.abs(x[~np.isfinite(out)])))
-        raise ValueError(f"phase xi**3 + sign/xi overflows at frequency reach |xi| = {reach:.6g}")
-    return out if out.ndim else float(out)
+    return _of_xi(lambda x: x**3 + s / x, xi, "phase xi**3 + sign/xi overflows at")
 
 
 def phase_derivative(xi, sign: str = "+"):
@@ -238,16 +243,10 @@ def phase_derivative(xi, sign: str = "+"):
     (3*xi**2 overflows for |xi| above about 7.7e153), naming the frequency reach.
     """
     s = _check_sign(sign)
-    x = np.asarray(xi, dtype=np.float64)
-    if np.any(x == 0.0):
+    if np.any(np.asarray(xi) == 0.0):
         raise ValueError("phase derivative is singular at xi = 0")
-    with np.errstate(over="ignore"):
-        out = 3.0 * x**2 - s / x**2
-    if not np.all(np.isfinite(out)):
-        reach = float(np.max(np.abs(x[~np.isfinite(out)])))
-        raise ValueError("phase derivative 3*xi**2 - sign/xi**2 overflows at frequency "
-                         f"reach |xi| = {reach:.6g}")
-    return out if out.ndim else float(out)
+    return _of_xi(lambda x: 3.0 * x**2 - s / x**2, xi,
+                  "phase derivative 3*xi**2 - sign/xi**2 overflows at")
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +494,17 @@ def require_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionRep
     return report
 
 
+def _deviation_multipliers(p: SpectralProfile, t_values, sign: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, M - 1): a strictly decreasing time ladder, resolved at max |t|, and U(t) - I on p's grid."""
+    ts = np.asarray(t_values, dtype=np.float64)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("need a non-empty t sequence")
+    if np.any(np.diff(ts) >= 0.0):
+        raise ValueError("the times must be strictly decreasing")
+    require_resolution(p, float(np.max(np.abs(ts))), sign)
+    return ts, evolution_multipliers(p, ts, sign) - 1.0
+
+
 def propagate(p: SpectralProfile, t: float, sign: str, grid: SpaceGrid) -> SpaceField:
     """Evolve by the propagator and synthesise on `grid`.
 
@@ -516,50 +526,54 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
     """
     if not math.isfinite(s):
         raise ValueError("s must be finite")
-    xi = p.xi
-    with np.errstate(over="ignore"):
-        weight = (1.0 + xi * xi) ** s
-    if not np.all(np.isfinite(weight)):
-        reach = float(np.max(np.abs(xi[~np.isfinite(weight)])))
-        raise ValueError(f"H^s weight (1+xi^2)^s overflows at s = {s!r}, frequency reach "
-                         f"|xi| = {reach:.6g}")
-    return float(_rescaled(lambda a: np.sqrt(np.sum(weight * a**2) * p.xi_step),
+    weight = _of_xi(lambda xi: (1.0 + xi * xi) ** s, p.xi,
+                    f"H^s weight (1+xi^2)^s overflows at s = {s!r},")
+    return float(_rescaled(lambda a: np.sqrt(np.sum(weight * np.abs(a) ** 2) * p.xi_step),
                            p.amplitudes, 2.0, f"H^s norm at s = {s!r}"))
 
 
 def lp_norm_space(u: SpaceField, power: float) -> float:
     """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
 
-    Raises ValueError, naming p, when the norm itself leaves the double
-    range; a sum of |u|^p that leaves the range alone is retaken by _rescaled.
+    The root at p = 2 is np.sqrt.  Raises ValueError, naming p, when the
+    norm leaves the double range; a sum of |u|^p alone is retaken by _rescaled.
     """
     if power == math.inf:
         return float(np.max(np.abs(u.values)))
     if not power >= 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
     w = trapezoid_weights(u.n)
-    return float(_rescaled(lambda v: np.sum(w * v**power * u.x_step) ** (1.0 / power),
+    root = np.sqrt if power == 2.0 else lambda total: total ** (1.0 / power)
+    return float(_rescaled(lambda v: root(np.sum(w * np.abs(v) ** power * u.x_step)),
                            u.values, power, f"L^{power:g} norm"))
 
 
-def _rescaled(norm, values: np.ndarray, power: float, what: str):
-    """norm(|values|) for a norm of degree 1 in them, kept wherever its value is in range.
+def _downscaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values / 2^e, e), with 2^e above their largest real or imaginary part: an exact division."""
+    parts = np.ascontiguousarray(values).view(np.float64)
+    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(values.dtype), e
 
-    The plain value is taken first, so in-range bits do not change.  When
-    it overflows, or its sum of powers underflows (value**power below the
-    smallest normal double), it is taken again on values / 2^e, with 2^e
-    above their largest real or imaginary part (an exact division, and
-    |values| stays finite), and scaled back by 2^e.  Raises ValueError,
-    naming `what`, only when the value itself leaves the double range.
+
+def _in_range(value, power: float = 1.0) -> bool:
+    """Whether `value` is finite and value**power a normal double throughout (0 is not)."""
+    return bool(np.isfinite(value).all() and not np.any(value**power < np.finfo(np.float64).tiny))
+
+
+def _rescaled(norm, values: np.ndarray, power: float, what: str):
+    """norm(values) for a computation of degree 1 in `values`, kept wherever its result is in range.
+
+    The plain result is taken first, so in-range bits do not change; one that
+    is not _in_range is retaken once on _downscaled(values) and scaled back.
+    Raises ValueError, naming `what`, when the result leaves the double range.
     """
     # an underflowed weight times an overflowed power is nan, so invalid is ignored too
     with np.errstate(over="ignore", invalid="ignore"):
-        value = norm(np.abs(values))
-        if np.isfinite(value).all() and not np.any(value**power < np.finfo(np.float64).tiny):
+        value = norm(values)
+        if _in_range(value, power):
             return value
-        parts = values.view(np.float64)
-        e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
-        value = np.ldexp(norm(np.abs(np.ldexp(parts, -e).view(values.dtype))), e)
+        scaled, e = _downscaled(values)
+        value = np.ldexp(norm(scaled), e)
     if not np.isfinite(value).all():
         raise ValueError(f"{what} leaves the double range")
     return value

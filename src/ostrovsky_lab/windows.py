@@ -106,11 +106,15 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     """Pointwise l2 aggregate of the synthesised Wiener pieces.
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
-    controlled by the L2 norm of `p` with room to spare.  Raises ValueError
-    when a value leaves the double range; a sum of squares that leaves
-    the range alone is retaken on rescaled pieces (see spectral._rescaled).
+    controlled by the L2 norm of `p` with room to spare.  The synthesis runs
+    inside spectral._rescaled with the sum, so fields or sums that leave the
+    double range alone are retaken; a value that leaves it raises ValueError.
     """
-    fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
-    values = _rescaled(lambda a: np.sqrt(np.sum(a**2, axis=0)), fields, 2.0,
+    def root_sum_of_squares(table):
+        # squared in place: one float temporary per synthesis, not two
+        modulus = np.abs(_synthesize_rows(p, grid, table))
+        return np.sqrt(np.sum(np.square(modulus, out=modulus), axis=0))
+
+    values = _rescaled(root_sum_of_squares, wiener_decompose(p).table, 2.0,
                        "the window square function")
     return SpaceField(grid.x_min, grid.x_step, values)

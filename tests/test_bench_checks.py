@@ -4,10 +4,14 @@
 and checks their CSVs against its own reference formulas (the slope gate,
 the Khinchine ratios, the dense sum, the exact-zero baselines).  Running the
 seed-0 plan here, in process, shows a failing check in the test suite
-rather than only when the benchmark runs.
+rather than only when the benchmark runs.  The seed-0 `khinchine` run also
+passes its check with its coefficients scaled to the ends of the double
+range.
 """
 
+import dataclasses
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -41,3 +45,15 @@ def test_seed_zero_plan_passes_its_checks(tmp_path, workload):
         assert cli.main(plan.argv(inv, inputs, out, 2)) == 0, inv.args
         errors, _ = workloads.CHECKS[inv.check](out / inv.out, inv, inputs)
         assert not errors, (inv.args, errors)
+
+
+@pytest.mark.parametrize("e", [-600, 600])
+def test_khinchine_check_passes_with_rescaled_coefficients(tmp_path, e):
+    plan = workloads.plan_for("tail-curves", 0)
+    [inv] = [inv for inv in plan.invocations if inv.check == "khinchine"]
+    at = inv.args.index("--coeffs") + 1
+    coeffs = ",".join(repr(math.ldexp(float(c), e)) for c in inv.args[at].split(","))
+    inv = dataclasses.replace(inv, args=(*inv.args[:at], coeffs, *inv.args[at + 1:]))
+    assert cli.main(plan.argv(inv, tmp_path, tmp_path, 2)) == 0, inv.args
+    errors, _ = workloads.CHECKS[inv.check](tmp_path / inv.out, inv, tmp_path)
+    assert not errors, (inv.args, errors)

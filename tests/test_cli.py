@@ -480,8 +480,6 @@ class TestNonFiniteInput:
         # xi**3 overflows in the phase while the tiny t_max still passes the gate
         (["counterexample", "--s", "0", "--k-min", "345", "--k-max", "345"],
          "phase xi**3 + sign/xi overflows at frequency reach |xi| = 1.43344e+104"),
-        (["khinchine", "--p", "1,2", "--n", "10", "--coeffs", "1e300,1e300"],
-         "the l2 norm of the coefficients leaves the double range"),
         (["khinchine", "--p", "1e308", "--n", "2"], "moments of order 1e+308 leave"),
         # |t| * max|phi'| * h overflows in the resolution gate
         (["propagate", "--t", "1e308"], "phase advance inf rad per cell"),
@@ -492,8 +490,7 @@ class TestNonFiniteInput:
     ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
             "continuity-x-1e300", "trace-x-1e300", "counterexample-k-1100",
             "counterexample-k-600", "counterexample-s-neg100", "counterexample-s-400",
-            "counterexample-s-150", "counterexample-k-345", "khinchine-coeffs-1e300",
-            "khinchine-p-1e308",
+            "counterexample-s-150", "counterexample-k-345", "khinchine-p-1e308",
             "propagate-t-1e308", "trace-t-1e308", "trace-x-t-1e308", "continuity-t-1e308"])
     def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
         if argv[0] not in ("khinchine", "counterexample"):
@@ -532,6 +529,24 @@ class TestNonFiniteInput:
             expected = hs_norm(f, -0.5) / hs_norm(f, s)
             assert rk / ratios["-0.5"][k] == pytest.approx(expected, rel=1e-12)
 
+    def test_in_range_ratios_of_huge_coefficients_are_reported(self, tmp_path):
+        # the l2 norm's square overflows at 1e300: the run is retaken on the
+        # rescaled coefficients, and the ratios are those of unit coefficients
+        rows = {}
+        for coeffs in ("1e300,1e300", "1,1"):
+            out = tmp_path / f"{coeffs}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["khinchine", "--p", "1,2", "--n", "10", "--coeffs", coeffs,
+                             "--out", str(out)]) == 0
+            json.loads(Path(f"{out}.meta.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
+            with open(out, encoding="utf-8", newline="") as handle:
+                rows[coeffs] = list(csv.DictReader(handle))
+        for huge, unit in zip(rows["1e300,1e300"], rows["1,1"], strict=True):
+            for key in ("ratio", "stderr"):
+                assert float(huge[key]) == pytest.approx(float(unit[key]), rel=1e-12, abs=0.0)
+
     def test_in_range_norm_of_a_huge_profile_is_reported(self, tmp_path):
         # the sum of squares overflows, the L2 norm sqrt(9/8) * 1e300 does not
         profile, out = tmp_path / "huge.csv", tmp_path / "o.csv"
@@ -564,9 +579,12 @@ class TestNonFiniteInput:
         # nine amplitudes at step 1/8 have the L2 norm sqrt(9/8) * amplitude,
         # out of range at 1.7e308; at 1e300 the norm is in range and runs
         ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range", 1.7e308),
-        ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1e300),
-        # the norm 1.06e160 is in range, its square is not: a refusal, not a traceback
-        ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1e160),
+        # every norm of the audit is in range, the squared norms of NORM_EQUIV
+        # are not: a refusal naming the profile, not a traceback
+        ("verify-lemmas", "NORM_EQUIV: the squared L2 norms of huge leave the double range",
+         1e300),
+        ("verify-lemmas", "NORM_EQUIV: the squared L2 norms of huge leave the double range",
+         1e160),
     ])
     def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message,
                                               amplitude):
@@ -584,7 +602,8 @@ class TestNonFiniteInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 

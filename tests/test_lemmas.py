@@ -109,11 +109,35 @@ class TestDeltaEpsilon:
                 check()
 
     def test_overflowing_mass_refused_without_warning(self):
-        p = SpectralProfile(0.125, 0.125, np.full(9, 1e300))
+        # the partial L2 norms of 1.7e308 amplitudes leave the double range;
+        # at 1e300 only their squares do, and the radius is the unit one
+        unit = SpectralProfile(0.125, 0.125, np.ones(9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="L2 mass of the profile leaves"):
-                delta_epsilon(p, EPSILON)
+                delta_epsilon(unit.with_amplitudes(np.full(9, 1.7e308)), EPSILON)
+            # the partial norms of the unit profile are sqrt(k / 8) at radius k / 8
+            for epsilon, radius in ((0.3, ZERO_EXCLUSION), (0.5, 0.25), (0.75, 0.5)):
+                assert delta_epsilon(unit, epsilon) == radius
+                assert delta_epsilon(unit.with_amplitudes(np.full(9, 1e300)), epsilon * 1e300) == radius
+
+    @given(data=st.data())
+    def test_radius_is_scale_free(self, data):
+        # delta_epsilon(2^e p, 2^e eps) == delta_epsilon(p, eps) at every e at
+        # which the amplitudes, eps and the L2 norm stay normal doubles
+        part = st.one_of(st.just(0.0), st.floats(2.0**-30, 1.0).flatmap(
+            lambda v: st.sampled_from([v, -v])))
+        parts = data.draw(st.lists(part, min_size=2, max_size=24).filter(any))
+        amps = np.array(parts[0::2], dtype=np.complex128)
+        amps[: len(parts[1::2])] += 1j * np.array(parts[1::2])
+        p = SpectralProfile(data.draw(st.sampled_from([-1.0, -0.5625, 0.0625])), 0.125, amps)
+        epsilon = hs_norm(p, 0.0) * data.draw(st.floats(0.01, 1.2))
+        inputs = np.abs(np.concatenate([amps.real, amps.imag, [epsilon]]))
+        e_lo = -1021 - math.frexp(float(np.min(inputs[inputs > 0.0])))[1]
+        e_hi = 1023 - max(math.frexp(hs_norm(p, 0.0))[1], math.frexp(float(np.max(inputs)))[1])
+        e = data.draw(st.integers(e_lo, e_hi))
+        scaled = p.with_amplitudes(amps * 2.0 ** (e // 2) * 2.0 ** (e - e // 2))
+        assert delta_epsilon(scaled, math.ldexp(epsilon, e)) == delta_epsilon(p, epsilon)
 
     def test_zero_profile_hits_cap(self):
         p = SpectralProfile(-1.0, 0.25, np.zeros(9))

@@ -261,18 +261,49 @@ class TestKhinchine:
             with pytest.raises(ValueError, match=re.escape(f"order {power} leave")):
                 khinchine_check([1.0, 0.5], [2.0, power, 3000.0], 64)
             # two draws, as in `khinchine --p 1e308 --n 2`
-            with pytest.raises(ValueError, match=re.escape(f"order {power} leave")):
-                khinchine_check([1.0], [power], 2)
+            with pytest.raises(ValueError, match=re.escape("order 1e+308 leave")):
+                khinchine_check([1.0], [1e308], 2)
 
-    def test_overflowing_l2_norm_refused_before_any_draw(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("drew samples before refusing the norm")
-
-        monkeypatch.setattr(randomized, "_draw_blocks", no_draws)
+    def test_in_range_moment_with_an_overflowing_mean_retaken(self):
+        # the mean of |S|^2000 over two draws of [1.0] overflows, that of [0.5]
+        # does not: the run is retaken on [0.5] and its moment scaled back by 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="l2 norm of the coefficients leaves"):
-                khinchine_check([1e300, 1e300], [1.0, 2.0], 10)
+            [big] = khinchine_check([1.0], [2000.0], 2)
+        [half] = khinchine_check([0.5], [2000.0], 2)
+        assert big.moment == 2.0 * half.moment and big.ratio == half.ratio
+        assert big.ratio_stderr == half.ratio_stderr > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-45, 1e-80, 1e-170, 1e300])
+    def test_ratio_and_stderr_kept_at_the_ends_of_the_range(self, scale):
+        # at 1e-45 the order-4 M2 underflows, at 1e-80 its mean, at 1e-170 the
+        # l2 norm, and at 1e300 the l2 norm's square overflows: each run is
+        # retaken on the rescaled coefficients
+        unit = khinchine_check([1.0, 1.0], [1, 2, 4], 1000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = khinchine_check([scale, scale], [1, 2, 4], 1000, seed=0)
+        for res, ref in zip(results, unit):
+            assert res.ratio == pytest.approx(ref.ratio, rel=1e-12, abs=0.0)
+            assert res.ratio_stderr == pytest.approx(ref.ratio_stderr, rel=1e-12, abs=0.0)
+            assert res.ratio_stderr > 0.0
+            assert res.moment == pytest.approx(scale * ref.moment, rel=1e-12, abs=0.0)
+
+    @given(e=st.integers(-1000, 1000))
+    def test_ratio_and_stderr_are_scale_free(self, e):
+        c = np.array([0.7, 0.2, 0.9])
+        unit = khinchine_check(c, [1, 2, 4], 1000, seed=3)
+        for res, ref in zip(khinchine_check(c * 2.0**e, [1, 2, 4], 1000, seed=3), unit):
+            assert res.ratio == pytest.approx(ref.ratio, rel=1e-12, abs=0.0)
+            assert res.ratio_stderr == pytest.approx(ref.ratio_stderr, rel=1e-12, abs=0.0)
+            assert res.ratio_stderr > 0.0
+
+    def test_overflowing_moment_refused_without_warning(self):
+        # the ratios are in range, the order-1 moment about 2.2e308 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("order 1 leave")):
+                khinchine_check([1.7e308, 1.7e308], [1], 64)
 
     def test_second_moment_matches_l2(self):
         [res] = khinchine_check([1.0, 0.8, 0.6, 0.4, 0.2], [2.0], 20_000)

@@ -196,6 +196,17 @@ class TestSquareFunction:
             with pytest.raises(ValueError, match="square function leaves the double range"):
                 square_function(p, grid)
 
+    def test_overflowing_synthesis_retaken_without_warning(self):
+        # the chirp-z synthesis of this piece overflows, its square function
+        # does not: the synthesis is retaken on the rescaled window table
+        p = SpectralProfile(-1.5, 0.125, [0, 0, 0, 2.0**1023 * 1j, 0])
+        grid = SpaceGrid.spanning(-4.0, 4.0, 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sup = float(np.max(square_function(p, grid).values.real))
+        unit = square_function(p.with_amplitudes(p.amplitudes / 2.0**1023), grid)
+        assert sup == 2.0**1023 * float(np.max(unit.values.real)) == 3.9618739886899645e+306
+
     def test_values_are_real(self, corpus_by_id):
         p = corpus_by_id["band_unit"].profile
         sf = square_function(p, SpaceGrid.spanning(-3.0, 3.0, 65))
