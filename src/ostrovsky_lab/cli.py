@@ -85,13 +85,11 @@ def _convert(param: _Param, text: str):
             return _finite(text)
         if kind == "int":
             return int(text)
-        if kind == "floats":
-            parts = [piece.strip() for piece in text.split(",") if piece.strip()]
+        if kind in ("floats", "strs"):
+            parts = tuple(piece.strip() for piece in text.split(",") if piece.strip())
             if not parts:
                 raise ValueError("empty list")
-            return tuple(_finite(piece) for piece in parts)
-        if kind == "strs":
-            return tuple(piece.strip() for piece in text.split(",") if piece.strip())
+            return tuple(map(_finite, parts)) if kind == "floats" else parts
         if kind == "sign":
             if text not in ("+", "-"):
                 raise ValueError(f"sign must be + or -, got {text!r}")

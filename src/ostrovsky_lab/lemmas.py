@@ -219,16 +219,6 @@ def high_frequency_part(p: SpectralProfile) -> SpectralProfile:
     return p.with_amplitudes(p.amplitudes - low.amplitudes)
 
 
-def high_frequency_majorant(p: SpectralProfile, sign: str = "+") -> float:
-    """Grid value of the phase-weighted l1 mass of the high part.
-
-    Since |exp(i*t*phi) - 1| <= |t|*|phi|, the deviation field of the high
-    part is bounded by t times this sum for every t; the fitted constant
-    of the linearity sweep must sit below it.
-    """
-    return phase_moments(high_frequency_part(p), sign)[1]
-
-
 def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
                          profile_id: str = "profile",
                          grid: SpaceGrid | None = None) -> list[LemmaReport]:
@@ -254,7 +244,8 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
 
     deviations = _sup_deviations(p, high.amplitudes, ts, sign, grid)
     fitted_c = float(np.max(deviations / ts))
-    majorant = high_frequency_majorant(p, sign)
+    # |exp(i t phi) - 1| <= |t phi|: the phase-weighted l1 mass bounds dev / t
+    majorant = phase_moments(high, sign)[1]
     slope = float(np.polyfit(np.log(ts), np.log(deviations), 1)[0])
 
     shared = {"t_min": float(np.min(ts)), "t_max": float(np.max(ts)), "n_t": ts.size}

@@ -15,9 +15,7 @@ slope_range gives the fitted slopes that bracket allows.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,6 @@ from .spectral import (
     SpaceField,
     SpaceGrid,
     SpectralProfile,
-    _check_phase_reach,
     _deviation_multipliers,
     _require_budget,
     evolution_multipliers,
@@ -139,13 +136,11 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
         U(t) f (x) = 2 Re sum_{xi > 0} q(x, xi) exp(i t phase(xi)),
 
     with q a point row of p (weights times amplitudes).  The scan keeps the
-    xi > 0 support columns and takes the real rows [Re q, -Im q] once, from
-    a quadrature_row table that every grid pair equal up to a power-of-two
-    scale shares (see _point_rows), so a sweep over the family's k builds it
-    once.  Each block of _BLOCK times is one real product of the rows with
-    the block from evolution_multipliers, whose [cos, sin] of t * phase
-    viewed as doubles is the product's operand as it stands.  The sup
-    between the nodes is not sampled; see counterexample_ratio for its
+    xi > 0 support columns of quadrature_row and takes the real rows
+    [Re q, -Im q] once.  Each block of _BLOCK times is one real product of
+    the rows with the block from evolution_multipliers, whose [cos, sin] of
+    t * phase viewed as doubles is the product's operand as it stands.  The
+    sup between the nodes is not sampled; see counterexample_ratio for its
     certified bound.  A scan whose time vector, point rows or block products
     would exceed MAX_ARRAY_BYTES is refused before they are built.
     """
@@ -162,7 +157,7 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     ts = maximal_time_grid(t_max, n_t)
     # conj(q) viewed as doubles interleaves [Re q, -Im q], and exp(i t phi)
     # interleaves [cos, sin]: their real product is Re(q exp(i t phi))
-    rows = _point_rows(p, grid, support)
+    rows = quadrature_row(p, grid.points, support)
     rows *= amps[support]
     rows = np.conj(rows, out=rows).view(np.float64)
     sup = np.full(grid.n, -np.inf)
@@ -187,38 +182,6 @@ def _block_sup(rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
     magnitudes = rows @ factors.view(np.float64).T
     np.abs(magnitudes, out=magnitudes)
     return magnitudes[:, :count].max(axis=1)
-
-
-@functools.lru_cache(maxsize=1)
-def _unit_rows(xi_min: float, xi_step: float, n_xi: int, points: bytes,
-               support: bytes) -> np.ndarray:
-    """Read-only quadrature_row table of one xi grid, points and support columns."""
-    unit = SpectralProfile(xi_min, xi_step, np.zeros(n_xi))
-    table = quadrature_row(unit, np.frombuffer(points), np.frombuffer(support, dtype=np.intp))
-    table.setflags(write=False)
-    return table
-
-
-_UNIT_ROWS_LOCK = threading.Lock()
-
-
-def _point_rows(p: SpectralProfile, grid: SpaceGrid, support: np.ndarray) -> np.ndarray:
-    """quadrature_row(p, grid.points, support), as 2^e times a cached table.
-
-    With 2^e the binade of |p.xi_min|, the xi grid scaled by 2^-e and the
-    points by 2^e give the same phases x * xi and weights 2^-e times p's,
-    exactly while no value is subnormal (the phase-reach check keeps the
-    scaled points finite).  Every k of the counterexample family scales to
-    the same pair, so a sweep builds one table; the lock keeps scans on
-    side-by-side threads from building it twice.
-    """
-    points = grid.points
-    _check_phase_reach(p, float(np.max(np.abs(points))))
-    e = math.frexp(p.xi_min)[1]
-    with _UNIT_ROWS_LOCK:
-        table = _unit_rows(math.ldexp(p.xi_min, -e), math.ldexp(p.xi_step, -e), p.n,
-                           np.ldexp(points, e).tobytes(), support.tobytes())
-    return np.ldexp(table.view(np.float64), e).view(np.complex128)
 
 
 def _window_bound(p: SpectralProfile, sign: str, sup: np.ndarray, t_max: float,

@@ -468,8 +468,13 @@ def synthesize(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     """Inverse transform of the sampled profile by trapezoid quadrature.
 
     u(x) = (1/sqrt(2*pi)) * sum_j w_j * exp(i*x*xi_j) * amp_j * xi_step
+
+    The field is linear in the amplitudes, so one whose modulus leaves the
+    normal range is retaken by _rescaled; raises ValueError when it leaves
+    the double range.
     """
-    values = _synthesize_rows(p, grid, p.amplitudes)[0]
+    values = _rescaled(lambda a: _synthesize_rows(p, grid, a)[0], p.amplitudes, 1.0,
+                       "the synthesized field")
     return SpaceField(grid.x_min, grid.x_step, values)
 
 
@@ -556,8 +561,9 @@ def _downscaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _in_range(value, power: float = 1.0) -> bool:
-    """Whether `value` is finite and value**power a normal double throughout (0 is not)."""
-    return bool(np.isfinite(value).all() and not np.any(value**power < np.finfo(np.float64).tiny))
+    """Whether `value` is finite and |value|**power a normal double throughout (0 is not)."""
+    return bool(np.isfinite(value).all()
+                and not np.any(np.abs(value)**power < np.finfo(np.float64).tiny))
 
 
 def _rescaled(norm, values: np.ndarray, power: float, what: str):
@@ -573,7 +579,9 @@ def _rescaled(norm, values: np.ndarray, power: float, what: str):
         if _in_range(value, power):
             return value
         scaled, e = _downscaled(values)
-        value = np.ldexp(norm(scaled), e)
+        value = norm(scaled)
+        # np.ldexp takes no complex input: scale the real and imaginary parts
+        value = np.ldexp(value.view(np.float64), e).view(value.dtype)
     if not np.isfinite(value).all():
         raise ValueError(f"{what} leaves the double range")
     return value

@@ -69,8 +69,9 @@ class TestParseConfig:
          "--t:"),
         (["khinchine", "--out", "o.csv", "--p", " , ", "--n", "10"],
          "--p: empty list"),
+        (["verify-lemmas", "--out", "o.csv", "--only", ""], "--only: empty list"),
     ], ids=["no-subcommand", "missing-out", "missing-s", "unknown-flag",
-            "bad-sign", "bad-float", "empty-list"])
+            "bad-sign", "bad-float", "empty-list", "empty-only"])
     def test_usage_errors(self, argv, match):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
@@ -164,6 +165,12 @@ class TestConfigFile:
             parse_config(["counterexample", "--config", str(cfg_file),
                           "--out", "o", "--s", "0", "--k-min", "1",
                           "--k-max", "2"])
+
+    def test_empty_only_list_refused(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("only = , ,\n")
+        with pytest.raises(UsageError, match=r"run\.cfg:1: --only: empty list"):
+            parse_config(["verify-lemmas", "--config", str(cfg_file), "--out", "o"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="cannot read config file"):
@@ -559,6 +566,25 @@ class TestNonFiniteInput:
                           parse_constant=_reject_constant)
         assert meta["fit"]["l2_norm"] == pytest.approx(math.sqrt(1.125) * 1e300, rel=1e-15)
 
+    def test_in_range_field_of_a_huge_profile_is_written(self, tmp_path):
+        # the plain synthesis overflows, the field itself, at most
+        # 1.7e308 / sqrt(2 pi) (about 6.8e307), does not: it is the unit
+        # profile's field scaled, with no warning on the way
+        fields = {}
+        for amplitude in (1.0, 1.7e308):
+            profile, out = tmp_path / f"{amplitude}.csv", tmp_path / f"u{amplitude}.csv"
+            write_profile(SpectralProfile(1.0, 0.125, np.full(9, amplitude)), profile)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["propagate", "--profile", str(profile), "--t", "0",
+                             "--out", str(out)]) == 0
+            fields[amplitude] = read_field(out).values
+        huge, unit = fields[1.7e308], fields[1.0]
+        assert np.all(np.isfinite(huge.view(np.float64)))
+        # the transform's rounding is relative to the field's sup
+        sup = 1.7e308 * np.max(np.abs(unit))
+        assert np.max(np.abs(huge - 1.7e308 * unit)) <= 1e-14 * sup
+
     def test_huge_profile_fails_only_the_unscaled_window_bound(self, tmp_path):
         # at amplitude 1e100 every norm is in range and verify-lemmas runs; the
         # L2_5 bound CORPUS_CONSTANT * (eps + t/eps) does not scale with the
@@ -585,6 +611,8 @@ class TestNonFiniteInput:
          1e300),
         ("verify-lemmas", "NORM_EQUIV: the squared L2 norms of huge leave the double range",
          1e160),
+        # the field is in range at 1.7e308, the profile's L2 mass is not
+        ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1.7e308),
     ])
     def test_overflowing_profile_norm_refused(self, tmp_path, capsys, subcommand, message,
                                               amplitude):

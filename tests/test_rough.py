@@ -1,6 +1,7 @@
 """Rough-data family, maximal scans, scaling fits, convergence traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad
 from ostrovsky_lab import rough
 from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.rough import (
-    BAND_CELLS,
     TIME_SPAN,
     WINDOW_POINTS,
     CounterexampleSpec,
@@ -294,7 +294,7 @@ class TestMaximalScan:
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("s", [0.0, 0.1, 0.2371, 0.25])
     def test_equals_complex_exponential_scan_bitwise(self, s, sign):
-        # the scan's cos/sin tables, shared point-row table and direct block
+        # the scan's cos/sin tables, real point rows and direct block
         # operands keep every counterexample byte: the scan written with
         # complex exponentials and one padded block buffer is its reference.
         # 1000 times give three full blocks and a padded one
@@ -316,43 +316,36 @@ class TestMaximalScan:
 
 
 class TestPointRowTable:
-    def test_family_rows_are_one_table_scaled_bitwise(self):
-        # every grid of the family is dyadic, so x * xi is the same double at
-        # every k and the weights carry the whole scale: all admissible k
-        # read one table, up to k = 340 where the weights are 2^340 apart
-        rough._unit_rows.cache_clear()
-        for k in [*range(3, 12), 340]:
-            spec = CounterexampleSpec(k, 0.0)
-            p = counterexample_profile(spec)
-            grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
-            support = np.flatnonzero((p.xi > 0.0) & (p.amplitudes != 0.0))
-            rows = rough._point_rows(p, grid, support)
-            assert rows.flags.writeable and rows.shape == (WINDOW_POINTS, BAND_CELLS + 1)
-            assert rows.tobytes() == quadrature_row(p, grid.points, support).tobytes(), k
-        info = rough._unit_rows.cache_info()
-        assert (info.misses, info.hits) == (1, 9)
-
-    def test_table_is_read_only_and_keyed_by_geometry(self, scan_setup):
-        # a grid pair that is no power-of-two rescaling of the cached one
-        # builds its own table, and the shared table cannot be written
-        spec, p, grid = scan_setup
-        support = np.flatnonzero((p.xi > 0.0) & (p.amplitudes != 0.0))
-        rough._unit_rows.cache_clear()
-        rough._point_rows(p, grid, support)
-        shifted = SpaceGrid(grid.x_min * 1.5, grid.x_step, grid.n)
-        rows = rough._point_rows(p, shifted, support)
-        assert rows.tobytes() == quadrature_row(p, shifted.points, support).tobytes()
-        assert rough._unit_rows.cache_info().misses == 2
-        table = rough._unit_rows(-0.5, 0.25, 5, np.array([0.0, 1.0]).tobytes(),
-                                 np.array([3, 4]).tobytes())
-        assert table.shape == (2, 2) and not table.flags.writeable
+    def test_scan_keeps_no_rows_alive(self):
+        # each scan builds its point rows from quadrature_row and drops them
+        # on return: a scan on a grid pair no other test uses leaves the
+        # traced memory where it found it, and the time blocks keep its peak
+        # from growing with n_t (the rows are 826 kB here, a block 411 kB)
+        spec = CounterexampleSpec(4, 0.1)
+        p = counterexample_profile(spec)
+        maximal_scan(p, "+", spec.t_max, SpaceGrid.spanning(-0.1, 0.1, 33), n_t=300)
+        grid = SpaceGrid(-0.3, 0.003, 201)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_t in (1024, 8192):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                maximal_scan(p, "+", spec.t_max, grid, n_t)
+                current, peak = tracemalloc.get_traced_memory()
+                assert current - start < 64 * 1024, n_t
+                peaks.append(peak - start)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1e6
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_builds_the_table_once(self, tmp_path, monkeypatch, threads):
-        # the benchmark tracer sees maximal_scan but not the row builds: a
-        # k = 3..8 counterexample run builds its point-row table once, also
-        # with scans running side by side, and forms one multiplier block
-        # per _BLOCK times of each scan, none copied into a padded buffer
+        # the benchmark tracer sees maximal_scan but not the row builds: each
+        # scan of a k = 3..8 counterexample run builds its point-row table
+        # once, by one quadrature_row, also with scans running side by side,
+        # and forms one multiplier block per _BLOCK times of each scan, none
+        # copied into a padded buffer
         from ostrovsky_lab import cli
 
         counts = {"rows": 0, "blocks": 0, "pads": 0}
@@ -367,11 +360,10 @@ class TestPointRowTable:
         monkeypatch.setattr(rough, "evolution_multipliers",
                             counted("blocks", rough.evolution_multipliers))
         monkeypatch.setattr(np, "pad", counted("pads", np.pad))
-        rough._unit_rows.cache_clear()
         argv = ["counterexample", "--s", "0.1", "--k-min", "3", "--k-max", "8", "--nt", "1024",
                 "--threads", str(threads), "--out", str(tmp_path / "ce.csv")]
         assert cli.main(argv) == 0
-        assert counts == {"rows": 1, "blocks": 6 * 1024 // rough._BLOCK, "pads": 0}
+        assert counts == {"rows": 6, "blocks": 6 * 1024 // rough._BLOCK, "pads": 0}
 
 
 class TestWindowBound:
