@@ -147,12 +147,11 @@ def _shortest(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vr + (((vr == vm) & ~(even & vm_tz)) | (last >= 5)), np.take(e10, b) + k
 
 
-def format_rows(table: np.ndarray) -> tuple[bytes, int]:
-    """CSV bytes of a (rows, columns) float table, each cell as ``repr`` spells it, and the
-    number of cells left to ``repr`` (the non-finite ones, which Ryu does not cover)."""
+def format_rows(table: np.ndarray) -> bytes:
+    """CSV bytes of a (rows, columns) table of finite doubles, each cell as ``repr`` spells it."""
     templates, layouts, exponents, quads, lead, digit_count = _layout_tables()
     v = table.ravel()
-    plain = np.isfinite(v) & (v != 0.0)
+    plain = v != 0.0
     digits, e10 = _shortest(v if plain.all() else np.where(plain, v, 1.0))
     digits[~plain], e10[~plain] = 0, 0
     # a binade of float(digits) holds two digit counts; no power of ten is near a power of two
@@ -170,9 +169,4 @@ def format_rows(table: np.ndarray) -> tuple[bytes, int]:
     slots = np.take(templates, cls, axis=0)
     slots += np.arange(0, src.nbytes, 28)[:, None]
     cells = src.view(np.uint8).ravel()[slots]
-    odd = np.flatnonzero(~np.isfinite(v))
-    for k in odd:
-        text = repr(float(v[k])).encode()
-        cells[k, :_WIDTH] = 0
-        cells[k, :len(text)] = np.frombuffer(text, np.uint8)
-    return cells[cells != 0].tobytes(), odd.size
+    return cells[cells != 0].tobytes()

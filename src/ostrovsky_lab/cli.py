@@ -210,11 +210,10 @@ def _run_propagate(params: dict) -> tuple[dict, int]:
         grid = SpaceGrid.spanning(params["x_min"], params["x_max"], params["nx"])
     else:
         grid = observation_grid(p, n=params["nx"])
-    written = write_field(propagate(p, params["t"], params["sign"], grid), params["out"])
+    write_field(propagate(p, params["t"], params["sign"], grid), params["out"])
     report = validate_resolution(p, params["t"], params["sign"])
     block = {"resolution": {"max_phase_increment": report.max_phase_increment,
-                            "truncated_mass": report.truncated_mass},
-             "write": written}
+                            "truncated_mass": report.truncated_mass}}
     return block, 0
 
 

@@ -42,18 +42,14 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> N
         out.writerows(rows)
 
 
-def _write_blocks(path, header: Sequence[str], blocks) -> int:
-    """Write a header and the rows of (rows, columns) float blocks; return the cells left to repr."""
+def _write_blocks(path, header: Sequence[str], blocks) -> None:
+    """Write a header and the rows of (rows, columns) blocks of finite doubles."""
     from ._ryu import format_rows  # compiled only by processes that write float tables
 
-    fallback = 0
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
         for block in blocks:
-            data, missed = format_rows(block)
-            handle.write(data)
-            fallback += missed
-    return fallback
+            handle.write(format_rows(block))
 
 
 def write_profile(p: SpectralProfile, path) -> None:
@@ -63,11 +59,13 @@ def write_profile(p: SpectralProfile, path) -> None:
 
 
 def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
-    """Parse a table whose first column is a uniform grid: (origin, step, rows).
+    """Parse a table whose first column is a uniform grid: (origin, step, samples).
 
-    Rejects a wrong header, an empty body, unparsable or non-finite cells,
-    ragged rows, and a grid column that is not strictly increasing with
-    uniform spacing within SPACING_RTOL.  A single row gets unit step.
+    The samples are the complex numbers of the next two columns, assembled
+    from their doubles, so signed zeros keep their sign.  Rejects a wrong
+    header, an empty body, unparsable or non-finite cells, ragged rows, and
+    a grid column that is not strictly increasing with uniform spacing
+    within SPACING_RTOL.  A single row gets unit step.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -94,23 +92,22 @@ def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
             raise ValueError(f"{path}: {name} spacing is not uniform within {SPACING_RTOL:g} relative")
     else:
         step = 1.0
-    return float(grid[0]), step, table
+    return float(grid[0]), step, np.ascontiguousarray(table[:, 1:3]).view(np.complex128).ravel()
 
 
 def read_profile(path) -> SpectralProfile:
     """Read a profile table, rejecting non-uniform or non-increasing grids."""
-    xi_min, step, table = _read_table(path, PROFILE_HEADER)
-    return SpectralProfile(xi_min=xi_min, xi_step=step,
-                           amplitudes=table[:, 1] + 1j * table[:, 2])
+    xi_min, step, amplitudes = _read_table(path, PROFILE_HEADER)
+    return SpectralProfile(xi_min=xi_min, xi_step=step, amplitudes=amplitudes)
 
 
-def write_field(u: SpaceField, path) -> dict:
+def write_field(u: SpaceField, path) -> None:
     """Write the field as x,re,im,abs rows, the bytes `write_table` would give.
 
     The modulus is ``np.hypot`` of the parts, the libm ``hypot`` that
     Python's ``abs`` of a complex calls (numpy's array ``abs`` is not).  A
-    modulus beyond the double range is refused, not written as ``inf``.
-    Returns the cell count and how many of the cells ``repr`` formatted.
+    modulus beyond the double range is refused, not written as ``inf``, so
+    every cell written is finite.
     """
     grid = u.x
 
@@ -123,14 +120,13 @@ def write_field(u: SpaceField, path) -> dict:
                 raise ValueError(f"{path}: |value| leaves the double range")
             yield np.stack([grid[lo:lo + FIELD_ROWS], z.real, z.imag, modulus], axis=1)
 
-    fallback = _write_blocks(path, FIELD_HEADER, blocks())
-    return {"cells": 4 * u.n, "fallback_cells": fallback}
+    _write_blocks(path, FIELD_HEADER, blocks())
 
 
 def read_field(path) -> SpaceField:
     """Read a field table, rejecting non-uniform or non-increasing grids."""
-    x_min, step, table = _read_table(path, FIELD_HEADER)
-    return SpaceField(x_min=x_min, x_step=step, values=table[:, 1] + 1j * table[:, 2])
+    x_min, step, values = _read_table(path, FIELD_HEADER)
+    return SpaceField(x_min=x_min, x_step=step, values=values)
 
 
 def _format_param(value) -> str:

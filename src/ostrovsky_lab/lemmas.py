@@ -127,13 +127,18 @@ def _sup_deviations(p: SpectralProfile, amplitudes: np.ndarray, ts, sign: str,
 
     `amplitudes` is one row (one value per time) or a stack of rows at one
     time (one value per row).  The multiplier is formed only on the columns
-    the rows cover, and every row comes from one batched synthesis.
+    the rows cover, and every row comes from one batched synthesis.  The
+    sups are linear in the amplitudes, so they follow spectral._rescaled.
     """
     a = np.atleast_2d(amplitudes)
     columns = np.flatnonzero(np.any(a != 0.0, axis=0))
-    rows = np.zeros((max(a.shape[0], len(ts)), p.n), dtype=np.complex128)
-    rows[:, columns] = a[:, columns] * (evolution_multipliers(p, ts, sign, columns) - 1.0)
-    return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
+
+    def sups(a):
+        rows = np.zeros((max(a.shape[0], len(ts)), p.n), dtype=np.complex128)
+        rows[:, columns] = a[:, columns] * (evolution_multipliers(p, ts, sign, columns) - 1.0)
+        return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
+
+    return _rescaled(sups, a, 1.0, "the sup deviation")
 
 
 def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
@@ -279,7 +284,8 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
             grid = observation_grid(p)
         lhs[gated] = _sup_deviations(p, pieces[gated], [t], sign, grid)
     scale = epsilon + abs(t) / epsilon
-    l1_mass = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
+    l1_mass = float(_rescaled(lambda a: np.sum(np.abs(a)) * p.xi_step, p.amplitudes, 1.0,
+                              "the l1 mass"))
     return [_report("L2_5", profile_id, {"epsilon": epsilon, "t": t, "k": k, "l1_mass": l1_mass},
                     value, CORPUS_CONSTANT * scale, value / scale) if ok
             else _skip_report("L2_5", profile_id, "resolution_refused", {"k": k, "t": t})
@@ -342,15 +348,15 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
     Unit-width frequency support bounds every such ratio by an absolute
     constant; the empirical corpus maximum is recorded and compared to
-    BERNSTEIN_CONSTANT.
+    BERNSTEIN_CONSTANT.  Each piece's field follows spectral._rescaled.
     """
     if grid is None:
         grid = observation_grid(p)
-    fields = _synthesize_rows(p, grid, wiener_decompose(p).table)
     worst = 0.0
     measured = 0
-    for values in fields:
-        fld = SpaceField(grid.x_min, grid.x_step, values)
+    for piece in wiener_decompose(p).table:
+        fld = SpaceField(grid.x_min, grid.x_step, _rescaled(
+            lambda a: _synthesize_rows(p, grid, a)[0], piece, 1.0, "a window field"))
         norms = {q: lp_norm_space(fld, q) for q in (2.0, 4.0, math.inf)}
         if norms[2.0] == 0.0:
             continue

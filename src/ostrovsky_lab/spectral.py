@@ -86,6 +86,31 @@ def _check_evolution(t: float, sign: str) -> None:
         raise ValueError("t must be finite")
 
 
+def _check_grid(origin: float, step: float, n: int, step_name: str) -> None:
+    """Refuse the grid origin + j * step, j < n, unless it has a point, a positive step and a
+    finite origin, step and last point."""
+    if not (math.isfinite(origin) and math.isfinite(step)):
+        raise ValueError("grid origin and step must be finite")
+    if step <= 0.0:
+        raise ValueError(f"{step_name} must be positive, got {step}")
+    if n < 1:
+        raise ValueError("grid needs at least one point")
+    # Python floats: a last point beyond the double range is inf, without a warning
+    if not math.isfinite(float(origin) + float(step) * (int(n) - 1)):
+        raise ValueError(f"the last grid point {origin:g} + {step:g} * {int(n) - 1} "
+                         "leaves the double range")
+
+
+def _checked_samples(values, name: str) -> np.ndarray:
+    """A new complex array of `values`; a ValueError unless it is 1-d, non-empty and finite."""
+    out = np.array(values, dtype=np.complex128, copy=True)
+    if out.ndim != 1 or out.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d array")
+    if not np.all(np.isfinite(out.view(np.float64))):
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
 @dataclass
 class SpectralProfile:
     """Complex Fourier amplitudes sampled on a uniform frequency grid.
@@ -101,16 +126,8 @@ class SpectralProfile:
     truncated_mass: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.xi_min) and math.isfinite(self.xi_step)):
-            raise ValueError("grid origin and step must be finite")
-        if self.xi_step <= 0.0:
-            raise ValueError(f"xi_step must be positive, got {self.xi_step}")
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-d array")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        self.amplitudes = amps
+        amps = self.amplitudes = _checked_samples(self.amplitudes, "amplitudes")
+        _check_grid(self.xi_min, self.xi_step, amps.size, "xi_step")
         inside = np.abs(self.xi) < ZERO_EXCLUSION
         if np.any(inside):
             self.truncated_mass = float(np.sum(np.abs(amps[inside])) * self.xi_step)
@@ -139,12 +156,7 @@ class SpaceGrid:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_step)):
-            raise ValueError("grid origin and step must be finite")
-        if self.x_step <= 0.0:
-            raise ValueError(f"x_step must be positive, got {self.x_step}")
-        if self.n < 1:
-            raise ValueError("grid needs at least one point")
+        _check_grid(self.x_min, self.x_step, self.n, "x_step")
 
     @classmethod
     def spanning(cls, lo: float, hi: float, n: int) -> "SpaceGrid":
@@ -168,16 +180,8 @@ class SpaceField:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_step)):
-            raise ValueError("grid origin and step must be finite")
-        if self.x_step <= 0.0:
-            raise ValueError(f"x_step must be positive, got {self.x_step}")
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise ValueError("values must be finite")
-        self.values = vals
+        self.values = _checked_samples(self.values, "values")
+        _check_grid(self.x_min, self.x_step, self.values.size, "x_step")
 
     @property
     def n(self) -> int:

@@ -106,15 +106,15 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
     """Pointwise l2 aggregate of the synthesised Wiener pieces.
 
     Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
-    controlled by the L2 norm of `p` with room to spare.  The synthesis runs
-    inside spectral._rescaled with the sum, so fields or sums that leave the
-    double range alone are retaken; a value that leaves it raises ValueError.
+    controlled by the L2 norm of `p` with room to spare.  The window table,
+    its synthesis and the sum run inside spectral._rescaled, so only a value
+    that leaves the double range itself raises ValueError.
     """
-    def root_sum_of_squares(table):
+    def root_sum_of_squares(amplitudes):
+        table = wiener_decompose(p.with_amplitudes(amplitudes)).table
         # squared in place: one float temporary per synthesis, not two
         modulus = np.abs(_synthesize_rows(p, grid, table))
         return np.sqrt(np.sum(np.square(modulus, out=modulus), axis=0))
 
-    values = _rescaled(root_sum_of_squares, wiener_decompose(p).table, 2.0,
-                       "the window square function")
+    values = _rescaled(root_sum_of_squares, p.amplitudes, 2.0, "the window square function")
     return SpaceField(grid.x_min, grid.x_step, values)

@@ -217,12 +217,6 @@ class TestMainPropagate:
         assert 0.0 < meta["resolution"]["max_phase_increment"] <= 0.1
         assert meta["resolution"]["truncated_mass"] == 0.0
 
-    def test_sidecar_counts_written_cells(self, tmp_path, gauss_low_csv):
-        out = tmp_path / "u.csv"
-        assert main(["propagate", "--profile", str(gauss_low_csv), "--t", "0.25", "--nx", "600",
-                     "--out", str(out)]) == 0
-        assert _read_meta(out)["write"] == {"cells": 2400, "fallback_cells": 0}
-
     def test_explicit_grid(self, tmp_path, gauss_low_csv):
         out = tmp_path / "u.csv"
         rc = main(["propagate", "--profile", str(gauss_low_csv), "--t", "0.0",

@@ -324,6 +324,21 @@ class TestWienerLow:
             assert report.params["l1_mass"] == expected
             assert report.lemma_id == "L2_5"
 
+    def test_huge_amplitudes_follow_the_range_rule(self):
+        # the sups and the l1 mass are linear in the amplitudes: in range they
+        # scale with them, out of range the refusal names the mass
+        unit = SpectralProfile(1.0, 0.125, np.ones(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = check_wiener_low(unit, 1e-3, 0.5)
+            big = check_wiener_low(unit.with_amplitudes(np.full(9, 1e300)), 1e-3, 0.5)
+            with pytest.raises(ValueError, match="^the l1 mass leaves the double range$"):
+                check_wiener_low(unit.with_amplitudes(np.full(9, 1.7e308)), 1e-3, 0.5)
+        assert [r.params["k"] for r in big] == [r.params["k"] for r in plain]
+        for a, b in zip(plain, big):
+            assert b.measured_lhs == pytest.approx(1e300 * a.measured_lhs, rel=1e-14)
+            assert b.params["l1_mass"] == pytest.approx(1e300 * a.params["l1_mass"], rel=1e-15)
+
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_rows_match_one_window_syntheses(self, corpus, lemma_reports, sign):
         # each batched L2_5 deviation against the synthesis of its own
@@ -473,6 +488,14 @@ class TestBernstein:
         assert report.params["pieces"] >= 1
         assert report.passed
 
+    def test_huge_amplitudes_give_the_unit_ratio(self):
+        # the window fields follow the range rule, and the ratio is scale-free
+        unit = SpectralProfile(1.0, 0.125, np.ones(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = bernstein_report(unit.with_amplitudes(np.full(9, 1.7e308)))
+        assert huge.measured_lhs == pytest.approx(bernstein_report(unit).measured_lhs, rel=1e-14)
+
     def test_zero_profile_skips(self):
         report = bernstein_report(SpectralProfile(1.0, 0.5, np.zeros(5)))
         assert report.params["skip"] == "zero_profile"
@@ -565,8 +588,9 @@ class TestRunCorpus:
         assert len(reports) == sum(EXPECTED_ROW_COUNTS.values())
         assert len(builds) == len(corpus) == 12
         assert max(builds) <= 2
-        # the parent's contiguous window range synthesized 581 rows, 174 of them zero
-        assert counts == {"syntheses": 88, "decompositions": 72, "rows": 407, "zero_rows": 0}
+        # the parent's contiguous window range synthesized 581 rows, 174 of them zero;
+        # bernstein_report synthesizes its 74 pieces one at a time, the other checks batch
+        assert counts == {"syntheses": 150, "decompositions": 72, "rows": 407, "zero_rows": 0}
 
     def test_only_filter(self, corpus):
         rows = run_corpus(corpus, only={"L2_6"})
