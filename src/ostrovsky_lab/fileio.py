@@ -9,6 +9,7 @@ tables are formatted a block at a time by ``_ryu.format_rows``.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
     from their doubles, so signed zeros keep their sign.  Rejects a wrong
     header, an empty body, unparsable or non-finite cells, ragged rows, and
     a grid column that is not strictly increasing with uniform spacing
-    within SPACING_RTOL.  A single row gets unit step.
+    within SPACING_RTOL or whose span leaves the double range.  A single
+    row gets unit step.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -84,10 +86,13 @@ def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
         raise ValueError(f"{path}: every value must be finite")
     grid, name = table[:, 0], header[0]
     if grid.size > 1:
-        steps = np.diff(grid)
-        step = float(grid[-1] - grid[0]) / (grid.size - 1)
+        with np.errstate(over="ignore"):  # a difference beyond the double range is refused below
+            steps = np.diff(grid)
+            step = float(grid[-1] - grid[0]) / (grid.size - 1)
         if step <= 0.0 or np.any(steps <= 0.0):
             raise ValueError(f"{path}: {name} must be strictly increasing")
+        if not math.isfinite(step):
+            raise ValueError(f"{path}: {name} spacing leaves the double range")
         if float(np.max(np.abs(steps - step))) > SPACING_RTOL * abs(step):
             raise ValueError(f"{path}: {name} spacing is not uniform within {SPACING_RTOL:g} relative")
     else:

@@ -24,7 +24,6 @@ from .corpus import CorpusEntry, observation_grid
 from .parallel import parallel_map
 from .spectral import (
     ZERO_EXCLUSION,
-    SpaceField,
     SpaceGrid,
     SpectralProfile,
     _rescaled,
@@ -34,6 +33,7 @@ from .spectral import (
     hs_norm,
     lp_norm_space,
     phase_moments,
+    synthesize,
     validate_resolution,
 )
 from .windows import project_low, square_function, wiener_decompose
@@ -126,19 +126,15 @@ def _sup_deviations(p: SpectralProfile, amplitudes: np.ndarray, ts, sign: str,
     """max over `grid` of |(U(t) - I) a| per time t and amplitude row a on p's grid.
 
     `amplitudes` is one row (one value per time) or a stack of rows at one
-    time (one value per row).  The multiplier is formed only on the columns
-    the rows cover, and every row comes from one batched synthesis.  The
-    sups are linear in the amplitudes, so they follow spectral._rescaled.
+    time (one value per row); the rows times the multiplier of U(t) - I
+    broadcast to one batched synthesis.  The sups are linear in the
+    amplitudes, so they follow spectral._rescaled.
     """
-    a = np.atleast_2d(amplitudes)
-    columns = np.flatnonzero(np.any(a != 0.0, axis=0))
-
     def sups(a):
-        rows = np.zeros((max(a.shape[0], len(ts)), p.n), dtype=np.complex128)
-        rows[:, columns] = a[:, columns] * (evolution_multipliers(p, ts, sign, columns) - 1.0)
+        rows = a * (evolution_multipliers(p, ts, sign) - 1.0)
         return np.max(np.abs(_synthesize_rows(p, grid, rows)), axis=1)
 
-    return _rescaled(sups, a, 1.0, "the sup deviation")
+    return _rescaled(sups, np.atleast_2d(amplitudes), 1.0, "the sup deviation")
 
 
 def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
@@ -158,18 +154,22 @@ def _check_epsilon(epsilon: float) -> None:
 def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
     """Largest grid radius delta <= 1/2 whose L2 mass on |xi| <= delta is <= epsilon.
 
-    Found by bisection over the partial L2 norms (by spectral._rescaled) at
-    the distinct positive grid radii; capped at 1/2.  If even the innermost
-    of them carries more than epsilon, falls back to ZERO_EXCLUSION (mass
-    there is zero), so the radius is always positive.  Raises ValueError
-    when a partial norm leaves the double range.
+    Found by bisection over the partial L2 norms at the distinct positive
+    grid radii; capped at 1/2.  The norms inside the first carrying radius
+    are exact zeros, and the rest follow spectral._rescaled.  If even the
+    innermost radius carries more than epsilon, falls back to ZERO_EXCLUSION
+    (mass there is zero), so the radius is always positive.  Raises
+    ValueError when a partial norm leaves the double range.
     """
     _check_epsilon(epsilon)
     radii = np.abs(p.xi)
     order = np.argsort(radii, kind="stable")
-    sorted_radii = radii[order]
-    partial = _rescaled(lambda a: np.sqrt(np.cumsum(np.abs(a[order]) ** 2 * p.xi_step)),
-                        p.amplitudes, 2.0, "the L2 mass of the profile")
+    sorted_radii, sorted_amps = radii[order], p.amplitudes[order]
+    carrying = np.flatnonzero(sorted_amps)
+    first = carrying[0] if carrying.size else p.n
+    partial = np.zeros(p.n)
+    partial[first:] = _rescaled(lambda a: np.sqrt(np.cumsum(np.abs(a) ** 2 * p.xi_step)),
+                                sorted_amps[first:], 2.0, "the L2 mass of the profile")
 
     last = _run_ends(sorted_radii)
     distinct, inclusive = sorted_radii[last], partial[last]
@@ -348,15 +348,14 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
     Unit-width frequency support bounds every such ratio by an absolute
     constant; the empirical corpus maximum is recorded and compared to
-    BERNSTEIN_CONSTANT.  Each piece's field follows spectral._rescaled.
+    BERNSTEIN_CONSTANT.  Each piece's field is its own `synthesize`.
     """
     if grid is None:
         grid = observation_grid(p)
     worst = 0.0
     measured = 0
     for piece in wiener_decompose(p).table:
-        fld = SpaceField(grid.x_min, grid.x_step, _rescaled(
-            lambda a: _synthesize_rows(p, grid, a)[0], piece, 1.0, "a window field"))
+        fld = synthesize(p.with_amplitudes(piece), grid)
         norms = {q: lp_norm_space(fld, q) for q in (2.0, 4.0, math.inf)}
         if norms[2.0] == 0.0:
             continue

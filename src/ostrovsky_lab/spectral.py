@@ -59,8 +59,8 @@ ZERO_EXCLUSION = 2.0**-20
 #: Largest tolerated phase advance per grid cell, in radians.
 MAX_PHASE_INCREMENT = 0.1
 
-#: Largest array a synthesis, a maximal scan or a Khinchine run may allocate
-#: (1 GiB); a call whose sizes ask for more is refused before it allocates.
+#: Largest array a synthesis, a window table, a maximal scan or a Khinchine run
+#: may allocate (1 GiB); a call whose sizes ask for more is refused before it allocates.
 MAX_ARRAY_BYTES = 2**30
 
 _SIGNS = {"+": 1.0, "-": -1.0}
@@ -88,17 +88,20 @@ def _check_evolution(t: float, sign: str) -> None:
 
 def _check_grid(origin: float, step: float, n: int, step_name: str) -> None:
     """Refuse the grid origin + j * step, j < n, unless it has a point, a positive step and a
-    finite origin, step and last point."""
+    finite origin, step, last point and span last - origin."""
     if not (math.isfinite(origin) and math.isfinite(step)):
         raise ValueError("grid origin and step must be finite")
     if step <= 0.0:
         raise ValueError(f"{step_name} must be positive, got {step}")
     if n < 1:
         raise ValueError("grid needs at least one point")
-    # Python floats: a last point beyond the double range is inf, without a warning
-    if not math.isfinite(float(origin) + float(step) * (int(n) - 1)):
+    # Python floats: a last point or a span beyond the double range is inf, without a warning
+    last = float(origin) + float(step) * (int(n) - 1)
+    if not math.isfinite(last):
         raise ValueError(f"the last grid point {origin:g} + {step:g} * {int(n) - 1} "
                          "leaves the double range")
+    if not math.isfinite(last - float(origin)):
+        raise ValueError(f"the grid span {last:g} - {origin:g} leaves the double range")
 
 
 def _checked_samples(values, name: str) -> np.ndarray:
@@ -117,7 +120,8 @@ class SpectralProfile:
 
     Grid point j sits at ``xi_min + j * xi_step``.  Construction zeroes
     every amplitude with ``|xi| < ZERO_EXCLUSION``, xi = 0 included, and
-    stores the removed l1 mass (step-weighted) in ``truncated_mass``.
+    stores the removed l1 mass (step-weighted, by _rescaled) in
+    ``truncated_mass``; a mass beyond the double range is refused.
     """
 
     xi_min: float
@@ -129,9 +133,10 @@ class SpectralProfile:
         amps = self.amplitudes = _checked_samples(self.amplitudes, "amplitudes")
         _check_grid(self.xi_min, self.xi_step, amps.size, "xi_step")
         inside = np.abs(self.xi) < ZERO_EXCLUSION
-        if np.any(inside):
-            self.truncated_mass = float(np.sum(np.abs(amps[inside])) * self.xi_step)
-            amps[inside] = 0.0
+        if np.any(amps[inside] != 0.0):
+            self.truncated_mass = float(_rescaled(lambda a: np.sum(np.abs(a)) * self.xi_step,
+                                                  amps[inside], 1.0, "the truncated mass"))
+        amps[inside] = 0.0
         self.amplitudes.setflags(write=False)
 
     @property
@@ -279,22 +284,18 @@ def evolution_multipliers(p: SpectralProfile, ts, sign: str, columns=slice(None)
     """Propagator factors exp(i t phase(xi)) on p's grid, one row per time: shape (T, n).
 
     Entries where p has no amplitude are exactly 1 and never see the phase,
-    which keeps excluded near-singular frequencies out of the arithmetic.
-    A t = 0 row of ``M - 1``, the multiplier of U(t) - I, is exactly zero.
-    `columns` (an index array or slice of p's grid) keeps only those n
-    columns, with the bits of the same columns of the full table.  The
-    factors are cos and sin of t * phase, bit for bit the complex
-    exponential, written into one new C-ordered array, which is returned as
-    it is when every column carries amplitude.
+    which keeps excluded near-singular frequencies out of the arithmetic:
+    their phase is taken at xi = 1 and then overwritten.  A t = 0 row of
+    ``M - 1``, the multiplier of U(t) - I, is exactly zero.  `columns` (an
+    index array or slice of p's grid) keeps only those n columns, with the
+    bits of the same columns of the full table.  The factors are cos and sin
+    of t * phase, bit for bit the complex exponential, written into one new
+    C-ordered array.
     """
-    ts = np.ravel(np.asarray(ts, dtype=np.float64))
-    xi, amps = p.xi[columns], p.amplitudes[columns]
-    nz = amps != 0.0
-    if np.all(nz):  # the same bits as below, without the masked copy
-        return _phasors(ts, phase(xi, sign))
-    out = np.ones((ts.size, xi.size), dtype=np.complex128)
-    if np.any(nz):
-        out[:, nz] = _phasors(ts, phase(xi[nz], sign))
+    empty = p.amplitudes[columns] == 0.0
+    out = _phasors(np.ravel(np.asarray(ts, dtype=np.float64)),
+                   phase(np.where(empty, 1.0, p.xi[columns]), sign))
+    out[:, empty] = 1.0
     return out
 
 

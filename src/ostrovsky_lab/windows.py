@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpaceField, SpaceGrid, SpectralProfile, _rescaled, _synthesize_rows
+from .spectral import (SpaceField, SpaceGrid, SpectralProfile, _require_budget, _rescaled,
+                       _synthesize_rows)
 
 __all__ = [
     "WienerDecomposition",
@@ -93,9 +94,12 @@ def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
     """Split `p` over the windows of `wiener_range` whose piece is not zero.
 
     Row i is the same product as ``wiener_project(p, ks[i]).amplitudes``,
-    so it holds the same bits; a zero profile has no rows.
+    so it holds the same bits; a zero profile has no rows.  A table over the
+    whole range above MAX_ARRAY_BYTES is refused before it is built.
     """
     k_min, k_max = wiener_range(p)
+    count = k_max - k_min + 1
+    _require_budget(16 * count * p.n, f"a table of {count} windows over {p.n} frequencies")
     ks = np.arange(k_min, k_max + 1)
     table = p.amplitudes * wiener_window(p.xi - ks[:, None])
     carrying = np.any(table != 0.0, axis=1)

@@ -10,7 +10,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ostrovsky_lab.corpus import parseval_grid
 from ostrovsky_lab.randomized import (

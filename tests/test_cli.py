@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostrovsky_lab.cli import RunConfig, UsageError, main, parse_config
+from ostrovsky_lab.cli import UsageError, main, parse_config
 from ostrovsky_lab.corpus import band_profile
-from ostrovsky_lab.fileio import read_field, read_profile, read_reports, write_profile
+from ostrovsky_lab.fileio import read_field, read_reports, write_profile
 from ostrovsky_lab.rough import CounterexampleSpec, counterexample_profile
 from ostrovsky_lab.spectral import SpectralProfile, hs_norm
 
@@ -453,6 +453,19 @@ class TestMainVerifyLemmas:
         rc = main(["verify-lemmas", "--corpus", str(directory),
                    "--only", "L2_6", "--out", str(out)])
         assert rc == 0
+
+    def test_window_table_over_memory_budget_exits_one(self, tmp_path, capsys):
+        # two frequencies 1e9 apart: the window table over the span needs 32 GB
+        directory = tmp_path / "profiles"
+        directory.mkdir()
+        write_profile(SpectralProfile(1.0, 1e9, np.ones(2)), directory / "wide.csv")
+        out = tmp_path / "rep.csv"
+        assert main(["verify-lemmas", "--corpus", str(directory), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: wide: a table of 1000000003 windows over 2 frequencies "
+                              "needs 32000000096 bytes, above the budget")
+        assert "Traceback" not in err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 class TestNonFiniteInput:

@@ -159,8 +159,11 @@ class TestProfileRoundTrip:
         ("xi,re,im\n1.0,1.0,0.0,9.0\n2.0,1.0,0.0,9.0\n", "3 columns"),
         ("xi,re,im\n2.0,1.0,0.0\n1.0,1.0,0.0\n", "strictly increasing"),
         ("xi,re,im\n1.0,1.0,0.0\n1.0,1.0,0.0\n", "strictly increasing"),
+        # each point is a double, their difference is not
+        ("xi,re,im\n-1e+308,1.0,0.0\n1e+308,1.0,0.0\n", "xi spacing leaves the double range"),
     ], ids=["header", "empty", "bad-number", "short-row", "long-row",
-            "decreasing", "repeated"])
+            "decreasing", "repeated", "span-overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejections(self, tmp_path, text, match):
         target = tmp_path / "bad.csv"
         target.write_text(text)
@@ -203,7 +206,10 @@ class TestFieldRoundTrip:
         ([0.0, 0.5, 1.5], "not uniform"),
         ([1.0, 0.5, 0.0], "strictly increasing"),
         ([0.0, math.nan, 1.0], "finite"),
-    ], ids=["non-uniform", "decreasing", "nan"])
+        # finite steps, but the span overflows
+        ([-1e308, 0.0, 1e308], "x spacing leaves the double range"),
+    ], ids=["non-uniform", "decreasing", "nan", "span-overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_rejections_name_the_path(self, tmp_path, x, match):
         target = tmp_path / "bad_field.csv"
         rows = "".join(f"{format_float(v)},1.0,0.0,1.0\n" for v in x)
@@ -264,12 +270,13 @@ class TestRoundTripProperty:
     @staticmethod
     @st.composite
     def _exact_grids(draw):
-        # points (first + j) * 2^k with |first + j| < 2^21, so each is a double
-        # and the step the reader recovers is 2^k itself; at k = 1003 the last
-        # point reaches 2^1024 - 2^1003
+        # points (first + j) * 2^k with |first + j| < 2^min(21, 1024 - k), so
+        # each is a double and the step the reader recovers is 2^k itself; at
+        # k = 1019 a grid from a negative origin spans up to 23 * 2^1019
         n = draw(st.integers(2, 24))
-        last = draw(st.integers(-2**21 + n, 2**21 - 1))
-        k = draw(st.integers(-1000, 1003))
+        k = draw(st.integers(-1000, 1019))
+        bound = 2 ** min(21, 1024 - k)
+        last = draw(st.integers(-bound + n, bound - 1))
         return math.ldexp(last - (n - 1), k), math.ldexp(1.0, k), n
 
     # every modulus stays finite; signed zeros are drawn often, as they are easy to lose
@@ -281,11 +288,15 @@ class TestRoundTripProperty:
         values = np.array(data.draw(st.lists(st.tuples(self.parts, self.parts), min_size=n,
                                              max_size=n)), dtype=np.float64).view(np.complex128)[:, 0]
         target = tmp_path_factory.mktemp("round_trip") / "table.csv"
-        p = SpectralProfile(origin, step, values)
-        write_profile(p, target)
-        q = read_profile(target)
-        assert (q.xi_min, q.xi_step) == (p.xi_min, p.xi_step)
-        assert q.amplitudes.tobytes() == p.amplitudes.tobytes()
+        try:
+            p = SpectralProfile(origin, step, values)
+        except ValueError as exc:  # the l1 mass zeroed around xi = 0 leaves the double range
+            assert str(exc) == "the truncated mass leaves the double range"
+        else:
+            write_profile(p, target)
+            q = read_profile(target)
+            assert (q.xi_min, q.xi_step) == (p.xi_min, p.xi_step)
+            assert q.amplitudes.tobytes() == p.amplitudes.tobytes()
         u = SpaceField(origin, step, values)
         write_field(u, target)
         v = read_field(target)

@@ -592,6 +592,21 @@ class TestRunCorpus:
         # bernstein_report synthesizes its 74 pieces one at a time, the other checks batch
         assert counts == {"syntheses": 150, "decompositions": 72, "rows": 407, "zero_rows": 0}
 
+    def test_in_range_values_are_not_retaken(self, corpus, monkeypatch):
+        # every value of the built-in audit is a normal double; the exact zero
+        # partial norms inside delta_epsilon's first carrying radius are no underflow
+        retakes = []
+        downscaled = spectral._downscaled
+
+        def counted(values):
+            retakes.append(values.shape)
+            return downscaled(values)
+
+        monkeypatch.setattr(spectral, "_downscaled", counted)
+        for sign in "+-":
+            run_corpus(corpus, sign=sign)
+        assert retakes == []
+
     def test_only_filter(self, corpus):
         rows = run_corpus(corpus, only={"L2_6"})
         assert len(rows) == 12

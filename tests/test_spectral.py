@@ -93,6 +93,17 @@ class TestSpectralProfile:
         np.testing.assert_array_equal(p.amplitudes, [1.0, 2.0] + [0.0] * 7 + [10.0, 11.0])
         assert p.truncated_mass == sum(range(3, 10)) * h
 
+    def test_truncated_mass_follows_the_range_rule(self):
+        # seven excluded amplitudes of 1.7e308 sum beyond the double range, their
+        # step-weighted mass does not; at a step of 2^1019 the mass itself leaves it
+        h = 2.0**-22
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = SpectralProfile(-5 * h, h, np.full(11, 1.7e308))
+            assert p.truncated_mass == pytest.approx(1.7e308 * (7 * h), rel=1e-15)
+            with pytest.raises(ValueError, match="^the truncated mass leaves the double range$"):
+                SpectralProfile(-(2.0**1019), 2.0**1019, np.array([0.0, 32j]))
+
     def test_default_exclusion_only_touches_the_origin(self):
         h = 0.25
         p = SpectralProfile(-h, h, np.array([1.0, 1.0, 1.0]))
@@ -169,6 +180,17 @@ class TestGrids:
             # the largest last point is fine
             top = SpaceGrid(np.nextafter(np.inf, 0.0) / 2, np.nextafter(np.inf, 0.0) / 4, 3)
             assert top.points[-1] == np.nextafter(np.inf, 0.0)
+
+    def test_overflowing_span_refused_without_warning(self):
+        # a finite last point, but last - origin leaves the double range, so
+        # the reader could not take the step of the written grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"grid span .* leaves the double range$"):
+                SpectralProfile(-3 * 2.0**970, 1.7976931348623157e308, np.ones(2))
+            # the largest span is fine
+            wide = SpaceGrid(-2.0**1023, np.nextafter(np.inf, 0.0), 2)
+            assert wide.points[-1] - wide.points[0] == np.nextafter(np.inf, 0.0)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -268,17 +290,22 @@ class TestEvolutionMultipliers:
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_rows_equal_per_time_phase_factors_bitwise(self, corpus, sign):
         # the table must reproduce the per-time factor bit for bit, so that
-        # every lemma deviation and scan keeps its bytes
+        # every lemma deviation and scan keeps its bytes; a column without
+        # amplitude is exactly 1 and never sees its phase, which overflows at
+        # xi = 1e103, over the full grid and over a subset holding the column
         ts = [*HIGH_TIMES, T_LOW, 0.1, 1.0]
-        for entry in corpus:
-            p = entry.profile
-            nz = p.amplitudes != 0.0
-            table = evolution_multipliers(p, ts, sign)
-            assert table.shape == (len(ts), p.n)
-            for t, row in zip(ts, table):
-                np.testing.assert_array_equal(
-                    row[nz], np.exp(1j * float(t) * phase(p.xi[nz], sign)))
-                assert np.all(row[~nz] == 1.0)
+        overflowing = SpectralProfile(1.0, 1e103, np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (*(entry.profile for entry in corpus), overflowing):
+                for columns in (slice(None), np.arange(p.n)[::-2]):
+                    xi, nz = p.xi[columns], p.amplitudes[columns] != 0.0
+                    table = evolution_multipliers(p, ts, sign, columns)
+                    assert table.shape == (len(ts), xi.size)
+                    for t, row in zip(ts, table):
+                        np.testing.assert_array_equal(
+                            row[nz], np.exp(1j * float(t) * phase(xi[nz], sign)))
+                        assert np.all(row[~nz] == 1.0)
 
     def test_t_zero_row_minus_one_is_exactly_zero(self, corpus):
         for entry in corpus:

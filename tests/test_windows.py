@@ -144,6 +144,13 @@ class TestWienerDecomposition:
             for k in sorted(set(range(k_min, k_max + 1)) - set(dec.ks.tolist())):
                 assert np.all(wiener_project(p, k).amplitudes == 0.0), (entry.profile_id, k)
 
+    def test_table_over_memory_budget_refused(self):
+        # two pieces, but the table over wiener_range would hold 1000000003 rows
+        p = SpectralProfile(1.0, 1e9, np.ones(2))
+        with pytest.raises(ValueError, match=r"^a table of 1000000003 windows over 2 frequencies "
+                                             r"needs 32000000096 bytes, above the budget of "):
+            wiener_decompose(p)
+
     def test_zero_profile_has_no_windows(self):
         p = SpectralProfile(0.5, 0.25, np.zeros(5))
         dec = wiener_decompose(p)
