@@ -58,18 +58,6 @@ class RunConfig:
     subcommand: str
     params: dict
 
-    @property
-    def out_path(self) -> str:
-        return self.params["out"]
-
-    def echo(self) -> dict:
-        """JSON-ready parameter echo (tuples as lists, stable key order)."""
-        out = {}
-        for key in sorted(self.params):
-            value = self.params[key]
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
-
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -213,7 +201,7 @@ def _run_propagate(params: dict) -> tuple[dict, int]:
     write_field(propagate(p, params["t"], params["sign"], grid), params["out"])
     report = validate_resolution(p, params["t"], params["sign"])
     block = {"resolution": {"max_phase_increment": report.max_phase_increment,
-                            "truncated_mass": report.truncated_mass}}
+                            "truncated_mass": p.truncated_mass}}
     return block, 0
 
 
@@ -357,13 +345,13 @@ def dispatch(cfg: RunConfig) -> int:
     meta = {
         "version": __version__,
         "subcommand": cfg.subcommand,
-        "config": cfg.echo(),
+        "config": dict(sorted(cfg.params.items())),
         "wall_clock_s": time.perf_counter() - start,
     }
     meta.update(block)
     # serialised before the file is opened, so a nan or inf leaves no partial sidecar
     text = json.dumps(meta, indent=2, allow_nan=False)
-    with open(f"{cfg.out_path}.meta.json", "w", encoding="utf-8", newline="") as handle:
+    with open(f"{cfg.params['out']}.meta.json", "w", encoding="utf-8", newline="") as handle:
         handle.write(text + "\n")
     return code
 

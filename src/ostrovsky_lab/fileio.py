@@ -65,9 +65,9 @@ def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
     The samples are the complex numbers of the next two columns, assembled
     from their doubles, so signed zeros keep their sign.  Rejects a wrong
     header, an empty body, unparsable or non-finite cells, ragged rows, and
-    a grid column that is not strictly increasing with uniform spacing
-    within SPACING_RTOL or whose span leaves the double range.  A single
-    row gets unit step.
+    a grid column that is not strictly increasing, whose spacing is not uniform
+    within SPACING_RTOL plus the rounding of its points, or whose span leaves
+    the double range.  A single row gets unit step.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -93,7 +93,9 @@ def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
             raise ValueError(f"{path}: {name} must be strictly increasing")
         if not math.isfinite(step):
             raise ValueError(f"{path}: {name} spacing leaves the double range")
-        if float(np.max(np.abs(steps - step))) > SPACING_RTOL * abs(step):
+        # written points are rounded, so gaps may be off by a few spacings at the largest |point|
+        rounding = 4.0 * math.ulp(max(abs(float(grid[0])), abs(float(grid[-1]))))
+        if float(np.max(np.abs(steps - step))) > SPACING_RTOL * step + rounding:
             raise ValueError(f"{path}: {name} spacing is not uniform within {SPACING_RTOL:g} relative")
     else:
         step = 1.0

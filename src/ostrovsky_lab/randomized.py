@@ -10,7 +10,7 @@ reproducible regardless of evaluation order, chunking, or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class KhinchineResult:
     """Empirical p-th moment of sum_k g_k c_k against the sqrt(p) l2 bound."""
 
     power: float
-    n_samples: int
     moment: float       # (E |S|^p)^(1/p), empirical
     ratio: float        # moment / (sqrt(p) * ||c||_2)
     ratio_stderr: float
@@ -192,7 +191,7 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
             ratio = root / (math.sqrt(power) * l2)
             # delta method: d ratio / d mean = ratio / (p * mean)
             ratio_stderr = ratio * stderr_mean / (power * mean)
-            results.append(KhinchineResult(power, n_samples, moment, ratio, ratio_stderr))
+            results.append(KhinchineResult(power, moment, ratio, ratio_stderr))
     return results
 
 
@@ -251,15 +250,11 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float, float]:
 class TailCurve:
     """Empirical exceedance probabilities of |U(t) f^w - f^w| at one point."""
 
-    alpha: float
     t_values: np.ndarray
     empirical_probs: np.ndarray
-    n_samples: int
     wilson_halfwidth: np.ndarray
-    x: float = 0.0
-    seed: int = 0
-    wilson_lo: np.ndarray = field(default=None, repr=False)
-    wilson_hi: np.ndarray = field(default=None, repr=False)
+    wilson_lo: np.ndarray
+    wilson_hi: np.ndarray
 
 
 def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
@@ -287,17 +282,7 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
 
     probs = exceed / n_samples
     intervals = np.array([wilson_interval(int(c), n_samples) for c in exceed])
-    return TailCurve(
-        alpha=alpha,
-        t_values=ts,
-        empirical_probs=probs,
-        n_samples=n_samples,
-        wilson_halfwidth=intervals[:, 2],
-        x=x,
-        seed=seed,
-        wilson_lo=intervals[:, 0],
-        wilson_hi=intervals[:, 1],
-    )
+    return TailCurve(ts, probs, intervals[:, 2], intervals[:, 0], intervals[:, 1])
 
 
 _C1 = math.e**2

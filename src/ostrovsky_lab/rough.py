@@ -234,7 +234,6 @@ def counterexample_ratio(spec: CounterexampleSpec, n_t: int,
 class ScalingFit:
     """Least-squares line through (k, log2 R_k)."""
 
-    points: list  # (k, R_k) pairs
     slope: float
     intercept: float
     residual: float  # max |log2 R_k - fit|
@@ -255,7 +254,7 @@ def scaling_fit(points) -> ScalingFit:
     design = np.stack([ks, np.ones_like(ks)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)
     residual = float(np.max(np.abs(logs - (slope * ks + intercept))))
-    return ScalingFit(pts, float(slope), float(intercept), residual)
+    return ScalingFit(float(slope), float(intercept), residual)
 
 
 def slope_range(ks, lower, upper) -> tuple[float, float]:

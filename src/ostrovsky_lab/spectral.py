@@ -104,6 +104,13 @@ def _check_grid(origin: float, step: float, n: int, step_name: str) -> None:
         raise ValueError(f"the grid span {last:g} - {origin:g} leaves the double range")
 
 
+def _increasing(points: np.ndarray) -> np.ndarray:
+    """`points`; a ValueError unless they increase strictly (rounding can merge two)."""
+    if not np.all(points[1:] > points[:-1]):
+        raise ValueError("grid points do not increase strictly: two of them round to one double")
+    return points
+
+
 def _checked_samples(values, name: str) -> np.ndarray:
     """A new complex array of `values`; a ValueError unless it is 1-d, non-empty and finite."""
     out = np.array(values, dtype=np.complex128, copy=True)
@@ -132,7 +139,7 @@ class SpectralProfile:
     def __post_init__(self):
         amps = self.amplitudes = _checked_samples(self.amplitudes, "amplitudes")
         _check_grid(self.xi_min, self.xi_step, amps.size, "xi_step")
-        inside = np.abs(self.xi) < ZERO_EXCLUSION
+        inside = np.abs(_increasing(self.xi)) < ZERO_EXCLUSION
         if np.any(amps[inside] != 0.0):
             self.truncated_mass = float(_rescaled(lambda a: np.sum(np.abs(a)) * self.xi_step,
                                                   amps[inside], 1.0, "the truncated mass"))
@@ -187,6 +194,7 @@ class SpaceField:
     def __post_init__(self):
         self.values = _checked_samples(self.values, "values")
         _check_grid(self.x_min, self.x_step, self.values.size, "x_step")
+        _increasing(self.x)
 
     @property
     def n(self) -> int:
@@ -202,7 +210,6 @@ class ResolutionReport:
     """Outcome of the per-cell phase-increment check."""
 
     max_phase_increment: float
-    truncated_mass: float
     ok: bool
 
 
@@ -493,7 +500,7 @@ def validate_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionRe
         # Python floats: an increment beyond the double range is inf, without a warning
         dphi = float(np.max(np.abs(phase_derivative(p.xi[nz], sign))))
         increment = abs(float(t)) * dphi * float(p.xi_step)
-    return ResolutionReport(increment, p.truncated_mass, increment <= MAX_PHASE_INCREMENT)
+    return ResolutionReport(increment, increment <= MAX_PHASE_INCREMENT)
 
 
 def require_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionReport:

@@ -90,17 +90,41 @@ def wiener_range(p: SpectralProfile) -> tuple[int, int]:
     return int(math.floor(supported.min())) - 1, int(math.ceil(supported.max())) + 1
 
 
-def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
-    """Split `p` over the windows of `wiener_range` whose piece is not zero.
+def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of each run of equal values in a sorted, non-empty array.
 
-    Row i is the same product as ``wiener_project(p, ks[i]).amplitudes``,
-    so it holds the same bits; a zero profile has no rows.  A table over the
-    whole range above MAX_ARRAY_BYTES is refused before it is built.
+    ``sorted_values[_run_ends(sorted_values)]`` equals ``np.unique(sorted_values)``
+    without the import of numpy.ma that np.unique triggers.
     """
-    k_min, k_max = wiener_range(p)
-    count = k_max - k_min + 1
-    _require_budget(16 * count * p.n, f"a table of {count} windows over {p.n} frequencies")
-    ks = np.arange(k_min, k_max + 1)
+    return np.append(sorted_values[1:] != sorted_values[:-1], True)
+
+
+#: Bytes budgeted per window table cell: 32 live at the peak (float windows and complex table,
+#: or table and carrying copy), 8 for numpy's cast buffers and length-n arrays above ~2 MB.
+_TABLE_PEAK_BYTES = 40
+
+
+def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
+    """Split `p` over the unit windows floor(xi), floor(xi) + 1 of its carrying points.
+
+    Rows that are all zero are dropped.  Row i is the same product as
+    ``wiener_project(p, ks[i]).amplitudes``, so it holds the same bits; a
+    zero profile has no rows.  A table above MAX_ARRAY_BYTES at
+    _TABLE_PEAK_BYTES a cell is refused before it is built, and so is a
+    carrying |xi| >= 2**53, where xi - k rounds and the hats stop summing to 1.
+    """
+    carried = p.xi[p.amplitudes != 0.0]
+    if carried.size == 0:
+        return WienerDecomposition(np.zeros(0, dtype=np.int64), np.zeros((0, p.n), np.complex128))
+    reach = max(-float(carried[0]), float(carried[-1]))
+    if reach >= 2.0**53:
+        raise ValueError(f"the profile carries |xi| = {reach!r}, at or beyond 2**53, where "
+                         "not every integer is a double and unit windows do not sum to 1")
+    floors = np.floor(carried)
+    ks = np.sort(np.concatenate([floors, floors + 1.0]))
+    ks = ks[_run_ends(ks)].astype(np.int64)
+    _require_budget(_TABLE_PEAK_BYTES * ks.size * p.n,
+                    f"a table of {ks.size} windows over {p.n} frequencies")
     table = p.amplitudes * wiener_window(p.xi - ks[:, None])
     carrying = np.any(table != 0.0, axis=1)
     return WienerDecomposition(ks[carrying], table[carrying])

@@ -26,7 +26,7 @@ from ostrovsky_lab.fileio import (
     write_reports,
     write_table,
 )
-from ostrovsky_lab.spectral import SpaceField, SpectralProfile, synthesize
+from ostrovsky_lab.spectral import SpaceField, SpaceGrid, SpectralProfile, synthesize
 
 
 def _repr_rows(table):
@@ -218,6 +218,16 @@ class TestFieldRoundTrip:
             read_field(target)
         assert str(target) in str(info.value)
 
+    def test_rounded_points_of_a_spanning_grid_read_back(self, tmp_path):
+        # the points 1e6 + 5e-4 * j round by about 1.2e-10, more than 1e-9 of the step
+        grid = SpaceGrid.spanning(1e6, 1000000.001, 3)
+        u = SpaceField(grid.x_min, grid.x_step, np.array([1.0, 2.0j, -3.0]))
+        target = tmp_path / "u.csv"
+        write_field(u, target)
+        v = read_field(target)
+        assert v.values.tobytes() == u.values.tobytes()
+        assert v.x_min == u.x_min and abs(v.x_step - u.x_step) <= 4 * math.ulp(1e6)
+
     def test_bytes_match_the_table_writer(self, tmp_path, monkeypatch):
         # reference: one write_table row of format_float cells per point,
         # the modulus taken by numpy's scalar abs; 509 rows in batches of 100
@@ -302,6 +312,29 @@ class TestRoundTripProperty:
         v = read_field(target)
         assert (v.x_min, v.x_step) == (u.x_min, u.x_step)
         assert v.values.tobytes() == u.values.tobytes()
+
+    @given(origin=st.floats(allow_nan=False, allow_infinity=False),
+           step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           n=st.integers(1, 24), data=st.data())
+    def test_any_grid_that_constructs_reads_back(self, tmp_path_factory, origin, step, n, data):
+        # the reader takes the step from the rounded points, so the grid comes back to
+        # within their rounding and the samples bit for bit
+        values = np.array(data.draw(st.lists(st.tuples(self.parts, self.parts), min_size=n,
+                                             max_size=n)), dtype=np.float64).view(np.complex128)[:, 0]
+        target = tmp_path_factory.mktemp("round_trip") / "table.csv"
+        for build, write, read, points, samples in (
+                (SpectralProfile, write_profile, read_profile, "xi", "amplitudes"),
+                (SpaceField, write_field, read_field, "x", "values")):
+            try:
+                a = build(origin, step, values)
+            except ValueError:  # a grid or a truncated mass beyond the double range, or
+                continue        # points that round to one double
+            write(a, target)
+            b = read(target)
+            assert getattr(b, samples).tobytes() == getattr(a, samples).tobytes()
+            written, read_back = getattr(a, points), getattr(b, points)
+            rounding = 4 * math.ulp(max(abs(written[0]), abs(written[-1])))
+            assert np.all(np.abs(read_back - written) <= rounding)
 
 
 class TestParamsText:

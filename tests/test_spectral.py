@@ -181,6 +181,22 @@ class TestGrids:
             top = SpaceGrid(np.nextafter(np.inf, 0.0) / 2, np.nextafter(np.inf, 0.0) / 4, 3)
             assert top.points[-1] == np.nextafter(np.inf, 0.0)
 
+    def test_points_that_round_to_one_double_refused_without_warning(self):
+        # the doubles from 2**53 on are 2 apart: 2**53 + 3 rounds to 2**53 + 4, the next point,
+        # and -(2**53 + 3) to the first point -(2**53 + 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: SpectralProfile(2.0**53 + 2, 1.0, np.ones(3)),
+                          lambda: SpaceField(-(2.0**53 + 4), 1.0, np.ones(3)),
+                          # 0, 4, 8, 8, 16 above 2**55 - 8: the middle pair meets, not an end pair
+                          lambda: SpaceField(2.0**55 - 8, 4.0, np.ones(5))):
+                with pytest.raises(ValueError, match=r"^grid points do not increase strictly: "
+                                                     r"two of them round to one double$"):
+                    build()
+            # a step of one spacing of the doubles there is fine
+            p = SpectralProfile(2.0**53 + 2, 2.0, np.ones(3))
+            np.testing.assert_array_equal(p.xi - 2.0**53, [2.0, 4.0, 6.0])
+
     def test_overflowing_span_refused_without_warning(self):
         # a finite last point, but last - origin leaves the double range, so
         # the reader could not take the step of the written grid
@@ -693,11 +709,6 @@ class TestResolution:
                 assert report.max_phase_increment == math.inf and not report.ok
             with pytest.raises(ResolutionError, match="phase advance inf rad per cell"):
                 propagate(p, 1e308, "+", grid)
-
-    def test_report_carries_truncated_mass(self):
-        p = SpectralProfile(-0.25, 0.25, np.array([1.0, 2.0, 1.0]))
-        rep = validate_resolution(p, 0.0, "+")
-        assert rep.truncated_mass == p.truncated_mass == 0.5
 
     def test_gate_threshold(self, corpus_by_id):
         entry = corpus_by_id["gauss_mid"]

@@ -1,6 +1,7 @@
 """Dyadic cutoffs, unit windows, decomposition and the square function."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ostrovsky_lab import windows
+from ostrovsky_lab import spectral, windows
 from ostrovsky_lab.spectral import (
     _SYNTHESIS_BLOCK,
     SpaceGrid,
@@ -144,12 +145,54 @@ class TestWienerDecomposition:
             for k in sorted(set(range(k_min, k_max + 1)) - set(dec.ks.tolist())):
                 assert np.all(wiener_project(p, k).amplitudes == 0.0), (entry.profile_id, k)
 
-    def test_table_over_memory_budget_refused(self):
-        # two pieces, but the table over wiener_range would hold 1000000003 rows
-        p = SpectralProfile(1.0, 1e9, np.ones(2))
-        with pytest.raises(ValueError, match=r"^a table of 1000000003 windows over 2 frequencies "
-                                             r"needs 32000000096 bytes, above the budget of "):
+    def test_windows_come_from_the_carrying_points(self):
+        # two frequencies 1e9 apart: two rows, not the 1000000003 windows of wiener_range
+        dec = wiener_decompose(SpectralProfile(1.0, 1e9, np.ones(2)))
+        np.testing.assert_array_equal(dec.ks, [1, 1000000001])
+        assert dec.table.shape == (2, 2)
+        np.testing.assert_array_equal(dec.table, np.eye(2))
+
+    def test_table_over_memory_budget_refused(self, monkeypatch):
+        # xi = 0.5 .. 2.5 reaches the windows 0 .. 3: a table of 4 rows over 9 frequencies
+        p = SpectralProfile(0.5, 0.25, np.ones(9))
+        need = windows._TABLE_PEAK_BYTES * 4 * 9
+        monkeypatch.setattr(spectral, "MAX_ARRAY_BYTES", need - 1)
+        with pytest.raises(ValueError, match=rf"^a table of 4 windows over 9 frequencies needs "
+                                             rf"{need} bytes, above the budget of {need - 1} bytes$"):
             wiener_decompose(p)
+        monkeypatch.setattr(spectral, "MAX_ARRAY_BYTES", need)
+        np.testing.assert_array_equal(wiener_decompose(p).ks, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("p", [
+        SpectralProfile(0.5, 1.0, np.ones(1000)),   # every row carries: the table is copied whole
+        SpectralProfile(1.0, 100.0, np.ones(101)),  # integer points: half the rows are dropped
+    ], ids=["all-rows-carry", "half-the-rows-carry"])
+    def test_traced_peak_within_the_budgeted_bytes(self, p):
+        floors = np.floor(p.xi)
+        rows = len(set(floors.tolist()) | set((floors + 1.0).tolist()))
+        wiener_decompose(p)  # first call: any lazy numpy state is allocated outside the trace
+        tracemalloc.start()
+        try:
+            wiener_decompose(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the lower bound shows that the trace sees numpy's allocations
+        assert 0.5 * windows._TABLE_PEAK_BYTES < peak / (rows * p.n) <= windows._TABLE_PEAK_BYTES
+
+    def test_refused_where_integers_stop_being_doubles(self):
+        # from 2**53 on, xi - k rounds, and these profiles had column sums [1, 3, 1] and [1, 1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p, reach in ((SpectralProfile(2.0**53 + 2, 2.0, np.ones(3)), 2.0**53 + 6),
+                             (SpectralProfile(2.0**53 - 4, 2.0, np.ones(3)), 2.0**53),
+                             (SpectralProfile(-(2.0**53 + 6), 2.0, np.ones(3)), 2.0**53 + 6)):
+                with pytest.raises(ValueError, match=rf"^the profile carries \|xi\| = {reach!r}, "
+                                                     r"at or beyond 2\*\*53, "):
+                    wiener_decompose(p)
+        dec = wiener_decompose(SpectralProfile(2.0**52, 1.0, np.ones(3)))
+        np.testing.assert_array_equal(dec.ks, 2**52 + np.arange(3))
+        np.testing.assert_array_equal(dec.table.sum(axis=0), np.ones(3))
 
     def test_zero_profile_has_no_windows(self):
         p = SpectralProfile(0.5, 0.25, np.zeros(5))
