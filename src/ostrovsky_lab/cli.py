@@ -1,8 +1,11 @@
 """Command-line entry point: config parsing, dispatch, CSV/JSON reports.
 
 Every subcommand writes one CSV (LF endings, shortest-roundtrip floats)
-plus a JSON sidecar ``<out>.meta.json`` echoing the resolved config and
-any fitted constants, so a run is reproducible from its artifacts alone.
+plus a JSON sidecar ``<out>.meta.json``: ``version``, ``subcommand``, the
+resolved ``config`` and ``wall_clock_s``, so a run is reproducible from its
+artifacts alone, and the derived values its CSV does not hold: ``resolution``
+(propagate), ``rk_upper`` and ``fit`` (counterexample), ``fit.l2_norm``
+(stochastic-continuity), ``summary`` (verify-lemmas); none for khinchine, trace.
 
 Exit codes: 0 success, 2 when a verification check ran fine but failed
 its inequality, 1 for usage or runtime errors.
@@ -42,13 +45,18 @@ class _Param:
     required: bool = False
     default: object = None
     help: str = ""
+    least: float | None = None  # lower bound; for a list kind, of every item
 
 
+_LISTS = ("floats", "strs")
 _COMMON = [
     _Param("config", "path", help="line-oriented key = value file; flags override it"),
     _Param("out", "path", required=True, help="output CSV path"),
 ]
-_THREADS = _Param("threads", "int", default=1, help="worker threads (>= 1)")
+_THREADS = _Param("threads", "int", default=1, help="worker threads (>= 1)", least=1)
+_SIGN = _Param("sign", "sign", default="+", help="sign of the 1/xi phase term")
+_PROFILE = _Param("profile", "path", required=True, help="input profile CSV (xi,re,im)")
+_SEED = _Param("seed", "int", default=0, help="seed of the counter-based Gaussian draws")
 
 
 @dataclass(frozen=True)
@@ -73,15 +81,13 @@ def _convert(param: _Param, text: str):
             return _finite(text)
         if kind == "int":
             return int(text)
-        if kind in ("floats", "strs"):
+        if kind in _LISTS:
             parts = tuple(piece.strip() for piece in text.split(",") if piece.strip())
             if not parts:
                 raise ValueError("empty list")
             return tuple(map(_finite, parts)) if kind == "floats" else parts
-        if kind == "sign":
-            if text not in ("+", "-"):
-                raise ValueError(f"sign must be + or -, got {text!r}")
-            return text
+        if kind == "sign" and text not in ("+", "-"):
+            raise ValueError(f"sign must be + or -, got {text!r}")
         return text
     except ValueError as exc:
         raise UsageError(f"--{param.name}: {exc}") from exc
@@ -146,45 +152,32 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
         if raw is not None:
             flags[param.name] = _convert(param, raw)
 
-    merged: dict[str, object] = {}
-    if "config" in flags:
-        merged.update(_read_config_file(str(flags["config"]), declared))
+    merged = _read_config_file(str(flags["config"]), declared) if "config" in flags else {}
     merged.update(flags)
 
     resolved: dict[str, object] = {}
     for param in declared.values():
-        if param.name in merged:
-            resolved[param.name.replace("-", "_")] = merged[param.name]
-        elif param.required:
+        if param.required and param.name not in merged:
             raise UsageError(f"missing required parameter --{param.name}")
-        else:
-            resolved[param.name.replace("-", "_")] = param.default
+        resolved[param.name.replace("-", "_")] = merged.get(param.name, param.default)
+    for param in declared.values():
+        value, listed = resolved[param.name.replace("-", "_")], param.kind in _LISTS
+        if param.least is not None and min(value if listed else (value,)) < param.least:
+            values = " values" if listed else ""
+            raise UsageError(f"--{param.name}{values} must be >= {param.least:g}")
     _validate(namespace.subcommand, resolved)
     return RunConfig(namespace.subcommand, resolved)
 
 
 def _validate(subcommand: str, params: dict) -> None:
-    if params.get("threads", 1) < 1:
-        raise UsageError("--threads must be >= 1")
-    if subcommand == "counterexample":
-        if params["k_min"] > params["k_max"]:
-            raise UsageError("--k-min must not exceed --k-max")
-        if params["nt"] < 1:
-            raise UsageError("--nt must be >= 1")
+    if subcommand == "counterexample" and params["k_min"] > params["k_max"]:
+        raise UsageError("--k-min must not exceed --k-max")
     if subcommand == "propagate":
         given = (params["x_min"] is not None) + (params["x_max"] is not None)
         if given == 1:
             raise UsageError("--x-min and --x-max must be given together")
         if given == 2 and params["x_min"] >= params["x_max"]:
             raise UsageError("--x-min must be below --x-max")
-        if params["nx"] < 2:
-            raise UsageError("--nx must be >= 2")
-    if subcommand == "khinchine" and min(params["p"]) < 1.0:
-        raise UsageError("--p values must be >= 1")
-    # a Khinchine ratio needs two samples for its standard error
-    least = {"khinchine": 2, "stochastic-continuity": 1}.get(subcommand)
-    if least is not None and params["n"] < least:
-        raise UsageError(f"--n must be >= {least}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +219,12 @@ def _run_counterexample(params: dict) -> tuple[dict, int]:
 
 
 def _run_khinchine(params: dict) -> tuple[dict, int]:
-    results = [{"p": res.power, "ratio": res.ratio, "stderr": res.ratio_stderr,
-                "analytic": khinchine_analytic_ratio(res.power)}
-               for res in khinchine_check(params["coeffs"], params["p"], params["n"],
-                                          params["seed"])]
-    header = ["p", "ratio", "stderr", "analytic"]
-    write_table(params["out"], header,
-                ([format_float(result[key]) for key in header] for result in results))
-    return {"results": results}, 0
+    results = khinchine_check(params["coeffs"], params["p"], params["n"], params["seed"])
+    write_table(params["out"], ["p", "ratio", "stderr", "analytic"],
+                ([format_float(value) for value in (res.power, res.ratio, res.ratio_stderr,
+                                                    khinchine_analytic_ratio(res.power))]
+                 for res in results))
+    return {}, 0
 
 
 def _run_stochastic_continuity(params: dict) -> tuple[dict, int]:
@@ -241,10 +232,7 @@ def _run_stochastic_continuity(params: dict) -> tuple[dict, int]:
     curve = stochastic_continuity(p, params["x"], params["alpha"], params["t"],
                                   params["n"], params["seed"], params["sign"])
     # the sidecar values come first, so a refused norm leaves no CSV behind
-    block = {"fit": {"alpha": params["alpha"], "x": params["x"],
-                     "n_samples": params["n"],
-                     "l2_norm": hs_norm(p, 0.0),
-                     "final_prob": float(curve.empirical_probs[-1])}}
+    block = {"fit": {"l2_norm": hs_norm(p, 0.0)}}
     columns = (curve.t_values, curve.empirical_probs, curve.wilson_lo, curve.wilson_hi)
     write_table(params["out"], ["t", "prob", "wilson_lo", "wilson_hi"],
                 ([format_float(value) for value in row] for row in zip(*columns)))
@@ -287,16 +275,16 @@ def _run_trace(params: dict) -> tuple[dict, int]:
     deviations = convergence_trace(p, params["x"], params["t"], params["sign"])
     write_table(params["out"], ["t", "deviation"],
                 ([format_float(t), format_float(d)] for t, d in zip(params["t"], deviations)))
-    return {"final_deviation": float(deviations[-1])}, 0
+    return {}, 0
 
 
 #: Every subcommand, its handler and its parameters, in the order help lists them.
 _SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[dict, int]], list[_Param]]] = {
     "propagate": (_run_propagate, _COMMON + [
-        _Param("profile", "path", required=True, help="input profile CSV (xi,re,im)"),
+        _PROFILE,
         _Param("t", "float", required=True, help="evolution time"),
-        _Param("sign", "sign", default="+", help="sign of the 1/xi phase term"),
-        _Param("nx", "int", default=4096, help="number of output x points"),
+        _SIGN,
+        _Param("nx", "int", default=4096, help="number of output x points", least=2),
         _Param("x-min", "float", help="left edge of an explicit x grid"),
         _Param("x-max", "float", help="right edge of an explicit x grid"),
     ]),
@@ -304,36 +292,37 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict], tuple[dict, int]], list[_Param]]]
         _Param("s", "float", required=True, help="Sobolev regularity of the family"),
         _Param("k-min", "int", required=True, help="first dyadic scale"),
         _Param("k-max", "int", required=True, help="last dyadic scale"),
-        _Param("sign", "sign", default="+"),
-        _Param("nt", "int", default=256, help="time samples per scale"),
+        _SIGN,
+        _Param("nt", "int", default=256, help="time samples per scale", least=1),
         _THREADS,
     ]),
     "khinchine": (_run_khinchine, _COMMON + [
-        _Param("p", "floats", required=True, help="comma-separated moment orders"),
-        _Param("n", "int", required=True, help="Monte Carlo sample count"),
-        _Param("seed", "int", default=0),
+        _Param("p", "floats", required=True, help="comma-separated moment orders", least=1),
+        # a Khinchine ratio needs two samples for its standard error
+        _Param("n", "int", required=True, help="Monte Carlo sample count", least=2),
+        _SEED,
         _Param("coeffs", "floats", default=(1.0,), help="coefficient sequence"),
     ]),
     "stochastic-continuity": (_run_stochastic_continuity, _COMMON + [
         _Param("alpha", "float", required=True, help="exceedance threshold"),
         _Param("t", "floats", required=True, help="strictly decreasing times"),
-        _Param("n", "int", required=True, help="Monte Carlo sample count"),
-        _Param("seed", "int", default=0),
+        _Param("n", "int", required=True, help="Monte Carlo sample count", least=1),
+        _SEED,
         _Param("x", "float", default=0.0, help="observation point"),
-        _Param("profile", "path", required=True),
-        _Param("sign", "sign", default="+"),
+        _PROFILE,
+        _SIGN,
     ]),
     "verify-lemmas": (_run_verify_lemmas, _COMMON + [
         _Param("corpus", "path", help="directory of profile CSVs (default: built-in corpus)"),
         _Param("only", "strs", help="comma-separated lemma ids to keep"),
         _THREADS,
-        _Param("sign", "sign", default="+"),
+        _SIGN,
     ]),
     "trace": (_run_trace, _COMMON + [
-        _Param("profile", "path", required=True),
+        _PROFILE,
         _Param("x", "float", required=True, help="observation point"),
         _Param("t", "floats", required=True, help="strictly decreasing times (0 allowed last)"),
-        _Param("sign", "sign", default="+"),
+        _SIGN,
     ]),
 }
 

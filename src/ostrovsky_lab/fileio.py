@@ -77,7 +77,7 @@ def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
     if len(body) == 0:
         raise ValueError(f"{path}: no data rows")
     try:
-        table = np.array([[float(cell) for cell in row] for row in body])
+        table = np.array(body, dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed numeric field: {exc}") from exc
     if table.shape[1] != len(header):

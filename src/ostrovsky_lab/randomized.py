@@ -108,10 +108,10 @@ def randomize(p: SpectralProfile, k_min: int, coefficients) -> SpectralProfile:
         )
     if not np.any(p.amplitudes):
         return p.with_amplitudes(p.amplitudes)
-    k0 = np.floor(p.xi).astype(np.int64)
+    k0 = np.floor(p.xi)
     d = p.xi - k0
-    # clipped so idx + 1 stays in range on zero-amplitude points outside the band
-    idx = np.clip(k0, k_min, k_max - 1) - k_min
+    # clipped before the cast, so idx + 1 is in range on zero-amplitude points off the band
+    idx = (np.clip(k0, k_min, k_max - 1) - k_min).astype(np.int64)
     mix = g[idx] * (1.0 - d) + g[idx + 1] * d
     return p.with_amplitudes(p.amplitudes * mix)
 

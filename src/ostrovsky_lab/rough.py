@@ -239,18 +239,26 @@ class ScalingFit:
     residual: float  # max |log2 R_k - fit|
 
 
+def _log2_ratios(ks, *ends) -> tuple[np.ndarray, list[np.ndarray]]:
+    """k as doubles and log2 of each ratio sequence, after the checks both slope fits share."""
+    ks, ends = np.asarray(ks, dtype=np.float64), [np.asarray(r, dtype=np.float64) for r in ends]
+    if ks.ndim != 1 or ks.size < 3:
+        raise ValueError("need at least three (k, R_k) points")
+    if any(r.shape != ks.shape for r in ends):
+        raise ValueError("k and R_k sequences must have matching lengths")
+    if np.all(ks == ks[0]):
+        raise ValueError("k values are degenerate (all equal)")
+    if not all(np.all((r > 0.0) & (r < np.inf)) for r in ends):
+        raise ValueError("ratios must be positive and finite")
+    if len(ends) == 2 and np.any(ends[0] > ends[1]):
+        raise ValueError("lower ends must not exceed upper ends")
+    return ks, [np.log2(r) for r in ends]
+
+
 def scaling_fit(points) -> ScalingFit:
     """Fit log2(R_k) = slope * k + intercept over >= 3 distinct k."""
     pts = [(int(k), float(r)) for k, r in points]
-    if len(pts) < 3:
-        raise ValueError("need at least three (k, R_k) points")
-    ks = np.array([k for k, _ in pts], dtype=np.float64)
-    rs = np.array([r for _, r in pts])
-    if np.any(rs <= 0.0):
-        raise ValueError("ratios must be positive")
-    if np.all(ks == ks[0]):
-        raise ValueError("k values are degenerate (all equal)")
-    logs = np.log2(rs)
+    ks, (logs,) = _log2_ratios([k for k, _ in pts], [r for _, r in pts])
     design = np.stack([ks, np.ones_like(ks)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)
     residual = float(np.max(np.abs(logs - (slope * ks + intercept))))
@@ -264,10 +272,9 @@ def slope_range(ks, lower, upper) -> tuple[float, float]:
     so its least value takes the lower end where c_k > 0 and the upper end
     elsewhere, and its largest value the other way round.
     """
-    ks = np.asarray(ks, dtype=np.float64)
+    ks, (lo, hi) = _log2_ratios(ks, lower, upper)
     centred = ks - np.mean(ks)
     c = centred / np.sum(centred * centred)
-    lo, hi = np.log2(lower), np.log2(upper)
     return (float(np.sum(c * np.where(c > 0.0, lo, hi))),
             float(np.sum(c * np.where(c > 0.0, hi, lo))))
 

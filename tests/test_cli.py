@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostrovsky_lab.cli import UsageError, main, parse_config
+from ostrovsky_lab.cli import _SUBCOMMANDS, UsageError, main, parse_config
 from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.fileio import read_field, read_reports, write_profile
 from ostrovsky_lab.rough import CounterexampleSpec, counterexample_profile
@@ -38,6 +38,33 @@ def _spike16_profile():
     amps = np.zeros(17)
     amps[8] = 1.0
     return SpectralProfile(15.0, 0.125, amps)
+
+
+# the required flags of each subcommand, at values that parse
+_REQUIRED = {
+    "propagate": {"profile": "p.csv", "t": "0"},
+    "counterexample": {"s": "0", "k-min": "3", "k-max": "5"},
+    "khinchine": {"p": "2", "n": "16"},
+    "stochastic-continuity": {"profile": "p.csv", "alpha": "0.1", "t": "0.1,0", "n": "4"},
+    "verify-lemmas": {},
+    "trace": {"profile": "p.csv", "x": "0", "t": "0.1,0"},
+}
+# the refusal of a value below each declared lower bound
+_BOUND_MESSAGES = {
+    ("propagate", "nx"): "--nx must be >= 2",
+    ("counterexample", "nt"): "--nt must be >= 1",
+    ("counterexample", "threads"): "--threads must be >= 1",
+    ("khinchine", "p"): "--p values must be >= 1",
+    ("khinchine", "n"): "--n must be >= 2",
+    ("stochastic-continuity", "n"): "--n must be >= 1",
+    ("verify-lemmas", "threads"): "--threads must be >= 1",
+}
+_BOUNDED = [(subcommand, param) for subcommand, (_, params) in _SUBCOMMANDS.items()
+            for param in params if param.least is not None]
+
+
+def _argv(subcommand, flags, out="o.csv"):
+    return [subcommand, "--out", str(out)] + [f"--{name}={value}" for name, value in flags.items()]
 
 
 class TestParseConfig:
@@ -103,6 +130,30 @@ class TestParseConfig:
     def test_cross_parameter_validation(self, argv, match):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
+
+    def test_every_bound_has_its_message(self):
+        assert {(subcommand, param.name) for subcommand, param in _BOUNDED} == set(_BOUND_MESSAGES)
+
+    @pytest.mark.parametrize("subcommand,param", _BOUNDED,
+                             ids=[f"{sub}-{param.name}" for sub, param in _BOUNDED])
+    def test_lower_bound_from_flag_and_file(self, tmp_path, subcommand, param):
+        at, below = f"{param.least:g}", f"{param.least - 1:g}"
+        message = _BOUND_MESSAGES[(subcommand, param.name)]
+        flags = {**_REQUIRED[subcommand], param.name: at}
+        value = parse_config(_argv(subcommand, flags)).params[param.name]
+        assert value == (param.least if param.kind == "int" else (param.least,))
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            parse_config(_argv(subcommand, {**flags, param.name: below}))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{param.name} = {below}\n")
+        del flags[param.name]
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            parse_config(_argv(subcommand, {**flags, "config": cfg_file}))
+
+    def test_every_flag_has_help(self):
+        bare = [f"{subcommand} --{param.name}" for subcommand, (_, params) in _SUBCOMMANDS.items()
+                for param in params if not param.help.strip()]
+        assert bare == []
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -197,8 +248,7 @@ class TestMainKhinchine:
         assert meta["subcommand"] == "khinchine"
         assert meta["version"] == "0.1.0"
         assert meta["config"]["n"] == 256
-        assert len(meta["results"]) == 2
-        assert meta["results"][0]["p"] == 2.0
+        assert [line.split(",")[0] for line in lines[1:]] == ["2.0", "4.0"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -298,7 +348,7 @@ class TestMainTrace:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,deviation"
         assert len(lines) == 4
-        assert _read_meta(out)["final_deviation"] == 0.0
+        assert lines[-1].split(",") == ["0.0", "0.0"]
 
 
 class TestMainStochasticContinuity:
@@ -311,9 +361,9 @@ class TestMainStochasticContinuity:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,prob,wilson_lo,wilson_hi"
         assert len(lines) == 3
-        fit = _read_meta(out)["fit"]
-        assert fit["n_samples"] == 32
-        assert fit["l2_norm"] > 0.0
+        meta = _read_meta(out)
+        assert meta["config"]["n"] == 32
+        assert meta["fit"]["l2_norm"] > 0.0
 
 
 class TestMainCounterexample:
@@ -366,6 +416,37 @@ class TestMainCounterexample:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert _read_meta(outs[0])["fit"] == _read_meta(outs[1])["fit"]
+
+
+class TestSidecar:
+    # every sidecar holds these, and beyond them only values derived from the
+    # run that are neither config values nor cells of its CSV
+    RECORD = {"version", "subcommand", "config", "wall_clock_s"}
+
+    @pytest.mark.parametrize("subcommand,flags,derived", [
+        ("propagate", {"t": "0.25", "nx": "16"}, {"resolution"}),
+        ("counterexample", {"s": "0.25", "k-min": "3", "k-max": "5", "nt": "8"},
+         {"rk_upper", "fit"}),
+        ("khinchine", {"p": "2,4", "n": "64"}, set()),
+        ("stochastic-continuity", {"alpha": "0.5", "t": "1e-2,0", "n": "16"}, {"fit"}),
+        ("verify-lemmas", {"only": "L2_6"}, {"summary"}),
+        ("trace", {"x": "0.4", "t": "1e-3,0"}, set()),
+    ], ids=["propagate", "counterexample", "khinchine", "stochastic-continuity",
+            "verify-lemmas", "trace"])
+    def test_top_level_keys(self, tmp_path, gauss_low_csv, subcommand, flags, derived):
+        if subcommand == "verify-lemmas":
+            flags = {**flags, "corpus": gauss_low_csv.parent}
+        elif subcommand not in ("counterexample", "khinchine"):
+            flags = {**flags, "profile": gauss_low_csv}
+        out = tmp_path / "o.csv"
+        assert main(_argv(subcommand, flags, out)) == 0
+        assert set(_read_meta(out)) == self.RECORD | derived
+
+    def test_continuity_fit_holds_only_the_norm(self, tmp_path, gauss_low_csv, corpus_by_id):
+        out = tmp_path / "sc.csv"
+        assert main(["stochastic-continuity", "--profile", str(gauss_low_csv), "--alpha", "0.5",
+                     "--t", "1e-2,0", "--n", "16", "--out", str(out)]) == 0
+        assert _read_meta(out)["fit"] == {"l2_norm": hs_norm(corpus_by_id["gauss_low"].profile, 0.0)}
 
 
 class TestMainVerifyLemmas:

@@ -101,6 +101,14 @@ class TestRandomize:
         with pytest.raises(ValueError, match="coefficients cover windows"):
             randomize(p, 2, np.ones(7, dtype=complex))
 
+    def test_grid_beyond_int64_reach_draws_without_warning(self):
+        # only the carrying point's windows count; the far point has no amplitude
+        p = SpectralProfile(1.0, 1e300, np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = randomize(p, 0, np.array([2.0, 3.0, 5.0]))
+        np.testing.assert_array_equal(q.amplitudes, [3.0, 0.0])
+
     def test_mean_squared_norm(self, corpus_by_id):
         # E ||f^w||^2 = 2 * sum_xi ((1-d)^2 + d^2) |a|^2 h with d = xi - floor(xi)
         p = corpus_by_id["gauss_low"].profile

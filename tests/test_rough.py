@@ -448,6 +448,23 @@ class TestScalingFit:
             scaling_fit([(3, 1.0), (4, -2.0), (5, 1.0)])
         with pytest.raises(ValueError, match="degenerate"):
             scaling_fit([(3, 1.0), (3, 2.0), (3, 4.0)])
+        with pytest.raises(ValueError, match="finite"):
+            scaling_fit([(3, 1.0), (4, math.inf), (5, 1.0)])
+        # the ends of slope_range are refused as the ratios are, and ordered
+        ks = [3, 4, 5]
+        for lower, upper, match in [
+            ([1.0, 2.0, 3.0], [1.0, 2.0], "matching lengths"),
+            ([0.0, 2.0, 3.0], [1.0, 2.0, 3.0], "positive"),
+            ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "positive"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf], "finite"),
+            ([1.0, 2.0, 3.0], [1.0, 1.5, 3.0], "lower ends must not exceed"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                slope_range(ks, lower, upper)
+        with pytest.raises(ValueError, match="three"):
+            slope_range([3], [1.0], [2.0])
+        with pytest.raises(ValueError, match="degenerate"):
+            slope_range([3, 3, 3], [1, 2, 3], [1, 2, 3])
 
 
 class TestConvergenceTrace:
