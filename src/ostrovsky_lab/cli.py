@@ -243,7 +243,7 @@ def _load_corpus_dir(path: str) -> list[CorpusEntry]:
     files = sorted(Path(path).glob("*.csv"))
     if not files:
         raise UsageError(f"no profile CSVs found in {path}")
-    return [CorpusEntry(f.stem, read_profile(f), max_resolved_t=0.0) for f in files]
+    return [CorpusEntry(f.stem, read_profile(f)) for f in files]
 
 
 def _run_verify_lemmas(params: dict) -> tuple[dict, int]:
@@ -261,8 +261,7 @@ def _run_verify_lemmas(params: dict) -> tuple[dict, int]:
         if "skip" not in r.params and (best is None or r.fitted_c > best.fitted_c):
             worst[r.lemma_id] = r
     block = {"summary": {
-        "reports": len(reports), "passed": len(reports) - failed, "failed": failed,
-        "skipped": sum(skipped_by_reason.values()),
+        "reports": len(reports), "failed": failed,
         "skipped_by_reason": dict(skipped_by_reason),
         "worst_fitted_c": {lemma_id: {"fitted_c": r.fitted_c, "profile_id": r.profile_id}
                            for lemma_id, r in worst.items()},

@@ -4,8 +4,8 @@ Twelve profiles in three frequency tiers.  Grid bounds and steps are exact
 binary fractions (steps 2**-8 / 2**-6, bounds multiples of the step) so
 grid points, window offsets and band edges are exactly representable.  The
 low tier stays under |xi| <= 2.5 and resolves evolution out to t = 1; the
-mid and high tiers carry content up to |xi| = 10.5 and are meant for
-t <= ~1e-2, where the phase-increment rule still passes.
+mid and high tiers carry content up to |xi| = 10.5 and resolve it for
+t <= ~1e-2, where the phase-increment rule still passes on all 12 profiles.
 
 Supports are padded with a margin of explicitly zero cells so that grid
 end points never carry amplitude, and every profile avoids a neighbourhood
@@ -36,7 +36,6 @@ __all__ = [
 class CorpusEntry:
     profile_id: str
     profile: SpectralProfile
-    max_resolved_t: float  # largest |t| the entry is designed to propagate at
 
 
 def profile_from_function(fn, xi_min: float, xi_max: float, xi_step: float) -> SpectralProfile:
@@ -82,61 +81,31 @@ _H_MID = 2.0**-6
 
 def default_corpus() -> list[CorpusEntry]:
     """The standard twelve profiles (four per frequency tier)."""
-    entries = [
+    return [
         # --- low tier: supports inside [0.25, 2.5], resolved out to t = 1
-        CorpusEntry(
-            "gauss_low",
-            gaussian_profile(1.375, 0.225, 0.25, 2.5, 0.1875, 2.5625, _H_LOW),
-            1.0,
-        ),
-        CorpusEntry(
-            "gauss_low_even",
-            gaussian_profile(1.375, 0.225, 0.25, 2.5, -2.5625, 2.5625, _H_LOW, even=True),
-            1.0,
-        ),
-        CorpusEntry(
-            "band_unit",
-            band_profile(1.0, 2.0, 1.0, 0.9375, 2.0625, _H_LOW),
-            1.0,
-        ),
-        CorpusEntry(
-            "band_low_even",
-            band_profile(1.25, 2.5, 0.75, -2.5625, 2.5625, _H_LOW, even=True),
-            1.0,
-        ),
+        CorpusEntry("gauss_low",
+                    gaussian_profile(1.375, 0.225, 0.25, 2.5, 0.1875, 2.5625, _H_LOW)),
+        CorpusEntry("gauss_low_even",
+                    gaussian_profile(1.375, 0.225, 0.25, 2.5, -2.5625, 2.5625, _H_LOW, even=True)),
+        CorpusEntry("band_unit",
+                    band_profile(1.0, 2.0, 1.0, 0.9375, 2.0625, _H_LOW)),
+        CorpusEntry("band_low_even",
+                    band_profile(1.25, 2.5, 0.75, -2.5625, 2.5625, _H_LOW, even=True)),
         # --- mid tier: supports inside [1.5, 7]
-        CorpusEntry(
-            "gauss_mid",
-            gaussian_profile(4.5, 0.5, 2.0, 7.0, 1.875, 7.125, _H_MID),
-            1e-3,
-        ),
-        CorpusEntry(
-            "band_mid_even",
-            band_profile(3.0, 6.0, 0.5, -6.125, 6.125, _H_MID, even=True),
-            1e-3,
-        ),
-        CorpusEntry(
-            "chirped_mid",
-            gaussian_profile(4.0, 0.5, 1.5, 6.5, 1.375, 6.625, _H_MID, chirp=2.0),
-            1e-3,
-        ),
-        CorpusEntry(
-            "band_narrow",
-            band_profile(3.0, 3.5, 2.0, 2.875, 3.625, _H_MID),
-            1e-3,
-        ),
+        CorpusEntry("gauss_mid",
+                    gaussian_profile(4.5, 0.5, 2.0, 7.0, 1.875, 7.125, _H_MID)),
+        CorpusEntry("band_mid_even",
+                    band_profile(3.0, 6.0, 0.5, -6.125, 6.125, _H_MID, even=True)),
+        CorpusEntry("chirped_mid",
+                    gaussian_profile(4.0, 0.5, 1.5, 6.5, 1.375, 6.625, _H_MID, chirp=2.0)),
+        CorpusEntry("band_narrow",
+                    band_profile(3.0, 3.5, 2.0, 2.875, 3.625, _H_MID)),
         # --- high tier: content above |xi| = 8 (kept under 10.5 so that the
         #     phase stays in its near-linear response over t <= 1e-3)
-        CorpusEntry(
-            "gauss_high",
-            gaussian_profile(9.0, 0.3, 7.5, 10.5, 7.375, 10.625, _H_MID),
-            1e-3,
-        ),
-        CorpusEntry(
-            "band_high_even",
-            band_profile(8.0, 10.0, 0.6, -10.125, 10.125, _H_MID, even=True),
-            1e-3,
-        ),
+        CorpusEntry("gauss_high",
+                    gaussian_profile(9.0, 0.3, 7.5, 10.5, 7.375, 10.625, _H_MID)),
+        CorpusEntry("band_high_even",
+                    band_profile(8.0, 10.0, 0.6, -10.125, 10.125, _H_MID, even=True)),
         CorpusEntry(
             "mix_two_scale",
             profile_from_function(
@@ -148,7 +117,6 @@ def default_corpus() -> list[CorpusEntry]:
                 ),
                 0.125, 10.125, _H_MID,
             ),
-            1e-3,
         ),
         CorpusEntry(
             "mix_band_gauss_even",
@@ -160,10 +128,8 @@ def default_corpus() -> list[CorpusEntry]:
                 ),
                 -10.6875, 10.6875, _H_MID,
             ),
-            1e-3,
         ),
     ]
-    return entries
 
 
 def parseval_grid(p: SpectralProfile) -> SpaceGrid:

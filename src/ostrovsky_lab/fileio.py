@@ -181,7 +181,11 @@ def write_reports(reports: Sequence[LemmaReport], path) -> None:
 
 
 def read_reports(path) -> list[LemmaReport]:
-    """Read a report table; a malformed row raises ValueError naming the file and line."""
+    """Read a report table, each report from its sides.
+
+    A malformed row, or one whose pass cell disagrees with its sides, raises
+    ValueError naming the file and line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or rows[0] != REPORT_HEADER:
@@ -194,15 +198,12 @@ def read_reports(path) -> list[LemmaReport]:
             lemma_id, profile_id, params, lhs, rhs, fitted, passed = row
             if passed not in ("true", "false"):
                 raise ValueError(f"pass must be true or false, got {passed!r}")
-            out.append(LemmaReport(
-                lemma_id=lemma_id,
-                profile_id=profile_id,
-                params=text_to_params(params),
-                measured_lhs=float(lhs),
-                bound_rhs=float(rhs),
-                fitted_c=float(fitted),
-                passed=passed == "true",
-            ))
+            report = LemmaReport(lemma_id, profile_id, text_to_params(params),
+                                 float(lhs), float(rhs), float(fitted))
+            if report.passed != (passed == "true"):
+                raise ValueError(f"pass {passed} disagrees with measured_lhs {lhs} "
+                                 f"and bound_rhs {rhs}")
+            out.append(report)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out

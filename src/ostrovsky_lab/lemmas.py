@@ -1,9 +1,10 @@
 """Numerical checks of the deterministic frequency-localized estimates.
 
 Each check measures both sides of one inequality on a concrete profile
-and emits a :class:`LemmaReport` whose ``passed`` flag is recomputable
-from the stored fields (``passed == measured_lhs <= bound_rhs``), so a
-report file audits itself.
+and emits a :class:`LemmaReport`, whose verdict ``passed`` is computed
+from the two sides (``measured_lhs <= bound_rhs``) and never stored, so a
+report file audits itself: ``fileio.read_reports`` refuses a row whose
+``pass`` cell disagrees with its sides.
 
 Suprema over x are maxima over a finite observation grid.  For the
 upper-bound checks (square function, Bernstein) a coarse grid can only
@@ -27,6 +28,7 @@ from .spectral import (
     ZERO_EXCLUSION,
     SpaceGrid,
     SpectralProfile,
+    _in_range,
     _rescaled,
     _synthesize_rows,
     evolution_multipliers,
@@ -82,7 +84,7 @@ BERNSTEIN_CONSTANT = 2.0
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """One measured inequality: lhs, rhs, the fitted constant, verdict."""
+    """One measured inequality: lhs, rhs and the fitted constant; the verdict follows from them."""
 
     lemma_id: str
     profile_id: str
@@ -90,14 +92,13 @@ class LemmaReport:
     measured_lhs: float
     bound_rhs: float
     fitted_c: float
-    passed: bool
 
     def __post_init__(self):
         if self.lemma_id not in LEMMA_IDS:
             raise ValueError(f"unknown lemma id {self.lemma_id!r}")
 
-    def audit(self) -> bool:
-        """Recompute the verdict from the stored sides."""
+    @property
+    def passed(self) -> bool:
         return bool(self.measured_lhs <= self.bound_rhs)
 
 
@@ -110,7 +111,6 @@ def _report(lemma_id: str, profile_id: str, params: dict,
         measured_lhs=float(lhs),
         bound_rhs=float(rhs),
         fitted_c=float(fitted_c),
-        passed=bool(lhs <= rhs),
     )
 
 
@@ -221,11 +221,12 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
                          grid: SpaceGrid | None = None) -> list[LemmaReport]:
     """Linear-in-t deviation of the high-frequency part.
 
-    Emits two self-auditing rows: the fitted constant max_t(sup dev / t)
-    against the phase-weighted l1 majorant, and the log-log slope of the
-    deviation curve against 1 within SLOPE_TOLERANCE.  A profile with
-    no high-frequency content, or a refused resolution gate at the largest
-    time, yields a single skip row.
+    Emits two rows: the fitted constant max_t(sup dev / t) against the
+    phase-weighted l1 majorant, and the log-log slope of the deviation curve
+    against 1 within SLOPE_TOLERANCE.  A profile with no high-frequency
+    content, or a refused resolution gate at the largest time, yields a
+    single skip row.  Raises ValueError when a deviation, the fitted
+    constant or the majorant is not a normal double.
     """
     ts = np.asarray(t_values, dtype=np.float64)
     # a slope needs distinct times; one repeated time makes np.polyfit warn
@@ -240,9 +241,14 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
         grid = observation_grid(p)
 
     deviations = _sup_deviations(p, high.amplitudes, ts, sign, grid)
-    fitted_c = float(np.max(deviations / ts))
+    with np.errstate(over="ignore"):  # an overflowing constant is refused below
+        fitted_c = float(np.max(deviations / ts))
     # |exp(i t phi) - 1| <= |t phi|: the phase-weighted l1 mass bounds dev / t
     majorant = phase_moments(high, sign)[1]
+    for what, value in (("a sup deviation", deviations), ("the fitted constant", fitted_c),
+                        ("the majorant", majorant)):
+        if not _in_range(value):
+            raise ValueError(f"L2_3: {what} is not a normal double")
     slope = float(np.polyfit(np.log(ts), np.log(deviations), 1)[0])
 
     shared = {"t_min": float(np.min(ts)), "t_max": float(np.max(ts)), "n_t": ts.size}
@@ -314,18 +320,20 @@ def norm_equivalence_reports(p: SpectralProfile, *,
 
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
     ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
-    Raises ValueError, naming the profile, when either side leaves the
-    double range, although the norms themselves may be in range.
+    Raises ValueError, naming the profile, when either side of a non-zero
+    profile is not a normal double (a square overflows or underflows),
+    although the norms themselves may be in range.
     """
+    norm = hs_norm(p, 0.0)
     try:  # a float square that overflows raises, a sum of squares gives inf
         piece_sum = float(sum(hs_norm(p.with_amplitudes(row), 0.0) ** 2
                               for row in wiener_decompose(p).table))
-        total = hs_norm(p, 0.0) ** 2
-        if piece_sum == math.inf:
-            raise OverflowError
+        total = norm ** 2
     except OverflowError:
+        piece_sum = total = math.inf
+    if norm > 0.0 and not _in_range((piece_sum, total)):
         raise ValueError(f"NORM_EQUIV: the squared L2 norms of {profile_id} leave the "
-                         "double range") from None
+                         "double range")
     ratio = piece_sum / total if total > 0 else 1.0
     upper = _report("NORM_EQUIV", profile_id, {"side": "upper", "ratio": ratio},
                     piece_sum, total * (1.0 + NORM_EQUIV_SLACK), ratio)

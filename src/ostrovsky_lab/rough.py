@@ -248,6 +248,13 @@ def _log2_ratios(ks, *ends) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError("k and R_k sequences must have matching lengths")
     if np.all(ks == ks[0]):
         raise ValueError("k values are degenerate (all equal)")
+    # both slopes divide by the centred sum of squares of k; nan for a non-finite k
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = ks - np.mean(ks)
+        spread = float(np.sum(centred * centred))
+    if not np.finfo(np.float64).tiny <= spread < math.inf:
+        raise ValueError("k values must be finite, with a centred sum of squares "
+                         "inside the normal double range")
     if not all(np.all((r > 0.0) & (r < np.inf)) for r in ends):
         raise ValueError("ratios must be positive and finite")
     if len(ends) == 2 and np.any(ends[0] > ends[1]):
@@ -257,7 +264,7 @@ def _log2_ratios(ks, *ends) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def scaling_fit(points) -> ScalingFit:
     """Fit log2(R_k) = slope * k + intercept over >= 3 distinct k."""
-    pts = [(int(k), float(r)) for k, r in points]
+    pts = [(float(k), float(r)) for k, r in points]
     ks, (logs,) = _log2_ratios([k for k, _ in pts], [r for _, r in pts])
     design = np.stack([ks, np.ones_like(ks)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)

@@ -210,7 +210,10 @@ class ResolutionReport:
     """Outcome of the per-cell phase-increment check."""
 
     max_phase_increment: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.max_phase_increment <= MAX_PHASE_INCREMENT
 
 
 class ResolutionError(ValueError):
@@ -337,14 +340,19 @@ def phase_moments(p: SpectralProfile, sign: str,
     bound the field F(s) = U(s) f (x) at any point: |F| <= S, |F'| <= L and
     |F''| <= L2 in s.  A time scale t gives the same bounds per unit of s / t,
     and keeps L and L2 in the double range on bands where phi * xi_step or
-    phi**2 would overflow.  All three are 0 for a zero profile.
+    phi**2 would overflow.  All three are 0 for a zero profile.  Each sum is
+    linear in the amplitudes, so they follow _rescaled; raises ValueError
+    when one leaves the double range.
     """
     nz = p.amplitudes != 0.0
     w = _weights(p.n, p.xi_step)[nz]
     phi = np.abs(phase(p.xi[nz], sign)) * t
-    mass = np.abs(p.amplitudes[nz])
-    return (float(np.sum(w * mass)), float(np.sum(w * phi * mass)),
-            float(np.sum(w * phi * phi * mass)))
+
+    def sums(a):
+        mass = np.abs(a)
+        return np.array([np.sum(w * mass), np.sum(w * phi * mass), np.sum(w * phi * phi * mass)])
+
+    return tuple(map(float, _rescaled(sums, p.amplitudes[nz], 1.0, "a phase moment")))
 
 
 def _check_phase_reach(p: SpectralProfile, x_reach: float) -> None:
@@ -500,7 +508,7 @@ def validate_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionRe
         # Python floats: an increment beyond the double range is inf, without a warning
         dphi = float(np.max(np.abs(phase_derivative(p.xi[nz], sign))))
         increment = abs(float(t)) * dphi * float(p.xi_step)
-    return ResolutionReport(increment, increment <= MAX_PHASE_INCREMENT)
+    return ResolutionReport(increment)
 
 
 def require_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionReport:
@@ -553,7 +561,9 @@ def lp_norm_space(u: SpaceField, power: float) -> float:
     """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
 
     The root at p = 2 is np.sqrt.  Raises ValueError, naming p, when the
-    norm leaves the double range; a sum of |u|^p alone is retaken by _rescaled.
+    norm leaves the double range, or when a non-zero field gets the norm 0
+    (from about p = 1074 on, |u|^p of the retake underflows); a sum of |u|^p
+    alone is retaken by _rescaled.
     """
     if power == math.inf:
         return float(np.max(np.abs(u.values)))
@@ -561,8 +571,11 @@ def lp_norm_space(u: SpaceField, power: float) -> float:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
     w = trapezoid_weights(u.n)
     root = np.sqrt if power == 2.0 else lambda total: total ** (1.0 / power)
-    return float(_rescaled(lambda v: root(np.sum(w * np.abs(v) ** power * u.x_step)),
+    norm = float(_rescaled(lambda v: root(np.sum(w * np.abs(v) ** power * u.x_step)),
                            u.values, power, f"L^{power:g} norm"))
+    if norm == 0.0 and np.any(u.values != 0.0):
+        raise ValueError(f"L^{power:g} norm of a non-zero field underflows to 0")
+    return norm
 
 
 def _downscaled(values: np.ndarray) -> tuple[np.ndarray, int]:

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ostrovsky_lab
 from ostrovsky_lab.cli import _SUBCOMMANDS, UsageError, main, parse_config
 from ostrovsky_lab.corpus import band_profile
 from ostrovsky_lab.fileio import read_field, read_reports, write_profile
@@ -442,6 +445,14 @@ class TestSidecar:
         assert main(_argv(subcommand, flags, out)) == 0
         assert set(_read_meta(out)) == self.RECORD | derived
 
+    def test_lemma_summary_restates_no_count(self, tmp_path, gauss_low_csv):
+        # passed would be reports - failed, skipped the sum of skipped_by_reason
+        out = tmp_path / "vl.csv"
+        assert main(["verify-lemmas", "--corpus", str(gauss_low_csv.parent),
+                     "--out", str(out)]) == 0
+        assert set(_read_meta(out)["summary"]) == {"reports", "failed", "skipped_by_reason",
+                                                   "worst_fitted_c"}
+
     def test_continuity_fit_holds_only_the_norm(self, tmp_path, gauss_low_csv, corpus_by_id):
         out = tmp_path / "sc.csv"
         assert main(["stochastic-continuity", "--profile", str(gauss_low_csv), "--alpha", "0.5",
@@ -544,6 +555,27 @@ class TestMainVerifyLemmas:
         rc = main(["verify-lemmas", "--corpus", str(directory),
                    "--only", "L2_6", "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("amplitude,message", [
+        (1e-320, "L2_3: a sup deviation is not a normal double"),
+        (1e-300, "NORM_EQUIV: the squared L2 norms of p leave the double range"),
+        (1e305, "a phase moment leaves the double range"),
+        (1e308, "a phase moment leaves the double range"),
+    ])
+    def test_rows_follow_the_range_rule_at_both_ends(self, tmp_path, capsys, amplitude,
+                                                     message):
+        # every row passes at amplitude 1; beyond the normal range at either
+        # end a quantity of some row is not a normal double, and the run is
+        # refused, naming the profile, instead of writing nan or a false verdict
+        directory = tmp_path / "edge"
+        directory.mkdir()
+        write_profile(SpectralProfile(9.0, 0.125, np.full(9, amplitude)), directory / "p.csv")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-lemmas", "--corpus", str(directory), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: p: {message}\n"
+        assert not out.exists()
 
     def test_wide_profile_takes_a_table_of_its_two_windows(self, tmp_path):
         # two frequencies 1e9 apart carry two windows, not the 1000000003 of the span
@@ -750,6 +782,37 @@ def profile_file(tmp_path_factory, corpus_by_id):
     path = tmp_path_factory.mktemp("profiles") / "gauss_low.csv"
     write_profile(corpus_by_id["gauss_low"].profile, path)
     return path
+
+
+def _readme_cli_commands():
+    """The argv of each command in the shell block of README's CLI section."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+class TestReadmeCommands:
+    COMMANDS = _readme_cli_commands()
+
+    def test_every_subcommand_is_shown(self):
+        assert [argv[:2] for argv in self.COMMANDS] == [["ostrovsky-lab", name]
+                                                         for name in _SUBCOMMANDS]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[1] for argv in COMMANDS])
+    def test_command_runs_cleanly(self, tmp_path, corpus_by_id, argv):
+        # f.csv, the profile the commands read, is gauss_low; any numpy or
+        # Python warning fails the run
+        write_profile(corpus_by_id["gauss_low"].profile, tmp_path / "f.csv")
+        src = str(Path(ostrovsky_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "ostrovsky_lab.cli", *argv[1:]],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert out.is_file() and Path(f"{out}.meta.json").is_file()
 
 
 def _reject_constant(name):

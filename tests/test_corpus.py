@@ -1,9 +1,12 @@
 """The twelve-profile corpus and its purpose-built spatial grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ostrovsky_lab.corpus import (
+    CorpusEntry,
     band_profile,
     gaussian_profile,
     observation_grid,
@@ -31,6 +34,9 @@ class TestCorpusShape:
     def test_twelve_unique_ids_in_order(self, corpus):
         assert [e.profile_id for e in corpus] == EXPECTED_IDS
 
+    def test_entry_is_an_id_and_a_profile(self):
+        assert [f.name for f in dataclasses.fields(CorpusEntry)] == ["profile_id", "profile"]
+
     def test_grids_are_binary_aligned(self, corpus):
         # xi_min is an exact multiple of xi_step, so every grid point,
         # window offset and band edge is exactly representable
@@ -54,9 +60,10 @@ class TestCorpusShape:
             assert e.profile.truncated_mass == 0.0, e.profile_id
 
     @pytest.mark.parametrize("sign", ["+", "-"])
-    def test_resolved_at_design_time(self, corpus, sign):
+    def test_resolved_at_design_time(self, corpus, design_t, sign):
+        assert list(design_t) == [e.profile_id for e in corpus]
         for e in corpus:
-            rep = validate_resolution(e.profile, e.max_resolved_t, sign)
+            rep = validate_resolution(e.profile, design_t[e.profile_id], sign)
             assert rep.ok, e.profile_id
 
 

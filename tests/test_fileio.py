@@ -388,7 +388,10 @@ class TestReportsRoundTrip:
         ("L2_6,p,,1.0,2.0,0.5,yes", "pass must be true or false, got 'yes'"),
         ("L2_6,p,,1.0,2.0", r"not enough values to unpack \(expected 7, got 5\)"),
         ("L2_6,p,,one,2.0,0.5,true", "could not convert"),
-    ], ids=["verdict", "short-row", "number"])
+        # a report is built from its sides, so a pass cell that disagrees is refused
+        ("L2_6,p,,1.0,0.5,0.5,true", "pass true disagrees with measured_lhs 1.0 and bound_rhs 0.5"),
+        ("L2_6,p,,0.5,1.0,0.5,false", "pass false disagrees with measured_lhs 0.5 and bound_rhs"),
+    ], ids=["verdict", "short-row", "number", "true-above-bound", "false-below-bound"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
         target = tmp_path / "bad.csv"
         target.write_text(",".join(REPORT_HEADER) + "\nL2_6,p,,1.0,2.0,0.5,true\n" + row + "\n")

@@ -1,5 +1,6 @@
 """Self-auditing estimate checks and the corpus harness."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -72,11 +73,15 @@ def _spike(xi0=20.0, h=0.5):
 class TestLemmaReport:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown lemma id"):
-            LemmaReport("L9_9", "p", {}, 0.0, 1.0, 0.0, True)
+            LemmaReport("L9_9", "p", {}, 0.0, 1.0, 0.0)
 
-    def test_audit_matches_recorded_verdict(self, lemma_reports):
-        for report in lemma_reports:
-            assert report.audit() == report.passed
+    def test_verdict_follows_the_sides(self):
+        # the report stores its two sides and no verdict; passed is read from them
+        assert [f.name for f in dataclasses.fields(LemmaReport)] == [
+            "lemma_id", "profile_id", "params", "measured_lhs", "bound_rhs", "fitted_c"]
+        for lhs, rhs, passed in ((1.0, 1.0, True), (0.5, 1.0, True), (1.0, 0.5, False),
+                                 (math.nan, 1.0, False), (0.0, math.nan, False)):
+            assert LemmaReport("L2_6", "p", {}, lhs, rhs, 0.0).passed is passed
 
 
 class TestDeltaEpsilon:
@@ -235,7 +240,6 @@ class TestLowFrequency:
         assert low.params == {"epsilon": 1e-2, "t": 1e-5, "delta": ZERO_EXCLUSION}
         assert uniform.params == {"epsilon": 1e-2, "t": 1e-5, "delta": 1e-2}
         assert low.measured_lhs == uniform.measured_lhs > 0.0
-        assert low.passed == low.audit() and uniform.passed == uniform.audit()
 
 
 class TestHighFrequency:
@@ -384,7 +388,7 @@ class TestRefusedGates:
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_corpus_run_keeps_row_order(self, sign):
-        reports = run_corpus([CorpusEntry("b", self._profile(), 0.0)], sign)
+        reports = run_corpus([CorpusEntry("b", self._profile())], sign)
         order = [r.lemma_id for r in reports]
         assert order == ["L2_2", "L2_3", "L2_4"] + ["L2_5"] * 9 + [
             "L2_6", "L2_7", "L2_7", "NORM_EQUIV", "NORM_EQUIV", "BERNSTEIN"]
@@ -437,6 +441,17 @@ class TestNormEquivalence:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^NORM_EQUIV: the squared L2 norms of huge "):
                 norm_equivalence_reports(p, profile_id="huge")
+
+    def test_underflowing_squares_refused_and_zero_profile_kept(self):
+        # the L2 norm, about 1.06e-300, is in range; its square underflows to 0
+        p = SpectralProfile(1.0, 0.125, np.full(9, 1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^NORM_EQUIV: the squared L2 norms of tiny "):
+                norm_equivalence_reports(p, profile_id="tiny")
+            rows = norm_equivalence_reports(p.with_amplitudes(np.zeros(9)), profile_id="zero")
+        assert [r.params["ratio"] for r in rows] == [1.0, 1.0]
+        assert all(r.passed for r in rows)
 
     def test_two_sided_rows(self, corpus_by_id):
         p = corpus_by_id["mix_two_scale"].profile

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,23 @@ class TestScalingFit:
         with pytest.raises(ValueError, match="degenerate"):
             slope_range([3, 3, 3], [1, 2, 3], [1, 2, 3])
 
+    def test_k_outside_the_double_range_refused_without_warning(self):
+        # both fits divide by the centred sum of squares of k: non-finite k,
+        # and k whose sum overflows or underflows, are refused before it
+        match = "^k values must be finite, with a centred sum of squares inside the normal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ks in ([math.nan, 2, 3], [3, 4, math.inf], [-math.inf, 4, math.inf],
+                       [1e200, 2e200, 3e200], [1e-200, 2e-200, 3e-200],
+                       [1e308, 1.5e308, 1.7e308]):
+                with pytest.raises(ValueError, match=match):
+                    slope_range(ks, [1, 1, 1], [1, 1, 2])
+                with pytest.raises(ValueError, match=match):
+                    scaling_fit(list(zip(ks, [1, 1, 2])))
+        # integer k reach the fit as the same doubles
+        points = [(3, 1.0), (4, 2.0), (5, 4.1)]
+        assert scaling_fit(points) == scaling_fit([(float(k), r) for k, r in points])
+
 
 class TestConvergenceTrace:
     def test_t_zero_entry_is_exactly_zero(self, corpus_by_id):
@@ -474,11 +492,11 @@ class TestConvergenceTrace:
         assert devs[-1] == 0.0
 
     @pytest.mark.parametrize("sign", ["+", "-"])
-    def test_matches_literal_difference_of_point_values(self, corpus, sign):
+    def test_matches_literal_difference_of_point_values(self, corpus, design_t, sign):
         x = 0.3
         for entry in corpus:
             p = entry.profile
-            t_max = entry.max_resolved_t
+            t_max = design_t[entry.profile_id]
             ts = [t_max, t_max / 10.0, t_max / 1000.0, 0.0]
             probe = quadrature_row(p, x)
             u0 = probe @ p.amplitudes

@@ -1,5 +1,6 @@
 """Containers, propagator phase, synthesis and norms."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ostrovsky_lab.spectral import (
     SQRT_2PI,
     ZERO_EXCLUSION,
     ResolutionError,
+    ResolutionReport,
     SpaceField,
     SpaceGrid,
     SpectralProfile,
@@ -505,14 +507,14 @@ class TestChirpSynthesis:
             exact = Fraction(grid.x_min) + m * Fraction(grid.x_step) - Fraction(grid.points[m])
             assert abs(shift[m] - float(exact)) <= 2 * EPS * abs(float(exact))
 
-    def test_matches_dense_sum_over_corpus(self, corpus):
+    def test_matches_dense_sum_over_corpus(self, corpus, design_t):
         rng = np.random.default_rng(20)
         for entry in corpus:
             for n, rows in ((4096, np.arange(4096)),
                             (65536, np.sort(rng.choice(65536, size=64, replace=False)))):
                 grid = observation_grid(entry.profile, n=n)
                 basis = _dense_basis(entry.profile, grid, rows)
-                for t in (0.0, entry.max_resolved_t):
+                for t in (0.0, design_t[entry.profile_id]):
                     p = evolve_spectral(entry.profile, t, "+")
                     fast = synthesize(p, grid).values
                     sup = np.max(np.abs(fast))
@@ -675,6 +677,14 @@ class TestChirpSynthesis:
 
 
 class TestResolution:
+    def test_verdict_follows_the_increment(self):
+        # the report stores the increment alone; ok is read from it
+        assert [f.name for f in dataclasses.fields(ResolutionReport)] == ["max_phase_increment"]
+        for increment, ok in ((0.0, True), (MAX_PHASE_INCREMENT, True),
+                              (math.nextafter(MAX_PHASE_INCREMENT, 1.0), False),
+                              (math.inf, False), (math.nan, False)):
+            assert ResolutionReport(increment).ok is ok
+
     def test_t_zero_always_ok(self, corpus):
         rep = validate_resolution(corpus[4].profile, 0.0, "+")
         assert rep.ok and rep.max_phase_increment == 0.0
@@ -710,9 +720,9 @@ class TestResolution:
             with pytest.raises(ResolutionError, match="phase advance inf rad per cell"):
                 propagate(p, 1e308, "+", grid)
 
-    def test_gate_threshold(self, corpus_by_id):
+    def test_gate_threshold(self, corpus_by_id, design_t):
         entry = corpus_by_id["gauss_mid"]
-        assert validate_resolution(entry.profile, entry.max_resolved_t, "+").ok
+        assert validate_resolution(entry.profile, design_t["gauss_mid"], "+").ok
         assert not validate_resolution(entry.profile, 1.0, "+").ok
 
     def test_require_resolution_returns_or_raises_the_report(self, corpus_by_id):
@@ -787,6 +797,17 @@ class TestNorms:
             # (0.5 + 1 + 0.5) * 4 * 1e308 is out of range whatever the scaling
             with pytest.raises(ValueError, match=r"^L\^1 norm leaves the double range$"):
                 lp_norm_space(SpaceField(0.0, 4.0, np.full(3, 1e308)), 1.0)
+
+    @pytest.mark.parametrize("power", [1074.0, 1100.0, 2000.0])
+    def test_non_zero_field_never_gets_norm_zero(self, power):
+        # the retake scales |u| into [1/2, 1), whose power-th power underflows
+        u = SpaceField(0.0, 1.0, [2.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm_space(u, 1000.0) == 2.0
+            with pytest.raises(ValueError, match=rf"^L\^{power:g} norm of a non-zero field "):
+                lp_norm_space(u, power)
+            assert lp_norm_space(SpaceField(0.0, 1.0, [0.0, 0.0]), power) == 0.0
 
     def test_overflowing_sums_retaken_exactly(self):
         # past the overflow of the plain sum, a power-of-two amplitude
@@ -912,6 +933,21 @@ class TestNorms:
                                        [expected[0], expected[1] * 1e-3, expected[2] * 1e-6],
                                        rtol=1e-15)
         assert phase_moments(small_profile([0.0, 0.0]), "+") == (0.0, 0.0, 0.0)
+
+    def test_phase_moments_follow_the_range_rule(self):
+        # each sum is linear in the amplitudes: a power-of-two amplitude whose
+        # plain sums underflow or overflow scales them exactly, and a sum
+        # beyond the double range is refused without a warning
+        unit = SpectralProfile(9.0, 0.125, np.ones(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = phase_moments(unit, "+")
+            for e in (-1060, 1000):
+                scaled = phase_moments(unit.with_amplitudes(np.full(9, 2.0**e)), "+")
+                assert scaled == tuple(m * 2.0**e for m in moments)
+            for amplitude in (1e305, 1e308):
+                with pytest.raises(ValueError, match="^a phase moment leaves the double range$"):
+                    phase_moments(unit.with_amplitudes(np.full(9, amplitude)), "+")
 
     @settings(max_examples=30)
     @given(st.floats(min_value=1.0, max_value=64.0))
