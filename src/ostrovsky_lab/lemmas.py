@@ -244,7 +244,7 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
     with np.errstate(over="ignore"):  # an overflowing constant is refused below
         fitted_c = float(np.max(deviations / ts))
     # |exp(i t phi) - 1| <= |t phi|: the phase-weighted l1 mass bounds dev / t
-    majorant = phase_moments(high, sign)[1]
+    majorant = phase_moments(high, sign, (1,))[0]
     for what, value in (("a sup deviation", deviations), ("the fitted constant", fitted_c),
                         ("the majorant", majorant)):
         if not _in_range(value):
@@ -361,8 +361,7 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
             continue
         measured += 1
         for low_p, high_p in ((2.0, 4.0), (2.0, math.inf), (4.0, math.inf)):
-            if norms[low_p] > 0:
-                worst = max(worst, norms[high_p] / norms[low_p])
+            worst = max(worst, norms[high_p] / norms[low_p])
     if measured == 0:
         return _skip_report("BERNSTEIN", profile_id, "zero_profile")
     return _report("BERNSTEIN", profile_id, {"pieces": measured}, worst, BERNSTEIN_CONSTANT, worst)

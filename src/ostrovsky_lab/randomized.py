@@ -1,10 +1,12 @@
 """Wiener randomisation of profiles and its Monte Carlo statistics.
 
-A draw attaches an independent standard complex Gaussian g_k (real and
-imaginary parts independent N(0,1), so E|g_k|^2 = 2) to every unit window
-k.  Coefficients are generated counter-based: each value is a pure hash of
-(seed, sample_index, k) pushed through a Box-Muller step, so draws are
-reproducible regardless of evaluation order, chunking, or thread count.
+Draw i of a seed attaches an independent standard complex Gaussian g_k
+(real and imaginary parts independent N(0,1), so E|g_k|^2 = 2) to every
+unit window k of windows.wiener_decompose; randomize(p, seed, i) is that
+draw as a profile.  Coefficients are generated counter-based: each value
+is a pure hash of (seed, sample_index, k) pushed through a Box-Muller step,
+so draws are reproducible regardless of evaluation order, chunking, or
+thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .spectral import (
     _require_budget,
     quadrature_row,
 )
-from .windows import wiener_decompose, wiener_range
+from .windows import wiener_decompose
 
 __all__ = [
     "KhinchineResult",
@@ -89,31 +91,15 @@ def gaussian_coefficients(seed: int, sample_index, ks) -> np.ndarray:
     return out if np.ndim(sample_index) else out[0] if out.ndim > 1 else out
 
 
-def randomize(p: SpectralProfile, k_min: int, coefficients) -> SpectralProfile:
-    """Multiply each unit-window component of `p` by its coefficient.
+def randomize(p: SpectralProfile, seed: int, draw: int) -> SpectralProfile:
+    """Draw `draw` of `seed`: the window pieces of wiener_decompose(p), each times its g_k, summed.
 
-    ``coefficients[i]`` is the g_k of window k = k_min + i.  At every grid
-    point at most the two windows flooring/ceiling xi contribute, with
-    weights (1 - d) and d for d = xi - floor(xi); their exact sum is 1, so
-    unit coefficients reproduce the input bit for bit.  This per-draw
-    profile is the reference the samplers' linear forms are checked against.
+    The coefficients are those every sampler uses for that draw, so this
+    per-draw profile is the reference the samplers' linear forms are
+    checked against.
     """
-    g = np.asarray(coefficients, dtype=np.complex128)
-    k_max = k_min + g.size - 1
-    dec_lo, dec_hi = wiener_range(p)
-    if g.ndim != 1 or dec_lo < k_min or dec_hi > k_max:
-        raise ValueError(
-            f"coefficients cover windows [{k_min}, {k_max}] but the profile "
-            f"needs [{dec_lo}, {dec_hi}]"
-        )
-    if not np.any(p.amplitudes):
-        return p.with_amplitudes(p.amplitudes)
-    k0 = np.floor(p.xi)
-    d = p.xi - k0
-    # clipped before the cast, so idx + 1 is in range on zero-amplitude points off the band
-    idx = (np.clip(k0, k_min, k_max - 1) - k_min).astype(np.int64)
-    mix = g[idx] * (1.0 - d) + g[idx + 1] * d
-    return p.with_amplitudes(p.amplitudes * mix)
+    dec = wiener_decompose(p)
+    return p.with_amplitudes(gaussian_coefficients(seed, draw, dec.ks) @ dec.table)
 
 
 def _draw_blocks(seed: int, n_samples: int, ks, table: np.ndarray):
@@ -199,7 +185,7 @@ def randomized_point_samples(p: SpectralProfile, x: float, n_samples: int,
                              seed: int = 0) -> np.ndarray:
     """Values of the window-randomized profile at one point, per draw.
 
-    Sample ``i`` is the synthesis of ``randomize(p, draw_i)`` evaluated at
+    Sample ``i`` is the synthesis of ``randomize(p, seed, i)`` evaluated at
     ``x``.  That value is linear in the window coefficients g, so it is
     formed as ``g @ W`` with ``W[k]`` the point synthesis of window piece
     k, built once; each draw then costs O(K).

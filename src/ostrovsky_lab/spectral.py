@@ -59,7 +59,7 @@ ZERO_EXCLUSION = 2.0**-20
 #: Largest tolerated phase advance per grid cell, in radians.
 MAX_PHASE_INCREMENT = 0.1
 
-#: Largest array a synthesis, a window table, a maximal scan or a Khinchine run
+#: Largest array a synthesis, a window table, a maximal scan or a set of point samples
 #: may allocate (1 GiB); a call whose sizes ask for more is refused before it allocates.
 MAX_ARRAY_BYTES = 2**30
 
@@ -332,27 +332,33 @@ def _weights(n: int, xi_step: float) -> np.ndarray:
     return trapezoid_weights(n) * (xi_step / SQRT_2PI)
 
 
-def phase_moments(p: SpectralProfile, sign: str,
-                  t: float = 1.0) -> tuple[float, float, float]:
-    """(S, L, L2): sums over p's amplitude support of |w a|, |w a| |t phi| and |w a| (t phi)^2.
+def phase_moments(p: SpectralProfile, sign: str, orders,
+                  t: float = 1.0) -> tuple[float, ...]:
+    """Sums over p's amplitude support of |w a| |t phi|^m, one per order m in `orders`.
 
-    w are the synthesis weights and phi = phase(xi, sign).  At t = 1 these
-    bound the field F(s) = U(s) f (x) at any point: |F| <= S, |F'| <= L and
-    |F''| <= L2 in s.  A time scale t gives the same bounds per unit of s / t,
-    and keeps L and L2 in the double range on bands where phi * xi_step or
-    phi**2 would overflow.  All three are 0 for a zero profile.  Each sum is
-    linear in the amplitudes, so they follow _rescaled; raises ValueError
-    when one leaves the double range.
+    w are the synthesis weights and phi = phase(xi, sign).  Orders 0, 1, 2
+    give (S, L, L2), which at t = 1 bound the field F(s) = U(s) f (x) at any
+    point: |F| <= S, |F'| <= L and |F''| <= L2 in s.  A time scale t gives
+    the same bounds per unit of s / t, and keeps L and L2 in the double
+    range on bands where phi * xi_step or phi**2 would overflow.  Every sum
+    is 0 for a zero profile.  Each sum is linear in the amplitudes and
+    follows _rescaled on its own, so only a requested sum that leaves the
+    double range raises ValueError.
     """
     nz = p.amplitudes != 0.0
+    amplitudes = p.amplitudes[nz]
     w = _weights(p.n, p.xi_step)[nz]
     phi = np.abs(phase(p.xi[nz], sign)) * t
 
-    def sums(a):
-        mass = np.abs(a)
-        return np.array([np.sum(w * mass), np.sum(w * phi * mass), np.sum(w * phi * phi * mass)])
+    def moment(order):
+        def weighted_sum(a):
+            weight = w
+            for _ in range(order):  # w * phi * phi, in that order
+                weight = weight * phi
+            return np.sum(weight * np.abs(a))
+        return float(_rescaled(weighted_sum, amplitudes, 1.0, "a phase moment"))
 
-    return tuple(map(float, _rescaled(sums, p.amplitudes[nz], 1.0, "a phase moment")))
+    return tuple(map(moment, orders))
 
 
 def _check_phase_reach(p: SpectralProfile, x_reach: float) -> None:

@@ -27,7 +27,6 @@ __all__ = [
     "square_function",
     "wiener_decompose",
     "wiener_project",
-    "wiener_range",
     "wiener_window",
 ]
 
@@ -75,19 +74,6 @@ class WienerDecomposition:
 
     ks: np.ndarray
     table: np.ndarray
-
-
-def wiener_range(p: SpectralProfile) -> tuple[int, int]:
-    """Inclusive range of the unit windows covering the amplitude support of `p`.
-
-    The range is [floor(min supported xi) - 1, ceil(max supported xi) + 1],
-    which always includes the two edge windows that vanish on the support
-    itself; a zero profile gets the single window 0.
-    """
-    supported = p.xi[p.amplitudes != 0.0]
-    if supported.size == 0:
-        return 0, 0
-    return int(math.floor(supported.min())) - 1, int(math.ceil(supported.max())) + 1
 
 
 def _run_ends(sorted_values: np.ndarray) -> np.ndarray:

@@ -559,7 +559,8 @@ class TestMainVerifyLemmas:
     @pytest.mark.parametrize("amplitude,message", [
         (1e-320, "L2_3: a sup deviation is not a normal double"),
         (1e-300, "NORM_EQUIV: the squared L2 norms of p leave the double range"),
-        (1e305, "a phase moment leaves the double range"),
+        # L2_3 asks only for L, in range at 1e305: NORM_EQUIV, which is not, refuses
+        (1e305, "NORM_EQUIV: the squared L2 norms of p leave the double range"),
         (1e308, "a phase moment leaves the double range"),
     ])
     def test_rows_follow_the_range_rule_at_both_ends(self, tmp_path, capsys, amplitude,

@@ -50,7 +50,6 @@ from ostrovsky_lab.windows import (
     square_function,
     wiener_decompose,
     wiener_project,
-    wiener_range,
     wiener_window,
 )
 
@@ -253,12 +252,21 @@ class TestHighFrequency:
 
     def test_majorant_zero_for_low_profiles(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        assert phase_moments(high_frequency_part(p), "+")[1] == 0.0
+        assert phase_moments(high_frequency_part(p), "+", (1,)) == (0.0,)
+
+    def test_majorant_in_range_passes_where_curvature_overflows(self):
+        # L = 1.885e306 is in range although L2 is not: the rows are kept, without a warning
+        p = SpectralProfile(9.0, 0.125, np.full(9, 1e305))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            constant, slope = check_high_frequency(p, HIGH_TIMES)
+        assert constant.passed and slope.passed
+        assert 1.88e306 < constant.bound_rhs < 1.89e306
 
     def test_majorant_single_mode_closed_form(self):
         p = _spike()
         expected = abs(phase(20.0)) * 0.5 / SQRT_2PI
-        majorant = phase_moments(high_frequency_part(p), "+")[1]
+        majorant, = phase_moments(high_frequency_part(p), "+", (1,))
         assert abs(majorant - expected) <= 1e-15 * expected
 
     def test_validation(self, corpus_by_id):
@@ -464,13 +472,14 @@ class TestNormEquivalence:
 
 
 class TestCarryingWindowTable:
-    """Outputs of the carrying-window table against the contiguous wiener_range table."""
+    """Outputs of the carrying-window table against a contiguous table of windows."""
 
     @staticmethod
     def _contiguous_table(p):
-        # every window of wiener_range, the zero edge and gap pieces included
-        k_min, k_max = wiener_range(p)
-        return p.amplitudes * wiener_window(p.xi - np.arange(k_min, k_max + 1)[:, None])
+        # every window of floor(min carried xi) - 1 .. ceil(max) + 1, zero edge and gap pieces included
+        carried = p.xi[p.amplitudes != 0.0]
+        ks = np.arange(math.floor(carried.min()) - 1, math.ceil(carried.max()) + 2)
+        return p.amplitudes * wiener_window(p.xi - ks[:, None])
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_square_function_bits(self, corpus, sign):

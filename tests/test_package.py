@@ -1,6 +1,7 @@
 """The package namespace is the union of the library modules' public names."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -64,3 +65,12 @@ def test_no_module_imports_an_unused_name():
 def test_unused_import_check_finds_a_dropped_name():
     source = "from .spectral import SpaceField, SpaceGrid\n__all__ = ['f']\ndef f(g: SpaceGrid): pass\n"
     assert _unused_imports(source) == ["line 1: SpaceField"]
+
+
+def test_readme_layout_names_each_module_once():
+    # adding, renaming or deleting a module fails here until README's module map follows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"src/ostrovsky_lab/(\w+)\.py", layout)
+    modules = [path.stem for path in Path(ostrovsky_lab.__file__).parent.glob("*.py")]
+    assert sorted(named) == sorted(modules)

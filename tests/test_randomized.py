@@ -34,7 +34,6 @@ from ostrovsky_lab.spectral import (
     quadrature_row,
     trapezoid_weights,
 )
-from ostrovsky_lab.windows import wiener_range
 
 
 class TestGaussianCoefficients:
@@ -87,27 +86,33 @@ class TestGaussianCoefficients:
 
 
 class TestRandomize:
-    def test_unit_coefficients_reproduce_input_bitwise(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile
-        g = np.ones(6, dtype=complex)
-        np.testing.assert_array_equal(randomize(p, -1, g).amplitudes, p.amplitudes)
-
-    def test_zero_draw_annihilates(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile
-        assert not np.any(randomize(p, -1, np.zeros(6, dtype=complex)).amplitudes)
-
-    def test_range_mismatch_rejected(self, corpus_by_id):
-        p = corpus_by_id["gauss_mid"].profile  # needs windows [0, 8]
-        with pytest.raises(ValueError, match="coefficients cover windows"):
-            randomize(p, 2, np.ones(7, dtype=complex))
-
     def test_grid_beyond_int64_reach_draws_without_warning(self):
         # only the carrying point's windows count; the far point has no amplitude
         p = SpectralProfile(1.0, 1e300, np.array([1.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q = randomize(p, 0, np.array([2.0, 3.0, 5.0]))
-        np.testing.assert_array_equal(q.amplitudes, [3.0, 0.0])
+            q = randomize(p, 0, 0)
+        np.testing.assert_array_equal(q.amplitudes, [gaussian_coefficients(0, 0, [1])[0], 0.0])
+
+    def test_zero_profile_gives_zeros_without_warning(self):
+        p = SpectralProfile(1.0, 0.5, np.zeros(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = randomize(p, 3, 7)
+        np.testing.assert_array_equal(q.amplitudes, np.zeros(5, dtype=complex))
+
+    @pytest.mark.parametrize("x", [0.0, -1.3])
+    def test_point_values_match_the_samplers_draws(self, corpus, x):
+        # draws on both sides of the 4096-draw block boundary of the samplers
+        n, seed = 4098, 5
+        for entry in corpus:
+            p = entry.profile
+            row = quadrature_row(p, x)
+            samples = randomized_point_samples(p, x, n, seed)
+            for i in (0, 4095, 4096, 4097):
+                a = randomize(p, seed, i).amplitudes
+                assert abs(row @ a - samples[i]) <= 1e-12 * np.sum(np.abs(row * a)), \
+                    (entry.profile_id, i)
 
     def test_mean_squared_norm(self, corpus_by_id):
         # E ||f^w||^2 = 2 * sum_xi ((1-d)^2 + d^2) |a|^2 h with d = xi - floor(xi)
@@ -116,9 +121,8 @@ class TestRandomize:
         expected = 2.0 * np.sum(((1 - d) ** 2 + d**2) * np.abs(p.amplitudes) ** 2) * p.xi_step
         n = 10_000
         values = np.empty(n)
-        coeffs = gaussian_coefficients(3, np.arange(n), np.arange(-1, 5))
-        for i, g in enumerate(coeffs):
-            values[i] = hs_norm(randomize(p, -1, g), 0.0) ** 2
+        for i in range(n):
+            values[i] = hs_norm(randomize(p, 3, i), 0.0) ** 2
         sigma = np.std(values, ddof=1) / math.sqrt(n)
         assert abs(np.mean(values) - expected) <= 3.0 * sigma
 
@@ -129,8 +133,8 @@ class TestRandomizedPointSamples:
         x = 0.7
         fast = randomized_point_samples(p, x, 5, seed=4)
         probe = trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
-        for i, g in enumerate(gaussian_coefficients(4, np.arange(5), np.arange(-1, 5))):
-            q = randomize(p, -1, g)
+        for i in range(5):
+            q = randomize(p, 4, i)
             direct = np.sum(probe * q.amplitudes)
             assert abs(fast[i] - direct) <= 1e-12 * max(1.0, abs(direct))
 
@@ -164,9 +168,7 @@ def _dense_point_values(p, x, ts, n, seed, sign):
     what evolve_spectral does to the profile's support indicator equals
     evolve_spectral applied to each draw.
     """
-    k_min, k_max = wiener_range(p)
-    coeffs = gaussian_coefficients(seed, np.arange(n), np.arange(k_min, k_max + 1))
-    draws = np.stack([randomize(p, k_min, g).amplitudes for g in coeffs])
+    draws = np.stack([randomize(p, seed, i).amplitudes for i in range(n)])
     support = p.with_amplitudes((p.amplitudes != 0.0).astype(complex))
     probe = quadrature_row(p, x)
     base = draws @ probe
@@ -446,8 +448,9 @@ class TestStochasticContinuity:
         np.testing.assert_array_equal(a.empirical_probs, b.empirical_probs)
 
     def test_draws_only_carrying_windows(self, corpus_by_id, monkeypatch):
-        # wiener_range of band_mid_even spans the 15 windows -7..7; only the
-        # 8 that meet its two bands carry a piece and get coefficients
+        # floor(min carried xi) - 1 .. ceil(max) + 1 of band_mid_even spans the
+        # 15 windows -7..7; only the 8 that meet its two bands carry a piece
+        # and get coefficients
         requested = []
         draw = randomized.gaussian_coefficients
 

@@ -926,13 +926,15 @@ class TestNorms:
         for sign in ("+", "-"):
             phi = np.abs(phase(p.xi, sign))
             expected = [np.sum(w * mass * phi**m) for m in (0, 1, 2)]
-            moments = phase_moments(p, sign)
+            moments = phase_moments(p, sign, (0, 1, 2))
             np.testing.assert_allclose(moments, expected, rtol=1e-15)
             # a time scale t multiplies L by t and L2 by t^2
-            np.testing.assert_allclose(phase_moments(p, sign, 1e-3),
+            np.testing.assert_allclose(phase_moments(p, sign, (0, 1, 2), 1e-3),
                                        [expected[0], expected[1] * 1e-3, expected[2] * 1e-6],
                                        rtol=1e-15)
-        assert phase_moments(small_profile([0.0, 0.0]), "+") == (0.0, 0.0, 0.0)
+            # each order is its own sum: any subset, in any order, has the same bits
+            assert phase_moments(p, sign, (2, 0)) == (moments[2], moments[0])
+        assert phase_moments(small_profile([0.0, 0.0]), "+", (0, 1, 2)) == (0.0, 0.0, 0.0)
 
     def test_phase_moments_follow_the_range_rule(self):
         # each sum is linear in the amplitudes: a power-of-two amplitude whose
@@ -941,13 +943,17 @@ class TestNorms:
         unit = SpectralProfile(9.0, 0.125, np.ones(9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            moments = phase_moments(unit, "+")
+            moments = phase_moments(unit, "+", (0, 1, 2))
             for e in (-1060, 1000):
-                scaled = phase_moments(unit.with_amplitudes(np.full(9, 2.0**e)), "+")
+                scaled = phase_moments(unit.with_amplitudes(np.full(9, 2.0**e)), "+", (0, 1, 2))
                 assert scaled == tuple(m * 2.0**e for m in moments)
             for amplitude in (1e305, 1e308):
                 with pytest.raises(ValueError, match="^a phase moment leaves the double range$"):
-                    phase_moments(unit.with_amplitudes(np.full(9, amplitude)), "+")
+                    phase_moments(unit.with_amplitudes(np.full(9, amplitude)), "+", (0, 1, 2))
+            # at 1e305 only L2 leaves the range: S and L, asked for alone, are kept
+            big = unit.with_amplitudes(np.full(9, 1e305))
+            np.testing.assert_allclose(phase_moments(big, "+", (0, 1)),
+                                       [m * 1e305 for m in moments[:2]], rtol=1e-14)
 
     @settings(max_examples=30)
     @given(st.floats(min_value=1.0, max_value=64.0))

@@ -23,7 +23,6 @@ from ostrovsky_lab.windows import (
     square_function,
     wiener_decompose,
     wiener_project,
-    wiener_range,
     wiener_window,
 )
 
@@ -125,9 +124,13 @@ class TestWienerDecomposition:
         assert wiener_project(p, 3).amplitudes[8] == 1.7
 
     def test_cover_range(self, corpus_by_id):
-        # support [0.25, 2.5]: the edge windows -1 and 4 of wiener_range vanish on it
+        # support [0.25, 2.5]: of floor(min) - 1 .. ceil(max) + 1, the edge windows -1 and 4
+        # vanish on it and get no row
         p = corpus_by_id["gauss_low"].profile
-        assert wiener_range(p) == (-1, 4)
+        carried = p.xi[p.amplitudes != 0.0]
+        assert (math.floor(carried.min()) - 1, math.ceil(carried.max()) + 1) == (-1, 4)
+        assert not np.any(wiener_project(p, -1).amplitudes)
+        assert not np.any(wiener_project(p, 4).amplitudes)
         np.testing.assert_array_equal(wiener_decompose(p).ks, [0, 1, 2, 3])
 
     def test_table_rows_match_wiener_project_bitwise(self, corpus):
@@ -140,13 +143,14 @@ class TestWienerDecomposition:
             for k, row in zip(dec.ks, dec.table):
                 np.testing.assert_array_equal(row, wiener_project(p, int(k)).amplitudes)
                 assert np.any(row != 0.0)
-            # every window of wiener_range left out of the table projects to zero
-            k_min, k_max = wiener_range(p)
-            for k in sorted(set(range(k_min, k_max + 1)) - set(dec.ks.tolist())):
+            # every window of floor(min carried xi) - 1 .. ceil(max) + 1 left out projects to zero
+            carried = p.xi[p.amplitudes != 0.0]
+            superset = range(math.floor(carried.min()) - 1, math.ceil(carried.max()) + 2)
+            for k in sorted(set(superset) - set(dec.ks.tolist())):
                 assert np.all(wiener_project(p, k).amplitudes == 0.0), (entry.profile_id, k)
 
     def test_windows_come_from_the_carrying_points(self):
-        # two frequencies 1e9 apart: two rows, not the 1000000003 windows of wiener_range
+        # two frequencies 1e9 apart: two rows, not the 1000000003 windows of the span
         dec = wiener_decompose(SpectralProfile(1.0, 1e9, np.ones(2)))
         np.testing.assert_array_equal(dec.ks, [1, 1000000001])
         assert dec.table.shape == (2, 2)
