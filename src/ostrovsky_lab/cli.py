@@ -191,7 +191,7 @@ def _run_propagate(params: dict) -> tuple[dict, int]:
         grid = SpaceGrid.spanning(params["x_min"], params["x_max"], params["nx"])
     else:
         grid = observation_grid(p, n=params["nx"])
-    write_field(propagate(p, params["t"], params["sign"], grid), params["out"])
+    write_field(grid, propagate(p, params["t"], params["sign"], grid), params["out"])
     report = validate_resolution(p, params["t"], params["sign"])
     block = {"resolution": {"max_phase_increment": report.max_phase_increment,
                             "truncated_mass": p.truncated_mass}}
@@ -233,7 +233,7 @@ def _run_stochastic_continuity(params: dict) -> tuple[dict, int]:
                                   params["n"], params["seed"], params["sign"])
     # the sidecar values come first, so a refused norm leaves no CSV behind
     block = {"fit": {"l2_norm": hs_norm(p, 0.0)}}
-    columns = (curve.t_values, curve.empirical_probs, curve.wilson_lo, curve.wilson_hi)
+    columns = (params["t"], curve.empirical_probs, curve.wilson_lo, curve.wilson_hi)
     write_table(params["out"], ["t", "prob", "wilson_lo", "wilson_hi"],
                 ([format_float(value) for value in row] for row in zip(*columns)))
     return block, 0

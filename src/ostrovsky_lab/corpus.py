@@ -164,13 +164,13 @@ def observation_grid(p: SpectralProfile, n: int = 4096) -> SpaceGrid:
     of its width on each side.
     """
     period = 2.0 * math.pi / p.xi_step
-    probe = synthesize(p, SpaceGrid.spanning(-0.5 * period, 0.5 * period, PROBE_POINTS))
-    mag = np.abs(probe.values)
+    probe = SpaceGrid.spanning(-0.5 * period, 0.5 * period, PROBE_POINTS)
+    mag = np.abs(synthesize(p, probe))
     peak = mag.max()
     if peak == 0.0:
         return SpaceGrid.spanning(-1.0, 1.0, n)
     idx = np.nonzero(mag >= SUPPORT_FLOOR * peak)[0]
-    x = probe.x
+    x = probe.points
     lo, hi = x[idx[0]], x[idx[-1]]
     width = max(hi - lo, probe.x_step)
     lo = max(lo - SUPPORT_MARGIN * width, x[0])

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lemmas import LemmaReport
-from .spectral import SpaceField, SpectralProfile
+from .spectral import SpaceGrid, SpectralProfile, _increasing
 
 PROFILE_HEADER = ["xi", "re", "im"]
 FIELD_HEADER = ["x", "re", "im", "abs"]
@@ -108,32 +108,39 @@ def read_profile(path) -> SpectralProfile:
     return SpectralProfile(xi_min=xi_min, xi_step=step, amplitudes=amplitudes)
 
 
-def write_field(u: SpaceField, path) -> None:
-    """Write the field as x,re,im,abs rows, the bytes `write_table` would give.
+def write_field(grid: SpaceGrid, values: np.ndarray, path) -> None:
+    """Write complex `values`, one per point of `grid`, as the x,re,im,abs rows of `write_table`.
 
     The modulus is ``np.hypot`` of the parts, the libm ``hypot`` that
-    Python's ``abs`` of a complex calls (numpy's array ``abs`` is not).  A
-    modulus beyond the double range is refused, not written as ``inf``, so
-    every cell written is finite.
+    Python's ``abs`` of a complex calls (numpy's array ``abs`` is not).
+    Values that are not finite or not one per point, and grid points that
+    round to one double, are refused before the file is opened; a modulus
+    beyond the double range is refused, not written as ``inf``.
     """
-    grid = u.x
+    if np.shape(values) != (grid.n,):
+        raise ValueError(f"{path}: {np.shape(values)} values for a grid of {grid.n} points")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: values must be finite")
+    x = _increasing(grid.points)
 
     def blocks():
-        for lo in range(0, u.n, FIELD_ROWS):
-            z = u.values[lo:lo + FIELD_ROWS]
+        for lo in range(0, grid.n, FIELD_ROWS):
+            z = values[lo:lo + FIELD_ROWS]
             with np.errstate(over="ignore"):
                 modulus = np.hypot(z.real, z.imag)
             if np.isinf(modulus).any():
                 raise ValueError(f"{path}: |value| leaves the double range")
-            yield np.stack([grid[lo:lo + FIELD_ROWS], z.real, z.imag, modulus], axis=1)
+            yield np.stack([x[lo:lo + FIELD_ROWS], z.real, z.imag, modulus], axis=1)
 
     _write_blocks(path, FIELD_HEADER, blocks())
 
 
-def read_field(path) -> SpaceField:
-    """Read a field table, rejecting non-uniform or non-increasing grids."""
+def read_field(path) -> tuple[SpaceGrid, np.ndarray]:
+    """The grid and complex values of a field table; refuses non-uniform or non-increasing grids."""
     x_min, step, values = _read_table(path, FIELD_HEADER)
-    return SpaceField(x_min=x_min, x_step=step, values=values)
+    grid = SpaceGrid(x_min, step, values.size)
+    _increasing(grid.points)
+    return grid, values
 
 
 def _format_param(value) -> str:

@@ -308,7 +308,7 @@ def check_square_function(p: SpectralProfile, t: float | None = None, *,
     else:
         values = square_function(evolve_spectral(p, t, sign), grid)
         lemma_id, params = "L2_7", {"t": t}
-    lhs = float(np.max(values.values.real))
+    lhs = float(np.max(values))
     norm = hs_norm(p, 0.0)
     fitted = lhs / norm if norm > 0 else 0.0
     return _report(lemma_id, profile_id, params, lhs, norm * (1.0 + SQUARE_SLACK), fitted)
@@ -356,7 +356,7 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     measured = 0
     for piece in wiener_decompose(p).table:
         fld = synthesize(p.with_amplitudes(piece), grid)
-        norms = {q: lp_norm_space(fld, q) for q in (2.0, 4.0, math.inf)}
+        norms = {q: lp_norm_space(fld, grid.x_step, q) for q in (2.0, 4.0, math.inf)}
         if norms[2.0] == 0.0:
             continue
         measured += 1

@@ -234,9 +234,8 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float, float]:
 
 @dataclass
 class TailCurve:
-    """Empirical exceedance probabilities of |U(t) f^w - f^w| at one point."""
+    """Empirical exceedance probabilities of |U(t) f^w - f^w| at one point, one per time."""
 
-    t_values: np.ndarray
     empirical_probs: np.ndarray
     wilson_halfwidth: np.ndarray
     wilson_lo: np.ndarray
@@ -268,7 +267,7 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
 
     probs = exceed / n_samples
     intervals = np.array([wilson_interval(int(c), n_samples) for c in exceed])
-    return TailCurve(ts, probs, intervals[:, 2], intervals[:, 0], intervals[:, 1])
+    return TailCurve(probs, intervals[:, 2], intervals[:, 0], intervals[:, 1])
 
 
 _C1 = math.e**2

@@ -23,7 +23,6 @@ import numpy as np
 
 from .corpus import band_profile
 from .spectral import (
-    SpaceField,
     SpaceGrid,
     SpectralProfile,
     _deviation_multipliers,
@@ -126,8 +125,8 @@ def maximal_time_grid(t_max: float, n_t: int) -> np.ndarray:
 
 
 def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
-                 n_t: int) -> SpaceField:
-    """Field on `grid` of the sup of |U(t) f (x)| over the geometric time grid.
+                 n_t: int) -> np.ndarray:
+    """The sup of |U(t) f (x)| over the geometric time grid at the points of `grid`.
 
     p must be Hermitian, a(-xi) = conj(a(xi)) bit for bit, on a grid exactly
     symmetric about 0, as every counterexample_profile is; anything else
@@ -142,8 +141,10 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     the rows with the block from evolution_multipliers, whose [cos, sin] of
     t * phase viewed as doubles is the product's operand as it stands.  The
     sup between the nodes is not sampled; see counterexample_ratio for its
-    certified bound.  A scan whose time vector, point rows or block products
-    would exceed MAX_ARRAY_BYTES is refused before they are built.
+    certified bound.  Returns float64 of shape (grid.n,).  A scan whose time
+    vector, point rows or block products would exceed MAX_ARRAY_BYTES is
+    refused before they are built, and one whose sup leaves the double range
+    raises ValueError.
     """
     _require_budget(8 * n_t, f"a scan over {n_t} times")
     xi, amps = p.xi, p.amplitudes
@@ -162,10 +163,15 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     rows *= amps[support]
     rows = np.conj(rows, out=rows).view(np.float64)
     sup = np.full(grid.n, -np.inf)
-    for lo in range(0, n_t, _BLOCK):
-        block = evolution_multipliers(p, ts[lo:lo + _BLOCK], sign, support)
-        sup = np.maximum(sup, _block_sup(rows, block))
-    return SpaceField(grid.x_min, grid.x_step, 2.0 * sup)
+    # an overflowed sum of opposite signs is nan, so invalid is ignored too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_t, _BLOCK):
+            block = evolution_multipliers(p, ts[lo:lo + _BLOCK], sign, support)
+            sup = np.maximum(sup, _block_sup(rows, block))
+        sup = 2.0 * sup
+    if not np.all(np.isfinite(sup)):
+        raise ValueError("the maximal scan leaves the double range")
+    return sup
 
 
 def _block_sup(rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -219,11 +225,11 @@ def counterexample_ratio(spec: CounterexampleSpec, n_t: int,
     p = counterexample_profile(spec)
     w = spec.x_window
     grid = SpaceGrid.spanning(-w, w, WINDOW_POINTS)
-    sup = maximal_scan(p, sign, spec.t_max, grid, n_t).values.real
+    sup = maximal_scan(p, sign, spec.t_max, grid, n_t)
     norm = hs_norm(p, spec.s)
     upper = _window_bound(p, sign, sup, spec.t_max, n_t)
-    ratios = tuple(lp_norm_space(SpaceField(grid.x_min, grid.x_step, field), 4.0) / norm
-                   if norm > 0.0 else math.nan for field in (sup, upper))
+    ratios = tuple(lp_norm_space(field, grid.x_step, 4.0) / norm if norm > 0.0 else math.nan
+                   for field in (sup, upper))
     for ratio in ratios:
         if not 0.0 < ratio < math.inf:
             raise ValueError(f"R_k = {ratio} at k = {spec.k}, s = {spec.s!r}: "

@@ -33,7 +33,6 @@ __all__ = [
     "ZERO_EXCLUSION",
     "ResolutionError",
     "ResolutionReport",
-    "SpaceField",
     "SpaceGrid",
     "SpectralProfile",
     "evolution_multipliers",
@@ -111,16 +110,6 @@ def _increasing(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _checked_samples(values, name: str) -> np.ndarray:
-    """A new complex array of `values`; a ValueError unless it is 1-d, non-empty and finite."""
-    out = np.array(values, dtype=np.complex128, copy=True)
-    if out.ndim != 1 or out.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d array")
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise ValueError(f"{name} must be finite")
-    return out
-
-
 @dataclass
 class SpectralProfile:
     """Complex Fourier amplitudes sampled on a uniform frequency grid.
@@ -137,7 +126,11 @@ class SpectralProfile:
     truncated_mass: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        amps = self.amplitudes = _checked_samples(self.amplitudes, "amplitudes")
+        amps = self.amplitudes = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        if amps.ndim != 1 or amps.size == 0:
+            raise ValueError("amplitudes must be a non-empty 1-d array")
+        if not np.all(np.isfinite(amps.view(np.float64))):
+            raise ValueError("amplitudes must be finite")
         _check_grid(self.xi_min, self.xi_step, amps.size, "xi_step")
         inside = np.abs(_increasing(self.xi)) < ZERO_EXCLUSION
         if np.any(amps[inside] != 0.0):
@@ -161,7 +154,7 @@ class SpectralProfile:
 
 @dataclass
 class SpaceGrid:
-    """Uniform grid of observation points x_min + j * x_step, j < n."""
+    """Uniform grid of points x_min + j * x_step, j < n; O(1) to build, `points` formed on read."""
 
     x_min: float
     x_step: float
@@ -180,28 +173,6 @@ class SpaceGrid:
 
     @property
     def points(self) -> np.ndarray:
-        return self.x_min + self.x_step * np.arange(self.n)
-
-
-@dataclass
-class SpaceField:
-    """Complex field values sampled on a uniform spatial grid."""
-
-    x_min: float
-    x_step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _checked_samples(self.values, "values")
-        _check_grid(self.x_min, self.x_step, self.values.size, "x_step")
-        _increasing(self.x)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def x(self) -> np.ndarray:
         return self.x_min + self.x_step * np.arange(self.n)
 
 
@@ -490,18 +461,18 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     return fields
 
 
-def synthesize(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
+def synthesize(p: SpectralProfile, grid: SpaceGrid) -> np.ndarray:
     """Inverse transform of the sampled profile by trapezoid quadrature.
 
     u(x) = (1/sqrt(2*pi)) * sum_j w_j * exp(i*x*xi_j) * amp_j * xi_step
 
-    The field is linear in the amplitudes, so one whose modulus leaves the
+    Returns u at the points of `grid`: complex128 of shape (grid.n,).  The
+    field is linear in the amplitudes, so one whose modulus leaves the
     normal range is retaken by _rescaled; raises ValueError when it leaves
     the double range.
     """
-    values = _rescaled(lambda a: _synthesize_rows(p, grid, a)[0], p.amplitudes, 1.0,
-                       "the synthesized field")
-    return SpaceField(grid.x_min, grid.x_step, values)
+    return _rescaled(lambda a: _synthesize_rows(p, grid, a)[0], p.amplitudes, 1.0,
+                     "the synthesized field")
 
 
 def validate_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionReport:
@@ -536,8 +507,8 @@ def _deviation_multipliers(p: SpectralProfile, t_values, sign: str) -> tuple[np.
     return ts, evolution_multipliers(p, ts, sign) - 1.0
 
 
-def propagate(p: SpectralProfile, t: float, sign: str, grid: SpaceGrid) -> SpaceField:
-    """Evolve by the propagator and synthesise on `grid`.
+def propagate(p: SpectralProfile, t: float, sign: str, grid: SpaceGrid) -> np.ndarray:
+    """Evolve by the propagator and synthesise on `grid`: complex128 of shape (grid.n,).
 
     Refuses (raising ResolutionError with the report attached) when the
     phase-increment rule fails; at t = 0 the output is bit-identical to
@@ -563,23 +534,26 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
                            p.amplitudes, 2.0, f"H^s norm at s = {s!r}"))
 
 
-def lp_norm_space(u: SpaceField, power: float) -> float:
-    """Trapezoid L^p norm over the field's grid; power = inf gives the sup.
+def lp_norm_space(values: np.ndarray, x_step: float, power: float) -> float:
+    """Trapezoid L^p norm of `values` on a grid of step `x_step`; power = inf gives the sup.
 
-    The root at p = 2 is np.sqrt.  Raises ValueError, naming p, when the
-    norm leaves the double range, or when a non-zero field gets the norm 0
-    (from about p = 1074 on, |u|^p of the retake underflows); a sum of |u|^p
-    alone is retaken by _rescaled.
+    `values` are real or complex, one per grid point.  The root at p = 2 is
+    np.sqrt.  Raises ValueError when a value is not finite, and, naming p,
+    when the norm leaves the double range, or when a non-zero field gets the
+    norm 0 (from about p = 1074 on, |u|^p of the retake underflows); a sum of
+    |u|^p alone is retaken by _rescaled.
     """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if power == math.inf:
-        return float(np.max(np.abs(u.values)))
+        return float(np.max(np.abs(values)))
     if not power >= 1.0:
         raise ValueError(f"L^p norm needs p >= 1, got {power}")
-    w = trapezoid_weights(u.n)
+    w = trapezoid_weights(len(values))
     root = np.sqrt if power == 2.0 else lambda total: total ** (1.0 / power)
-    norm = float(_rescaled(lambda v: root(np.sum(w * np.abs(v) ** power * u.x_step)),
-                           u.values, power, f"L^{power:g} norm"))
-    if norm == 0.0 and np.any(u.values != 0.0):
+    norm = float(_rescaled(lambda v: root(np.sum(w * np.abs(v) ** power * x_step)),
+                           values, power, f"L^{power:g} norm"))
+    if norm == 0.0 and np.any(values != 0.0):
         raise ValueError(f"L^{power:g} norm of a non-zero field underflows to 0")
     return norm
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (SpaceField, SpaceGrid, SpectralProfile, _require_budget, _rescaled,
-                       _synthesize_rows)
+from .spectral import SpaceGrid, SpectralProfile, _require_budget, _rescaled, _synthesize_rows
 
 __all__ = [
     "WienerDecomposition",
@@ -116,13 +115,14 @@ def wiener_decompose(p: SpectralProfile) -> WienerDecomposition:
     return WienerDecomposition(ks[carrying], table[carrying])
 
 
-def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
+def square_function(p: SpectralProfile, grid: SpaceGrid) -> np.ndarray:
     """Pointwise l2 aggregate of the synthesised Wiener pieces.
 
-    Returns sqrt(sum_k |piece_k(x)|^2) as a real-valued field; its sup is
-    controlled by the L2 norm of `p` with room to spare.  The window table,
-    its synthesis and the sum run inside spectral._rescaled, so only a value
-    that leaves the double range itself raises ValueError.
+    Returns sqrt(sum_k |piece_k(x)|^2) at the points of `grid`: float64 of
+    shape (grid.n,).  Its sup is controlled by the L2 norm of `p` with room
+    to spare.  The window table, its synthesis and the sum run inside
+    spectral._rescaled, so only a value that leaves the double range itself
+    raises ValueError.
     """
     def root_sum_of_squares(amplitudes):
         table = wiener_decompose(p.with_amplitudes(amplitudes)).table
@@ -130,5 +130,4 @@ def square_function(p: SpectralProfile, grid: SpaceGrid) -> SpaceField:
         modulus = np.abs(_synthesize_rows(p, grid, table))
         return np.sqrt(np.sum(np.square(modulus, out=modulus), axis=0))
 
-    values = _rescaled(root_sum_of_squares, p.amplitudes, 2.0, "the window square function")
-    return SpaceField(grid.x_min, grid.x_step, values)
+    return _rescaled(root_sum_of_squares, p.amplitudes, 2.0, "the window square function")

@@ -60,7 +60,7 @@ def test_propagator_is_unitary_parseval_consistent_and_a_group(corpus):
             evolved = evolve_spectral(p, t, "+")
             worst_unitary = max(worst_unitary,
                                 abs(hs_norm(evolved, 0.0) - norm) / norm)
-            space = lp_norm_space(synthesize(evolved, grid), 2.0)
+            space = lp_norm_space(synthesize(evolved, grid), grid.x_step, 2.0)
             worst_parseval = max(worst_parseval, abs(space - norm) / norm)
         phi = np.zeros(p.n)
         nz = p.amplitudes != 0.0
@@ -185,12 +185,12 @@ def test_exceedance_probabilities_decay_to_zero_with_time(corpus_by_id):
     """P(|U(t) f^w - f^w| > 1/2 at x = 0) falls as t does and is exactly
     zero at t = 0."""
     p = corpus_by_id["gauss_low"].profile
-    curve = stochastic_continuity(p, 0.0, 0.5, [1e-1, 1e-2, 1e-3, 1e-4, 0.0],
-                                  2000, seed=0)
+    ts = [1e-1, 1e-2, 1e-3, 1e-4, 0.0]
+    curve = stochastic_continuity(p, 0.0, 0.5, ts, 2000, seed=0)
     probs = curve.empirical_probs
     half = curve.wilson_halfwidth
     print("exceedance curve: " +
-          ", ".join(f"t={t:g}: {q:.4f}" for t, q in zip(curve.t_values, probs)))
+          ", ".join(f"t={t:g}: {q:.4f}" for t, q in zip(ts, probs)))
     for i in range(len(probs) - 1):
         assert probs[i + 1] <= probs[i] + half[i] + half[i + 1]
     assert probs[-2] <= 0.05   # smallest positive time

@@ -266,8 +266,8 @@ class TestMainPropagate:
         rc = main(["propagate", "--profile", str(gauss_low_csv), "--t", "0.25",
                    "--out", str(out)])
         assert rc == 0
-        field = read_field(out)
-        assert field.n == 4096
+        grid, _ = read_field(out)
+        assert grid.n == 4096
         meta = _read_meta(out)
         assert 0.0 < meta["resolution"]["max_phase_increment"] <= 0.1
         assert meta["resolution"]["truncated_mass"] == 0.0
@@ -286,10 +286,10 @@ class TestMainPropagate:
                    "--x-min", "-1.0", "--x-max", "1.0", "--nx", "33",
                    "--out", str(out)])
         assert rc == 0
-        field = read_field(out)
-        assert field.n == 33
-        assert field.x_min == -1.0
-        assert field.x[-1] == pytest.approx(1.0, rel=1e-12)
+        grid, _ = read_field(out)
+        assert grid.n == 33
+        assert grid.x_min == -1.0
+        assert grid.points[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_resolution_refusal_exits_one(self, tmp_path, gauss_low_csv, capsys):
         out = tmp_path / "u.csv"
@@ -721,7 +721,7 @@ class TestNonFiniteInput:
                 warnings.simplefilter("error")
                 assert main(["propagate", "--profile", str(profile), "--t", "0",
                              "--out", str(out)]) == 0
-            fields[amplitude] = read_field(out).values
+            fields[amplitude] = read_field(out)[1]
         huge, unit = fields[1.7e308], fields[1.0]
         assert np.all(np.isfinite(huge.view(np.float64)))
         # the transform's rounding is relative to the field's sup

@@ -96,8 +96,8 @@ class TestBuilders:
         plain = gaussian_profile(4.0, 0.5, 1.5, 6.5, 1.0, 7.0, 0.125)
         chirped = gaussian_profile(4.0, 0.5, 1.5, 6.5, 1.0, 7.0, 0.125, chirp=2.0)
         grid = SpaceGrid.spanning(-6.0, 6.0, 4801)
-        peak_plain = grid.points[np.argmax(np.abs(synthesize(plain, grid).values))]
-        peak_chirped = grid.points[np.argmax(np.abs(synthesize(chirped, grid).values))]
+        peak_plain = grid.points[np.argmax(np.abs(synthesize(plain, grid)))]
+        peak_chirped = grid.points[np.argmax(np.abs(synthesize(chirped, grid)))]
         assert abs((peak_plain - peak_chirped) - 2.0) <= 2 * grid.x_step
 
     def test_band_profile_is_flat_indicator(self):
@@ -126,7 +126,8 @@ class TestParsevalGrid:
         # the evolved amplitudes are still just amplitudes on the same grid
         for e in corpus:
             p = evolve_spectral(e.profile, t, "+")
-            field_l2 = lp_norm_space(synthesize(p, parseval_grid(p)), 2.0)
+            grid = parseval_grid(p)
+            field_l2 = lp_norm_space(synthesize(p, grid), grid.x_step, 2.0)
             spectral_l2 = hs_norm(e.profile, 0.0)
             assert abs(field_l2 - spectral_l2) <= 1e-12 * spectral_l2, e.profile_id
 
@@ -145,8 +146,8 @@ class TestObservationGrid:
             p = e.profile
             g = observation_grid(p, n=256)
             period = 2.0 * np.pi / p.xi_step
-            probe = synthesize(p, SpaceGrid.spanning(-0.5 * period, 0.5 * period, 512))
-            x_peak = probe.x[np.argmax(np.abs(probe.values))]
+            probe = SpaceGrid.spanning(-0.5 * period, 0.5 * period, 512)
+            x_peak = probe.points[np.argmax(np.abs(synthesize(p, probe)))]
             assert g.points[0] <= x_peak <= g.points[-1], e.profile_id
 
     def test_zero_profile_falls_back_to_unit_box(self):

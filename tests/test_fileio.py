@@ -26,7 +26,7 @@ from ostrovsky_lab.fileio import (
     write_reports,
     write_table,
 )
-from ostrovsky_lab.spectral import SpaceField, SpaceGrid, SpectralProfile, synthesize
+from ostrovsky_lab.spectral import SpaceGrid, SpectralProfile, synthesize
 
 
 def _repr_rows(table):
@@ -195,12 +195,49 @@ class TestProfileRoundTrip:
 
 class TestFieldRoundTrip:
     def test_values_exact(self, tmp_path):
-        u = SpaceField(-2.0, 0.5, np.array([1 + 2j, -0.25j, 3.0, 0.0]))
+        grid, u = SpaceGrid(-2.0, 0.5, 4), np.array([1 + 2j, -0.25j, 3.0, 0.0])
         target = tmp_path / "u.csv"
-        write_field(u, target)
-        v = read_field(target)
-        np.testing.assert_array_equal(v.values, u.values)
-        assert v.x_min == u.x_min and v.x_step == u.x_step
+        write_field(grid, u, target)
+        read_grid, v = read_field(target)
+        np.testing.assert_array_equal(v, u)
+        assert read_grid == grid
+
+    @pytest.mark.parametrize("grid,values,match", [
+        (SpaceGrid(0.0, 1.0, 3), np.ones(0, dtype=np.complex128), r"\(0,\) values for a grid of 3"),
+        (SpaceGrid(0.0, 1.0, 3), np.ones(4, dtype=np.complex128), r"\(4,\) values for a grid of 3"),
+        (SpaceGrid(0.0, 1.0, 2), np.ones((2, 1), dtype=np.complex128), r"\(2, 1\) values"),
+        (SpaceGrid(0.0, 1.0, 2), np.array([1.0, complex(math.nan, 0.0)]), "values must be finite"),
+        (SpaceGrid(0.0, 1.0, 2), np.array([1.0, complex(0.0, math.inf)]), "values must be finite"),
+        # the doubles from 2**53 on are 2 apart: -(2**53 + 3) rounds to the first point
+        (SpaceGrid(-(2.0**53 + 4), 1.0, 3), np.ones(3, dtype=np.complex128),
+         "^grid points do not increase strictly: two of them round to one double$"),
+        # 0, 4, 8, 8, 16 above 2**55 - 8: the middle pair meets, not an end pair
+        (SpaceGrid(2.0**55 - 8, 4.0, 5), np.ones(5, dtype=np.complex128),
+         "^grid points do not increase strictly: two of them round to one double$"),
+    ], ids=["empty", "too-many", "2-d", "nan", "inf", "rounded-end", "rounded-middle"])
+    @pytest.mark.filterwarnings("error")
+    def test_write_refusals_leave_no_file(self, tmp_path, grid, values, match):
+        target = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match=match):
+            write_field(grid, values, target)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("x,match", [
+        # a strictly increasing column whose uniform points 2**55 - 8 + 6 j round to
+        # 2**55 - 8, 2**55, 2**55, ...: within the rounding of the written points
+        ([2.0**55 - 8, 2.0**55 - 4, 2.0**55, 2.0**55 + 8, 2.0**55 + 16],
+         "^grid points do not increase strictly: two of them round to one double$"),
+        # finite rows and step, but the first point plus twice the step rounds past the range
+        ([1.5962055759815286e+307, 9.786568462302344e+307, 1.7976931348623157e308],
+         r"last grid point .* leaves the double range$"),
+    ], ids=["rounded-points", "last-point-overflow"])
+    @pytest.mark.filterwarnings("error")
+    def test_grids_that_do_not_construct_are_refused(self, tmp_path, x, match):
+        target = tmp_path / "bad_field.csv"
+        rows = "".join(f"{format_float(v)},1.0,0.0,1.0\n" for v in x)
+        target.write_text(f"{','.join(FIELD_HEADER)}\n{rows}")
+        with pytest.raises(ValueError, match=match):
+            read_field(target)
 
     @pytest.mark.parametrize("x,match", [
         ([0.0, 0.5, 1.5], "not uniform"),
@@ -221,12 +258,13 @@ class TestFieldRoundTrip:
     def test_rounded_points_of_a_spanning_grid_read_back(self, tmp_path):
         # the points 1e6 + 5e-4 * j round by about 1.2e-10, more than 1e-9 of the step
         grid = SpaceGrid.spanning(1e6, 1000000.001, 3)
-        u = SpaceField(grid.x_min, grid.x_step, np.array([1.0, 2.0j, -3.0]))
+        u = np.array([1.0, 2.0j, -3.0])
         target = tmp_path / "u.csv"
-        write_field(u, target)
-        v = read_field(target)
-        assert v.values.tobytes() == u.values.tobytes()
-        assert v.x_min == u.x_min and abs(v.x_step - u.x_step) <= 4 * math.ulp(1e6)
+        write_field(grid, u, target)
+        read_grid, v = read_field(target)
+        assert v.tobytes() == u.tobytes()
+        assert read_grid.x_min == grid.x_min
+        assert abs(read_grid.x_step - grid.x_step) <= 4 * math.ulp(1e6)
 
     def test_bytes_match_the_table_writer(self, tmp_path, monkeypatch):
         # reference: one write_table row of format_float cells per point,
@@ -237,36 +275,36 @@ class TestFieldRoundTrip:
         values *= 10.0 ** rng.uniform(-300.0, 300.0, values.size)
         values[:5] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -2.5e-310),
                       complex(1e300, -1e300), complex(-3e300, 4e300)]
-        u = SpaceField(-7.25, 1e-3, values)
+        grid = SpaceGrid(-7.25, 1e-3, values.size)
         fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
-        write_field(u, fast)
+        write_field(grid, values, fast)
         write_table(reference, FIELD_HEADER,
                     ([format_float(x), format_float(v.real), format_float(v.imag),
-                      format_float(abs(v))] for x, v in zip(u.x, u.values)))
+                      format_float(abs(v))] for x, v in zip(grid.points, values)))
         assert fast.read_bytes() == reference.read_bytes()
         assert fast.read_text().splitlines()[1] == "-7.25,-0.0,0.0,0.0"
 
     def test_modulus_beyond_double_range_refused(self, tmp_path):
-        u = SpaceField(0.0, 1.0, np.array([1.0 + 0j, 1.5e308 + 1.5e308j]))
+        u = np.array([1.0 + 0j, 1.5e308 + 1.5e308j])
         target = tmp_path / "u.csv"
         with pytest.raises(ValueError, match="leaves the double range") as info:
-            write_field(u, target)
+            write_field(SpaceGrid(0.0, 1.0, 2), u, target)
         assert str(target) in str(info.value)
 
     def test_large_field_takes_the_fast_path(self, tmp_path, corpus_by_id):
         # 32 blocks of FIELD_ROWS rows, cell for cell against repr
-        u = synthesize(corpus_by_id["gauss_high"].profile,
-                       observation_grid(corpus_by_id["gauss_high"].profile, n=65536))
+        p = corpus_by_id["gauss_high"].profile
+        grid = observation_grid(p, n=65536)
+        u = synthesize(p, grid)
         target = tmp_path / "u.csv"
-        write_field(u, target)
-        modulus = [abs(z) for z in u.values.tolist()]
-        expected = _repr_rows(np.column_stack([u.x, u.values.real, u.values.imag, modulus]))
+        write_field(grid, u, target)
+        modulus = [abs(z) for z in u.tolist()]
+        expected = _repr_rows(np.column_stack([grid.points, u.real, u.imag, modulus]))
         assert target.read_bytes() == b"x,re,im,abs\n" + expected
 
     def test_header_and_abs_column(self, tmp_path):
-        u = SpaceField(0.0, 1.0, np.array([3 + 4j]))
         target = tmp_path / "u.csv"
-        write_field(u, target)
+        write_field(SpaceGrid(0.0, 1.0, 1), np.array([3 + 4j]), target)
         lines = target.read_text().splitlines()
         assert lines[0] == ",".join(FIELD_HEADER)
         assert lines[1].split(",")[3] == "5.0"
@@ -307,11 +345,11 @@ class TestRoundTripProperty:
             q = read_profile(target)
             assert (q.xi_min, q.xi_step) == (p.xi_min, p.xi_step)
             assert q.amplitudes.tobytes() == p.amplitudes.tobytes()
-        u = SpaceField(origin, step, values)
-        write_field(u, target)
-        v = read_field(target)
-        assert (v.x_min, v.x_step) == (u.x_min, u.x_step)
-        assert v.values.tobytes() == u.values.tobytes()
+        grid = SpaceGrid(origin, step, n)
+        write_field(grid, values, target)
+        read_grid, v = read_field(target)
+        assert read_grid == grid
+        assert v.tobytes() == values.tobytes()
 
     @given(origin=st.floats(allow_nan=False, allow_infinity=False),
            step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -322,19 +360,27 @@ class TestRoundTripProperty:
         values = np.array(data.draw(st.lists(st.tuples(self.parts, self.parts), min_size=n,
                                              max_size=n)), dtype=np.float64).view(np.complex128)[:, 0]
         target = tmp_path_factory.mktemp("round_trip") / "table.csv"
-        for build, write, read, points, samples in (
-                (SpectralProfile, write_profile, read_profile, "xi", "amplitudes"),
-                (SpaceField, write_field, read_field, "x", "values")):
-            try:
-                a = build(origin, step, values)
-            except ValueError:  # a grid or a truncated mass beyond the double range, or
-                continue        # points that round to one double
-            write(a, target)
-            b = read(target)
-            assert getattr(b, samples).tobytes() == getattr(a, samples).tobytes()
-            written, read_back = getattr(a, points), getattr(b, points)
+        def rounded_alike(written, read_back):
             rounding = 4 * math.ulp(max(abs(written[0]), abs(written[-1])))
-            assert np.all(np.abs(read_back - written) <= rounding)
+            return np.all(np.abs(read_back - written) <= rounding)
+
+        try:
+            p = SpectralProfile(origin, step, values)
+        except ValueError:  # a grid or a truncated mass beyond the double range, or
+            pass            # points that round to one double
+        else:
+            write_profile(p, target)
+            q = read_profile(target)
+            assert q.amplitudes.tobytes() == p.amplitudes.tobytes()
+            assert rounded_alike(p.xi, q.xi)
+        try:
+            grid = SpaceGrid(origin, step, n)
+            write_field(grid, values, target)
+        except ValueError:  # a grid beyond the double range, or points that round to one double
+            return
+        read_grid, v = read_field(target)
+        assert v.tobytes() == values.tobytes()
+        assert rounded_alike(grid.points, read_grid.points)
 
 
 class TestParamsText:

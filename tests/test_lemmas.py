@@ -36,7 +36,6 @@ from ostrovsky_lab.lemmas import (
 from ostrovsky_lab.spectral import (
     SQRT_2PI,
     ZERO_EXCLUSION,
-    SpaceField,
     SpectralProfile,
     _chirp_plan,
     evolve_spectral,
@@ -217,7 +216,7 @@ class TestLowFrequency:
         grid = observation_grid(p)
         evolved = synthesize(evolve_spectral(low, 1e-3, "+"), grid)
         still = synthesize(low, grid)
-        lhs = float(np.max(np.abs(evolved.values - still.values)))
+        lhs = float(np.max(np.abs(evolved - still)))
         assert abs(lhs - report.measured_lhs) <= 1e-12 * max(1.0, lhs)
         assert report.params["delta"] == 0.5
         assert report.fitted_c <= 1e4
@@ -366,7 +365,7 @@ class TestWienerLow:
                 piece = wiener_project(p, report.params["k"])
                 evolved = evolve_spectral(piece, T_LOW, sign)
                 moved = piece.with_amplitudes(evolved.amplitudes - piece.amplitudes)
-                direct = float(np.max(np.abs(synthesize(moved, grid).values)))
+                direct = float(np.max(np.abs(synthesize(moved, grid))))
                 assert abs(report.measured_lhs - direct) <= 1e-12 * direct, (pid, report.params)
 
 
@@ -488,10 +487,9 @@ class TestCarryingWindowTable:
             grid = observation_grid(p)
             for q in (p, *(evolve_spectral(p, t, sign) for t in SQUARE_TIMES)):
                 fields = spectral._synthesize_rows(q, grid, self._contiguous_table(q))
-                reference = SpaceField(grid.x_min, grid.x_step,
-                                       np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)))
-                values = square_function(q, grid).values
-                assert values.tobytes() == reference.values.tobytes(), entry.profile_id
+                reference = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
+                values = square_function(q, grid)
+                assert values.tobytes() == reference.tobytes(), entry.profile_id
 
     def test_norm_equivalence_bits(self, corpus):
         for entry in corpus:

@@ -63,8 +63,8 @@ def test_no_module_imports_an_unused_name():
 
 
 def test_unused_import_check_finds_a_dropped_name():
-    source = "from .spectral import SpaceField, SpaceGrid\n__all__ = ['f']\ndef f(g: SpaceGrid): pass\n"
-    assert _unused_imports(source) == ["line 1: SpaceField"]
+    source = "from .spectral import SpectralProfile, SpaceGrid\n__all__ = ['f']\ndef f(g: SpaceGrid): pass\n"
+    assert _unused_imports(source) == ["line 1: SpectralProfile"]
 
 
 def test_readme_layout_names_each_module_once():

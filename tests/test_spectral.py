@@ -13,6 +13,7 @@ from scipy.signal import czt
 
 from ostrovsky_lab.corpus import PROBE_POINTS, observation_grid
 from ostrovsky_lab.lemmas import HIGH_TIMES, T_LOW
+from ostrovsky_lab.rough import maximal_scan
 from ostrovsky_lab.spectral import (
     MAX_ARRAY_BYTES,
     MAX_PHASE_INCREMENT,
@@ -20,7 +21,6 @@ from ostrovsky_lab.spectral import (
     ZERO_EXCLUSION,
     ResolutionError,
     ResolutionReport,
-    SpaceField,
     SpaceGrid,
     SpectralProfile,
     evolution_multipliers,
@@ -63,11 +63,11 @@ def _scaling_norm(name, p, s):
     """The norm the power-of-two scaling tests apply to amplitudes on p's grid."""
     return {
         "hs_norm": lambda a: hs_norm(p.with_amplitudes(a), s),
-        "L^2": lambda a: lp_norm_space(SpaceField(0.0, 0.25, a), 2.0),
-        "L^4": lambda a: lp_norm_space(SpaceField(0.0, 0.25, a), 4.0),
-        "L^inf": lambda a: lp_norm_space(SpaceField(0.0, 0.25, a), math.inf),
+        "L^2": lambda a: lp_norm_space(a, 0.25, 2.0),
+        "L^4": lambda a: lp_norm_space(a, 0.25, 4.0),
+        "L^inf": lambda a: lp_norm_space(a, 0.25, math.inf),
         "square function": lambda a: float(np.max(
-            square_function(p.with_amplitudes(a), SpaceGrid.spanning(-4.0, 4.0, 33)).values.real)),
+            square_function(p.with_amplitudes(a), SpaceGrid.spanning(-4.0, 4.0, 33)))),
     }[name]
 
 
@@ -175,8 +175,7 @@ class TestGrids:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for build in (lambda: SpectralProfile(1e308, 1e308, np.ones(3)),
-                          lambda: SpaceGrid(-1e308, 1e308, 3),
-                          lambda: SpaceField(0.0, 1e308, np.ones(3))):
+                          lambda: SpaceGrid(-1e308, 1e308, 3)):
                 with pytest.raises(ValueError, match=r"last grid point .* leaves the double range$"):
                     build()
             # the largest last point is fine
@@ -188,13 +187,9 @@ class TestGrids:
         # and -(2**53 + 3) to the first point -(2**53 + 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for build in (lambda: SpectralProfile(2.0**53 + 2, 1.0, np.ones(3)),
-                          lambda: SpaceField(-(2.0**53 + 4), 1.0, np.ones(3)),
-                          # 0, 4, 8, 8, 16 above 2**55 - 8: the middle pair meets, not an end pair
-                          lambda: SpaceField(2.0**55 - 8, 4.0, np.ones(5))):
-                with pytest.raises(ValueError, match=r"^grid points do not increase strictly: "
-                                                     r"two of them round to one double$"):
-                    build()
+            with pytest.raises(ValueError, match=r"^grid points do not increase strictly: "
+                                                 r"two of them round to one double$"):
+                SpectralProfile(2.0**53 + 2, 1.0, np.ones(3))
             # a step of one spacing of the doubles there is fine
             p = SpectralProfile(2.0**53 + 2, 2.0, np.ones(3))
             np.testing.assert_array_equal(p.xi - 2.0**53, [2.0, 4.0, 6.0])
@@ -209,14 +204,6 @@ class TestGrids:
             # the largest span is fine
             wide = SpaceGrid(-2.0**1023, np.nextafter(np.inf, 0.0), 2)
             assert wide.points[-1] - wide.points[0] == np.nextafter(np.inf, 0.0)
-
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            SpaceField(0.0, 1.0, np.array([]))
-        with pytest.raises(ValueError):
-            SpaceField(0.0, 1.0, np.array([1.0, math.nan]))
-        u = SpaceField(0.0, 0.5, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(u.x, [0.0, 0.5, 1.0])
 
     def test_propagator_config_validation(self):
         # every entry point that takes the (t, sign) pair checks it
@@ -427,8 +414,8 @@ class TestSynthesize:
         amps[2] = 1.5 - 0.5j
         p = SpectralProfile(0.5, h, amps)
         xi0 = 1.0
-        u = synthesize(p, SpaceGrid(-2.0, 1.7, 4))
-        for x, v in zip(u.x, u.values):
+        grid = SpaceGrid(-2.0, 1.7, 4)
+        for x, v in zip(grid.points, synthesize(p, grid)):
             expected = amps[2] * h / SQRT_2PI * np.exp(1j * x * xi0)
             assert abs(v - expected) <= 4 * EPS * abs(expected)
 
@@ -443,7 +430,7 @@ class TestSynthesize:
         p = SpectralProfile(xi_min, h, np.exp(-xi**2 / 2.0))
         grid = SpaceGrid.spanning(-3.0, 3.0, 401)
         u = synthesize(p, grid)
-        err = np.max(np.abs(u.values - np.exp(-grid.points**2 / 2.0)))
+        err = np.max(np.abs(u - np.exp(-grid.points**2 / 2.0)))
         assert err <= 1e-12
 
     def test_linearity(self, corpus):
@@ -452,9 +439,27 @@ class TestSynthesize:
         other = p.with_amplitudes(rng.standard_normal(p.n) * (p.amplitudes != 0))
         grid = SpaceGrid.spanning(-4.0, 4.0, 64)
         combined = synthesize(p.with_amplitudes(p.amplitudes + other.amplitudes), grid)
-        split = synthesize(p, grid).values + synthesize(other, grid).values
-        scale = np.max(np.abs(combined.values))
-        assert np.max(np.abs(combined.values - split)) <= 1e-13 * scale
+        split = synthesize(p, grid) + synthesize(other, grid)
+        scale = np.max(np.abs(combined))
+        assert np.max(np.abs(combined - split)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name,dtype", [("synthesize", np.complex128),
+                                        ("propagate", np.complex128),
+                                        ("square_function", np.float64),
+                                        ("maximal_scan", np.float64)])
+def test_fields_are_arrays_on_the_callers_grid(name, dtype):
+    # a profile the maximal scan takes: Hermitian on a grid symmetric about 0
+    xi = -2.0 + 0.125 * np.arange(33)
+    p = SpectralProfile(-2.0, 0.125, np.exp(-(np.abs(xi) - 1.0) ** 2))
+    grid = SpaceGrid.spanning(-1.5, 2.5, 17)
+    values = {"synthesize": lambda: synthesize(p, grid),
+              "propagate": lambda: propagate(p, 1e-3, "-", grid),
+              "square_function": lambda: square_function(p, grid),
+              "maximal_scan": lambda: maximal_scan(p, "+", 1e-3, grid, 8)}[name]()
+    assert type(values) is np.ndarray and values.dtype == dtype and values.shape == (grid.n,)
+    if dtype == np.float64:
+        assert np.all(values >= 0.0)
 
 
 def _node_rounding(grid):
@@ -516,7 +521,7 @@ class TestChirpSynthesis:
                 basis = _dense_basis(entry.profile, grid, rows)
                 for t in (0.0, design_t[entry.profile_id]):
                     p = evolve_spectral(entry.profile, t, "+")
-                    fast = synthesize(p, grid).values
+                    fast = synthesize(p, grid)
                     sup = np.max(np.abs(fast))
                     err = np.max(np.abs(fast[rows] - _dense(p, grid, rows, basis)))
                     assert err <= 1e-13 * sup, (entry.profile_id, t, n, err / sup)
@@ -527,7 +532,7 @@ class TestChirpSynthesis:
         # product a*k^2 instead of splitting a leaves errors ~4e-12 of sup
         p = corpus_by_id["band_narrow"].profile
         grid = observation_grid(p, n=65536)
-        fast = synthesize(p, grid).values
+        fast = synthesize(p, grid)
         rows = np.arange(0, grid.n, 8)
         err = np.max(np.abs(fast[rows] - _dense(p, grid, rows)))
         assert err <= 1e-13 * np.max(np.abs(fast))
@@ -541,7 +546,7 @@ class TestChirpSynthesis:
         w = np.exp(1j * grid.x_step * p.xi_step)
         a = np.exp(-1j * grid.x_min * p.xi_step)
         ref = np.exp(1j * grid.points * p.xi_min) * czt(coeff, grid.n, w, a)
-        fast = synthesize(p, grid).values
+        fast = synthesize(p, grid)
         assert np.max(np.abs(fast - ref)) <= 1e-10 * np.max(np.abs(fast))
 
     def test_batched_rows_equal_single_calls(self, corpus_by_id):
@@ -577,7 +582,7 @@ class TestChirpSynthesis:
         p = SpectralProfile(0.75, 0.5, np.array([2.0 - 1.0j]))
         u = synthesize(p, SpaceGrid(1.25, 1.0, 1))
         expected = (2.0 - 1.0j) * 0.5 / SQRT_2PI * np.exp(1j * 1.25 * 0.75)
-        assert abs(u.values[0] - expected) <= 4 * EPS * abs(expected)
+        assert abs(u[0] - expected) <= 4 * EPS * abs(expected)
 
     def test_quadrature_row_over_points_stacks_scalar_calls_bitwise(self, corpus):
         for entry in corpus:
@@ -601,7 +606,7 @@ class TestChirpSynthesis:
             with pytest.raises(ValueError, match="unresolved synthesis phases"):
                 quadrature_row(p, grid.points)
         inside = SpaceGrid.spanning(-0.5 * limit, 0.5 * limit, 8)
-        assert synthesize(p, inside).n == 8
+        assert synthesize(p, inside).shape == (8,)
 
     def test_transform_budget_refused_before_allocating(self, corpus_by_id, monkeypatch):
         # K rows pad to K transforms of _fft_length(n_x + n_xi - 1) complex
@@ -666,7 +671,7 @@ class TestChirpSynthesis:
     def test_quadrature_row_matches_synthesis(self, corpus_by_id):
         p = corpus_by_id["chirped_mid"].profile
         grid = SpaceGrid(-0.375, 0.25, 8)  # exact nodes
-        fast = synthesize(p, grid).values
+        fast = synthesize(p, grid)
         points = np.array([quadrature_row(p, x) @ p.amplitudes for x in grid.points])
         assert np.max(np.abs(fast - points)) <= 1e-13 * np.max(np.abs(fast))
 
@@ -745,7 +750,7 @@ class TestResolution:
         p = corpus[0].profile
         grid = SpaceGrid.spanning(-2.0, 2.0, 33)
         out = propagate(p, 0.0, "+", grid)
-        np.testing.assert_array_equal(out.values, synthesize(p, grid).values)
+        np.testing.assert_array_equal(out, synthesize(p, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +789,7 @@ class TestNorms:
 
     def test_norms_refuse_overflow_without_warning(self):
         p = SpectralProfile(0.125, 0.125, np.full(9, 1e300))
-        u = SpaceField(0.0, 1.0, np.full(3, 1e100))
+        u = np.full(3, 1e100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the sum of squares overflows, the norm sqrt(9/8) * 1e300 does not
@@ -792,37 +797,39 @@ class TestNorms:
             with pytest.raises(ValueError, match=r"^H\^s norm at s = 0.0 leaves the double range$"):
                 hs_norm(p.with_amplitudes(np.full(9, 1.7e308)), 0.0)
             # the sum of |u|^4 overflows, the norm does not
-            assert lp_norm_space(u, 4.0) == pytest.approx(2.0**0.25 * 1e100, rel=1e-15)
-            assert lp_norm_space(u, 2.0) == pytest.approx(math.sqrt(2.0) * 1e100, rel=1e-15)
+            assert lp_norm_space(u, 1.0, 4.0) == pytest.approx(2.0**0.25 * 1e100, rel=1e-15)
+            assert lp_norm_space(u, 1.0, 2.0) == pytest.approx(math.sqrt(2.0) * 1e100, rel=1e-15)
             # (0.5 + 1 + 0.5) * 4 * 1e308 is out of range whatever the scaling
             with pytest.raises(ValueError, match=r"^L\^1 norm leaves the double range$"):
-                lp_norm_space(SpaceField(0.0, 4.0, np.full(3, 1e308)), 1.0)
+                lp_norm_space(np.full(3, 1e308), 4.0, 1.0)
 
     @pytest.mark.parametrize("power", [1074.0, 1100.0, 2000.0])
     def test_non_zero_field_never_gets_norm_zero(self, power):
         # the retake scales |u| into [1/2, 1), whose power-th power underflows
-        u = SpaceField(0.0, 1.0, [2.0, 2.0])
+        u = np.array([2.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lp_norm_space(u, 1000.0) == 2.0
+            assert lp_norm_space(u, 1.0, 1000.0) == 2.0
             with pytest.raises(ValueError, match=rf"^L\^{power:g} norm of a non-zero field "):
-                lp_norm_space(u, power)
-            assert lp_norm_space(SpaceField(0.0, 1.0, [0.0, 0.0]), power) == 0.0
+                lp_norm_space(u, 1.0, power)
+            assert lp_norm_space(np.zeros(2), 1.0, power) == 0.0
 
     def test_overflowing_sums_retaken_exactly(self):
         # past the overflow of the plain sum, a power-of-two amplitude
         # scales each norm by exactly that power
         unit = SpectralProfile(1.0, 0.125, np.ones(9))
-        u = synthesize(unit, SpaceGrid.spanning(-2.0, 2.0, 33))
+        grid = SpaceGrid.spanning(-2.0, 2.0, 33)
+        u = synthesize(unit, grid)
         # max |u| in [1/2, 1), so the retake divides by exactly the power applied
-        u = SpaceField(u.x_min, u.x_step, u.values * 2.0**-math.frexp(np.max(np.abs(u.values)))[1])
+        u = u * 2.0**-math.frexp(np.max(np.abs(u)))[1]
         for e in (600, 1000):
             big = unit.with_amplitudes(np.full(9, 2.0**e))
             assert hs_norm(big, 0.0) == 2.0**e * hs_norm(unit, 0.0)
             assert hs_norm(big, 0.5) == 2.0**e * hs_norm(unit, 0.5)
-            scaled = SpaceField(u.x_min, u.x_step, u.values * 2.0**e)
+            scaled = u * 2.0**e
             for power in (1.0, 2.0, 4.0):  # the L^1 sum stays in range
-                assert lp_norm_space(scaled, power) == 2.0**e * lp_norm_space(u, power)
+                assert (lp_norm_space(scaled, grid.x_step, power)
+                        == 2.0**e * lp_norm_space(u, grid.x_step, power))
 
     def test_underflowing_sums_retaken(self):
         # the sums of powers underflow to 0.0, the norms do not
@@ -830,20 +837,20 @@ class TestNorms:
             warnings.simplefilter("error")
             assert hs_norm(SpectralProfile(1.0, 0.125, np.full(9, 1e-200)), 0.0) == pytest.approx(
                 math.sqrt(1.125) * 1e-200, rel=1e-15, abs=0.0)
-            assert lp_norm_space(SpaceField(0.0, 1.0, np.full(3, 1e-100)), 4.0) == pytest.approx(
+            assert lp_norm_space(np.full(3, 1e-100), 1.0, 4.0) == pytest.approx(
                 2.0**0.25 * 1e-100, rel=1e-15, abs=0.0)
 
     def test_overflowing_modulus_retaken_from_the_parts(self):
         # |a| = 1.84e308 overflows; its parts and the norms are finite
         amps = np.zeros(5, dtype=np.complex128)
         amps[2] = 1.3e308 + 1.3e308j
-        p, u = SpectralProfile(1.0, 0.125, amps), SpaceField(0.0, 0.125, amps)
+        p = SpectralProfile(1.0, 0.125, amps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert hs_norm(p, 0.0) == 4.0 * hs_norm(p.with_amplitudes(amps / 4.0), 0.0)
             for power in (1.0, 2.0, 4.0):
-                assert lp_norm_space(u, power) == pytest.approx(
-                    4.0 * lp_norm_space(SpaceField(0.0, 0.125, amps / 4.0), power), rel=1e-15)
+                assert lp_norm_space(amps, 0.125, power) == pytest.approx(
+                    4.0 * lp_norm_space(amps / 4.0, 0.125, power), rel=1e-15)
 
     @pytest.mark.parametrize("name", ["hs_norm", "L^2", "L^inf", "square function"])
     @given(data=st.data())
@@ -894,30 +901,37 @@ class TestNorms:
                 weight = (1.0 + p.xi * p.xi) ** s
                 plain = float(np.sqrt(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step))
                 assert hs_norm(p, s) == plain
-            u = synthesize(p, observation_grid(p))
-            w = trapezoid_weights(u.n)
+            grid = observation_grid(p)
+            u = synthesize(p, grid)
+            w = trapezoid_weights(grid.n)
             for power in (1.0, 2.0, 4.0, 7.5):
-                total = np.sum(w * np.abs(u.values) ** power * u.x_step)
+                total = np.sum(w * np.abs(u) ** power * grid.x_step)
                 plain = float(np.sqrt(total) if power == 2.0 else total ** (1.0 / power))
-                assert lp_norm_space(u, power) == plain
+                assert lp_norm_space(u, grid.x_step, power) == plain
 
     def test_lp_norm_constant_field(self):
         h = 0.125
         n = 17
-        u = SpaceField(0.0, h, np.full(n, 3.0 + 0j))
+        u = np.full(n, 3.0 + 0j)
         width = (n - 1) * h
         for power in (1.0, 2.0, 4.0):
-            assert abs(lp_norm_space(u, power) - 3.0 * width ** (1.0 / power)) <= 1e-12
+            assert abs(lp_norm_space(u, h, power) - 3.0 * width ** (1.0 / power)) <= 1e-12
 
     def test_lp_norm_sup(self):
-        u = SpaceField(0.0, 1.0, np.array([1.0, -5.0j, 2.0]))
-        assert lp_norm_space(u, math.inf) == 5.0
+        assert lp_norm_space(np.array([1.0, -5.0j, 2.0]), 1.0, math.inf) == 5.0
 
     def test_lp_norm_rejects_p_below_one(self):
-        u = SpaceField(0.0, 1.0, np.ones(3))
         for power in (0.5, math.nan):  # nan compares False with 1 either way
             with pytest.raises(ValueError, match="p >= 1"):
-                lp_norm_space(u, power)
+                lp_norm_space(np.ones(3), 1.0, power)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.filterwarnings("error")
+    def test_lp_norm_refuses_non_finite_values(self, bad):
+        values = np.array([1.0, bad, 2.0])
+        for power in (1.0, 2.0, 4.0, math.inf):
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                lp_norm_space(values, 1.0, power)
 
     def test_phase_moments_literal_sums(self):
         p = small_profile([1.0, -2.0j, 0.0, 0.5])  # xi = 0.5, 0.75, 1.0, 1.25
@@ -958,6 +972,6 @@ class TestNorms:
     @settings(max_examples=30)
     @given(st.floats(min_value=1.0, max_value=64.0))
     def test_lp_norm_single_point(self, power):
-        u = SpaceField(0.0, 2.0, np.array([-3.0 + 4.0j]))
         # one point, weight 1: norm = |v| * step^(1/p)
-        assert abs(lp_norm_space(u, power) - 5.0 * 2.0 ** (1.0 / power)) <= 1e-12
+        assert abs(lp_norm_space(np.array([-3.0 + 4.0j]), 2.0, power)
+                   - 5.0 * 2.0 ** (1.0 / power)) <= 1e-12
