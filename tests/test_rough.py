@@ -326,6 +326,13 @@ class TestMaximalScan:
             reference = _exp_scan(p, sign, spec.t_max, grid, 1000)
             assert scan.tobytes() == reference.tobytes(), k
 
+    def test_field_view(self, scan_setup):
+        # the scan is the array of the sups on the scanned grid, one per point
+        spec, p, grid = scan_setup
+        scan = maximal_scan(p, "+", spec.t_max, grid, n_t=8)
+        assert type(scan) is np.ndarray and scan.dtype == np.float64
+        assert scan.shape == (grid.n,) and np.all(scan > 0.0)
+
 
 class TestPointRowTable:
     def test_scan_keeps_no_rows_alive(self):

@@ -261,6 +261,12 @@ class TestSquareFunction:
         unit = square_function(p.with_amplitudes(p.amplitudes / 2.0**1023), grid)
         assert sup == 2.0**1023 * float(np.max(unit)) == 3.9618739886899645e+306
 
+    def test_values_are_real(self, corpus_by_id):
+        p = corpus_by_id["band_unit"].profile
+        sf = square_function(p, SpaceGrid.spanning(-3.0, 3.0, 65))
+        assert sf.dtype == np.float64
+        assert np.all(sf >= 0.0)
+
     def test_controlled_by_l2_norm(self, corpus_by_id):
         p = corpus_by_id["band_unit"].profile
         sf = square_function(p, SpaceGrid.spanning(-30.0, 30.0, 2048))
