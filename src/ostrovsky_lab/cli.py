@@ -29,8 +29,7 @@ from .fileio import format_float, read_profile, write_field, write_reports, writ
 from .lemmas import run_corpus
 from .parallel import parallel_map
 from .randomized import khinchine_analytic_ratio, khinchine_check, stochastic_continuity
-from .rough import (CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit,
-                    slope_range)
+from .rough import CounterexampleSpec, convergence_trace, counterexample_ratio, scaling_fit
 from .spectral import SpaceGrid, hs_norm, propagate, validate_resolution
 
 
@@ -206,15 +205,16 @@ def _run_counterexample(params: dict) -> tuple[dict, int]:
         return counterexample_ratio(spec, n_t=params["nt"], sign=params["sign"])
 
     ratios, uppers = zip(*parallel_map(ratio_at, ks, params["threads"]))
+    # the sidecar values come first, so a refused fit leaves no CSV behind
+    block: dict = {"rk_upper": list(uppers), "fit": None}
+    if len(ks) >= 3:
+        fit = scaling_fit(ks, ratios, uppers)
+        block["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
+                        "residual": fit.residual, "expected_slope": 0.25 - params["s"],
+                        "slope_range": list(fit.slope_range)}
     write_table(params["out"], ["k", "Rk", "log2Rk"],
                 ([str(k), format_float(r), format_float(math.log2(r))]
                  for k, r in zip(ks, ratios)))
-    block: dict = {"rk_upper": list(uppers), "fit": None}
-    if len(ks) >= 3:
-        fit = scaling_fit(list(zip(ks, ratios)))
-        block["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
-                        "residual": fit.residual, "expected_slope": 0.25 - params["s"],
-                        "slope_range": list(slope_range(ks, ratios, uppers))}
     return block, 0
 
 

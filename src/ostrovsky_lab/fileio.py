@@ -113,26 +113,22 @@ def write_field(grid: SpaceGrid, values: np.ndarray, path) -> None:
 
     The modulus is ``np.hypot`` of the parts, the libm ``hypot`` that
     Python's ``abs`` of a complex calls (numpy's array ``abs`` is not).
-    Values that are not finite or not one per point, and grid points that
-    round to one double, are refused before the file is opened; a modulus
-    beyond the double range is refused, not written as ``inf``.
+    Values that are not finite or not one per point, grid points that round
+    to one double, and a modulus beyond the double range are refused before
+    the file is opened, so a refusal leaves any file at `path` as it was.
     """
     if np.shape(values) != (grid.n,):
         raise ValueError(f"{path}: {np.shape(values)} values for a grid of {grid.n} points")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: values must be finite")
     x = _increasing(grid.points)
-
-    def blocks():
-        for lo in range(0, grid.n, FIELD_ROWS):
-            z = values[lo:lo + FIELD_ROWS]
-            with np.errstate(over="ignore"):
-                modulus = np.hypot(z.real, z.imag)
-            if np.isinf(modulus).any():
-                raise ValueError(f"{path}: |value| leaves the double range")
-            yield np.stack([x[lo:lo + FIELD_ROWS], z.real, z.imag, modulus], axis=1)
-
-    _write_blocks(path, FIELD_HEADER, blocks())
+    with np.errstate(over="ignore"):
+        modulus = np.hypot(values.real, values.imag)
+    if np.isinf(modulus).any():
+        raise ValueError(f"{path}: |value| leaves the double range")
+    columns = (x, values.real, values.imag, modulus)
+    _write_blocks(path, FIELD_HEADER, (np.stack([c[lo:lo + FIELD_ROWS] for c in columns], axis=1)
+                                       for lo in range(0, grid.n, FIELD_ROWS)))
 
 
 def read_field(path) -> tuple[SpaceGrid, np.ndarray]:

@@ -320,9 +320,9 @@ def norm_equivalence_reports(p: SpectralProfile, *,
 
     Upper row: sum of squared piece norms <= ||p||^2.  Lower row:
     ||p||^2 <= 3 * sum.  Both inflated by NORM_EQUIV_SLACK to absorb rounding.
-    Raises ValueError, naming the profile, when either side of a non-zero
-    profile is not a normal double (a square overflows or underflows),
-    although the norms themselves may be in range.
+    Raises ValueError when either side of a non-zero profile is not a normal
+    double (a square overflows or underflows), although the norms themselves
+    may be in range.
     """
     norm = hs_norm(p, 0.0)
     try:  # a float square that overflows raises, a sum of squares gives inf
@@ -332,8 +332,7 @@ def norm_equivalence_reports(p: SpectralProfile, *,
     except OverflowError:
         piece_sum = total = math.inf
     if norm > 0.0 and not _in_range((piece_sum, total)):
-        raise ValueError(f"NORM_EQUIV: the squared L2 norms of {profile_id} leave the "
-                         "double range")
+        raise ValueError("NORM_EQUIV: the squared L2 norms leave the double range")
     ratio = piece_sum / total if total > 0 else 1.0
     upper = _report("NORM_EQUIV", profile_id, {"side": "upper", "ratio": ratio},
                     piece_sum, total * (1.0 + NORM_EQUIV_SLACK), ratio)

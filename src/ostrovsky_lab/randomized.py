@@ -63,13 +63,15 @@ def _uniform(bits: np.ndarray) -> np.ndarray:
 def gaussian_coefficients(seed: int, sample_index, ks) -> np.ndarray:
     """Standard complex Gaussians indexed by (seed, sample_index, k).
 
-    `sample_index` and `ks` broadcast against each other (an array of
-    sample indices yields one row per sample).  The value at a given
-    (seed, sample_index, k) never depends on which other indices are
-    requested alongside it.
+    `ks` is 1-d, of length K; any other shape raises ValueError.  A scalar
+    `sample_index` gives shape (K,), and an array of them its shape + (K,),
+    one row per sample.  The value at a given (seed, sample_index, k) never
+    depends on which other indices are requested alongside it.
     """
     samples = np.asarray(sample_index, dtype=np.uint64)
     kbits = np.asarray(ks, dtype=np.int64).astype(np.uint64)  # two's complement
+    if kbits.ndim != 1:
+        raise ValueError(f"ks must be 1-d, got shape {kbits.shape}")
     with np.errstate(over="ignore"):
         h = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
         h = _mix64(h + _GOLDEN * (samples + np.uint64(1)))
@@ -88,7 +90,7 @@ def gaussian_coefficients(seed: int, sample_index, ks) -> np.ndarray:
     np.sin(angle, out=out.imag)
     out.real *= radius
     out.imag *= radius
-    return out if np.ndim(sample_index) else out[0] if out.ndim > 1 else out
+    return out
 
 
 def randomize(p: SpectralProfile, seed: int, draw: int) -> SpectralProfile:

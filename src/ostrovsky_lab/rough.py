@@ -10,8 +10,8 @@ shrinking time window t <= 2^(-3k)/100 and measuring its L4 norm on
 The scan samples a geometric time grid.  The sup between its nodes is not
 searched for but bounded from the phase moments of the profile, so
 counterexample_ratio reports R_k with a certified upper end (2.4e-8
-relative above R_k at n_t = 1024), and slope_range gives the fitted slopes
-that bracket allows.
+relative above R_k at n_t = 1024), and scaling_fit gives the fitted slope
+with the slopes that bracket allows.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "maximal_scan",
     "maximal_time_grid",
     "scaling_fit",
-    "slope_range",
 ]
 
 #: Ratio between the smallest and largest scanned time.
@@ -239,58 +238,49 @@ def counterexample_ratio(spec: CounterexampleSpec, n_t: int,
 
 @dataclass
 class ScalingFit:
-    """Least-squares line through (k, log2 R_k)."""
+    """Least-squares line through (k, log2 R_k), and the slopes a bracket of each R_k allows."""
 
     slope: float
     intercept: float
     residual: float  # max |log2 R_k - fit|
+    slope_range: tuple[float, float]
 
 
-def _log2_ratios(ks, *ends) -> tuple[np.ndarray, list[np.ndarray]]:
-    """k as doubles and log2 of each ratio sequence, after the checks both slope fits share."""
-    ks, ends = np.asarray(ks, dtype=np.float64), [np.asarray(r, dtype=np.float64) for r in ends]
+def scaling_fit(ks, lower, upper) -> ScalingFit:
+    """Fit log2 R_k = slope * k + intercept over >= 3 distinct k, R_k the lower ends.
+
+    The slope is sum c_k log2 R_k with c_k = (k - mean k) / sum (k - mean k)^2.
+    When R_k may lie anywhere in [lower, upper], its least value takes the
+    lower end where c_k > 0 and the upper end elsewhere, and its largest value
+    the other way round; that is slope_range, which holds the slope.  A plain
+    fit passes the same ratios as both ends, and gets (slope, slope).
+    """
+    ks, lower, upper = (np.asarray(v, dtype=np.float64) for v in (ks, lower, upper))
     if ks.ndim != 1 or ks.size < 3:
         raise ValueError("need at least three (k, R_k) points")
-    if any(r.shape != ks.shape for r in ends):
+    if lower.shape != ks.shape or upper.shape != ks.shape:
         raise ValueError("k and R_k sequences must have matching lengths")
     if np.all(ks == ks[0]):
         raise ValueError("k values are degenerate (all equal)")
-    # both slopes divide by the centred sum of squares of k; nan for a non-finite k
+    # the weights divide by the centred sum of squares of k; nan for a non-finite k
     with np.errstate(over="ignore", invalid="ignore"):
         centred = ks - np.mean(ks)
-        spread = float(np.sum(centred * centred))
+        spread = np.sum(centred * centred)
     if not np.finfo(np.float64).tiny <= spread < math.inf:
         raise ValueError("k values must be finite, with a centred sum of squares "
                          "inside the normal double range")
-    if not all(np.all((r > 0.0) & (r < np.inf)) for r in ends):
+    if not all(np.all((r > 0.0) & (r < np.inf)) for r in (lower, upper)):
         raise ValueError("ratios must be positive and finite")
-    if len(ends) == 2 and np.any(ends[0] > ends[1]):
+    if np.any(lower > upper):
         raise ValueError("lower ends must not exceed upper ends")
-    return ks, [np.log2(r) for r in ends]
-
-
-def scaling_fit(points) -> ScalingFit:
-    """Fit log2(R_k) = slope * k + intercept over >= 3 distinct k."""
-    pts = [(float(k), float(r)) for k, r in points]
-    ks, (logs,) = _log2_ratios([k for k, _ in pts], [r for _, r in pts])
-    design = np.stack([ks, np.ones_like(ks)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)
-    residual = float(np.max(np.abs(logs - (slope * ks + intercept))))
-    return ScalingFit(float(slope), float(intercept), residual)
-
-
-def slope_range(ks, lower, upper) -> tuple[float, float]:
-    """Extreme least-squares slopes of log2 R_k in k when R_k may lie anywhere in [lower, upper].
-
-    The slope is sum c_k log2 R_k with c_k = (k - mean k) / sum (k - mean k)^2,
-    so its least value takes the lower end where c_k > 0 and the upper end
-    elsewhere, and its largest value the other way round.
-    """
-    ks, (lo, hi) = _log2_ratios(ks, lower, upper)
-    centred = ks - np.mean(ks)
-    c = centred / np.sum(centred * centred)
-    return (float(np.sum(c * np.where(c > 0.0, lo, hi))),
-            float(np.sum(c * np.where(c > 0.0, hi, lo))))
+    lo, hi = np.log2(lower), np.log2(upper)
+    c = centred / spread
+    slope = float(np.sum(c * lo))
+    intercept = float(np.mean(lo)) - slope * float(np.mean(ks))
+    residual = float(np.max(np.abs(lo - (slope * ks + intercept))))
+    return ScalingFit(slope, intercept, residual,
+                      (float(np.sum(c * np.where(c > 0.0, lo, hi))),
+                       float(np.sum(c * np.where(c > 0.0, hi, lo)))))
 
 
 def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+") -> np.ndarray:

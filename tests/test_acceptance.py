@@ -18,8 +18,7 @@ from ostrovsky_lab.randomized import (
     randomized_point_samples,
     stochastic_continuity,
 )
-from ostrovsky_lab.rough import (CounterexampleSpec, counterexample_ratio, scaling_fit,
-                                  slope_range)
+from ostrovsky_lab.rough import CounterexampleSpec, counterexample_ratio, scaling_fit
 from ostrovsky_lab.spectral import evolve_spectral, hs_norm, lp_norm_space, phase, synthesize
 from ostrovsky_lab.windows import wiener_decompose, wiener_window
 
@@ -35,9 +34,9 @@ def test_counterexample_scaling_slopes_match_smoothing_rate():
     for s, window in ((0.0, (0.20, 0.30)), (0.25, (-0.05, 0.05))):
         ratios, uppers = zip(*(counterexample_ratio(CounterexampleSpec(k, s), n_t=256)
                                for k in ks))
-        fit = scaling_fit(list(zip(ks, ratios)))
+        fit = scaling_fit(ks, ratios, uppers)
         slopes[s] = fit.slope
-        lo, hi = slope_range(ks, ratios, uppers)
+        lo, hi = fit.slope_range
         print(f"s={s}: slope={fit.slope:.6f} in [{lo:.6f}, {hi:.6f}] "
               f"residual={fit.residual:.2e} ratios={[round(r, 4) for r in ratios]}")
         # every slope the certified bounds on R_k allow lies in the window

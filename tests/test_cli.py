@@ -380,6 +380,7 @@ class TestMainCounterexample:
         assert len(lines) == 4
         meta = _read_meta(out)
         fit = meta["fit"]
+        assert list(fit) == ["slope", "intercept", "residual", "expected_slope", "slope_range"]
         assert fit["expected_slope"] == 0.0
         assert abs(fit["slope"]) < 0.2
         assert math.isfinite(fit["intercept"])
@@ -558,9 +559,9 @@ class TestMainVerifyLemmas:
 
     @pytest.mark.parametrize("amplitude,message", [
         (1e-320, "L2_3: a sup deviation is not a normal double"),
-        (1e-300, "NORM_EQUIV: the squared L2 norms of p leave the double range"),
+        (1e-300, "NORM_EQUIV: the squared L2 norms leave the double range"),
         # L2_3 asks only for L, in range at 1e305: NORM_EQUIV, which is not, refuses
-        (1e305, "NORM_EQUIV: the squared L2 norms of p leave the double range"),
+        (1e305, "NORM_EQUIV: the squared L2 norms leave the double range"),
         (1e308, "a phase moment leaves the double range"),
     ])
     def test_rows_follow_the_range_rule_at_both_ends(self, tmp_path, capsys, amplitude,
@@ -602,6 +603,43 @@ class TestMainVerifyLemmas:
                 "print('numpy.ma' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "0", "False"]
+
+
+class TestRefusedRuns:
+    # one refused run per subcommand; {big}, {huge} and {gauss} stand for input files
+    RUNS = {
+        # the parts of the field are finite, its modulus is not
+        "propagate": (["--profile", "{big}", "--t", "0", "--nx", "8", "--x-min", "-0.001",
+                       "--x-max", "0.001"], "o.csv: |value| leaves the double range"),
+        "counterexample": (["--s", "0", "--k-min", "345", "--k-max", "345"],
+                           "phase xi**3 + sign/xi overflows"),
+        "khinchine": (["--p", "2", "--n", "16", "--coeffs", "0"], "it must not vanish"),
+        "stochastic-continuity": (["--profile", "{gauss}", "--alpha", "0.1", "--t", "1e-3,1e-2",
+                                   "--n", "4"], "the times must be strictly decreasing"),
+        "verify-lemmas": (["--corpus", "{huge}"],
+                          "huge: NORM_EQUIV: the squared L2 norms leave the double range"),
+        "trace": (["--profile", "{gauss}", "--x", "0", "--t", "1e-3,1e-2"],
+                  "the times must be strictly decreasing"),
+    }
+
+    @pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+    def test_refusal_leaves_neither_csv_nor_sidecar(self, tmp_path, capsys, gauss_low_csv,
+                                                    subcommand):
+        big = tmp_path / "big.csv"
+        write_profile(SpectralProfile(1.0, 0.125, np.full(33, 9.4e307 * (1 + 1j))), big)
+        huge = tmp_path / "huge"
+        huge.mkdir()
+        write_profile(SpectralProfile(9.0, 0.125, np.full(9, 1e305)), huge / "huge.csv")
+        flags, message = self.RUNS[subcommand]
+        files = {"big": big, "huge": huge, "gauss": gauss_low_csv}
+        out = tmp_path / "o.csv"
+        argv = [subcommand, *(flag.format(**files) for flag in flags), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 class TestNonFiniteInput:
@@ -750,9 +788,9 @@ class TestNonFiniteInput:
         ("stochastic-continuity", "H^s norm at s = 0.0 leaves the double range", 1.7e308),
         # every norm of the audit is in range, the squared norms of NORM_EQUIV
         # are not: a refusal naming the profile, not a traceback
-        ("verify-lemmas", "NORM_EQUIV: the squared L2 norms of huge leave the double range",
+        ("verify-lemmas", "NORM_EQUIV: the squared L2 norms leave the double range",
          1e300),
-        ("verify-lemmas", "NORM_EQUIV: the squared L2 norms of huge leave the double range",
+        ("verify-lemmas", "NORM_EQUIV: the squared L2 norms leave the double range",
          1e160),
         # the field is in range at 1.7e308, the profile's L2 mass is not
         ("verify-lemmas", "the L2 mass of the profile leaves the double range", 1.7e308),

@@ -285,11 +285,18 @@ class TestFieldRoundTrip:
         assert fast.read_text().splitlines()[1] == "-7.25,-0.0,0.0,0.0"
 
     def test_modulus_beyond_double_range_refused(self, tmp_path):
-        u = np.array([1.0 + 0j, 1.5e308 + 1.5e308j])
-        target = tmp_path / "u.csv"
-        with pytest.raises(ValueError, match="leaves the double range") as info:
-            write_field(SpaceGrid(0.0, 1.0, 2), u, target)
-        assert str(target) in str(info.value)
+        # refused before the file is opened, also in a late block: a file
+        # already at the path keeps its bytes, and none is made where there was none
+        u = np.ones(5000, dtype=np.complex128)
+        u[4500] = 1.5e308 * (1 + 1j)
+        kept, target = tmp_path / "kept.csv", tmp_path / "u.csv"
+        kept.write_bytes(b"earlier bytes\n")
+        for path in (kept, target):
+            with pytest.raises(ValueError, match="leaves the double range") as info:
+                write_field(SpaceGrid(0.0, 1.0, u.size), u, path)
+            assert str(path) in str(info.value)
+        assert kept.read_bytes() == b"earlier bytes\n"
+        assert not target.exists()
 
     def test_large_field_takes_the_fast_path(self, tmp_path, corpus_by_id):
         # 32 blocks of FIELD_ROWS rows, cell for cell against repr

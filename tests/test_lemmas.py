@@ -442,19 +442,24 @@ class TestSquareFunction:
 
 class TestNormEquivalence:
     def test_overflowing_squares_refused_naming_the_profile(self):
-        # the L2 norm, about 1.06e160, is in range; its square is not
+        # the L2 norm, about 1.06e160, is in range; its square is not.  The
+        # corpus harness names the profile, once
         p = SpectralProfile(1.0, 0.125, np.full(9, 1e160))
+        message = "NORM_EQUIV: the squared L2 norms leave the double range$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^NORM_EQUIV: the squared L2 norms of huge "):
+            with pytest.raises(ValueError, match=f"^{message}"):
                 norm_equivalence_reports(p, profile_id="huge")
+            with pytest.raises(ValueError, match=f"^huge: {message}"):
+                run_corpus([CorpusEntry("huge", p)], only=["NORM_EQUIV"])
 
     def test_underflowing_squares_refused_and_zero_profile_kept(self):
         # the L2 norm, about 1.06e-300, is in range; its square underflows to 0
         p = SpectralProfile(1.0, 0.125, np.full(9, 1e-300))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^NORM_EQUIV: the squared L2 norms of tiny "):
+            with pytest.raises(ValueError,
+                               match="^NORM_EQUIV: the squared L2 norms leave the double range$"):
                 norm_equivalence_reports(p, profile_id="tiny")
             rows = norm_equivalence_reports(p.with_amplitudes(np.zeros(9)), profile_id="zero")
         assert [r.params["ratio"] for r in rows] == [1.0, 1.0]

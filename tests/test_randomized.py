@@ -70,6 +70,15 @@ class TestGaussianCoefficients:
         alone = gaussian_coefficients(0, 0, np.array([2]))
         assert alone[0] == full[7]
 
+    def test_shape_is_the_samples_then_one_ks_axis(self):
+        # a 2-d ks once gave the first row alone for a scalar sample index
+        ks = np.arange(1, 5)
+        assert gaussian_coefficients(0, 5, ks).shape == (4,)
+        assert gaussian_coefficients(0, np.arange(6).reshape(2, 3), ks).shape == (2, 3, 4)
+        for bad in ([[1, 2], [3, 4]], 3):
+            with pytest.raises(ValueError, match="^ks must be 1-d"):
+                gaussian_coefficients(0, 5, bad)
+
     def test_distinct_counters_give_distinct_values(self):
         a = gaussian_coefficients(0, 0, np.arange(8))
         b = gaussian_coefficients(0, 1, np.arange(8))

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ostrovsky_lab import rough
@@ -20,7 +22,6 @@ from ostrovsky_lab.rough import (
     maximal_scan,
     maximal_time_grid,
     scaling_fit,
-    slope_range,
 )
 from ostrovsky_lab.spectral import (
     MAX_ARRAY_BYTES,
@@ -439,8 +440,9 @@ class TestCounterexampleRatio:
 
 class TestScalingFit:
     def test_exact_power_law(self):
-        points = [(k, 2.0 ** (0.25 * k + 1.5)) for k in range(3, 9)]
-        fit = scaling_fit(points)
+        ks = range(3, 9)
+        ratios = [2.0 ** (0.25 * k + 1.5) for k in ks]
+        fit = scaling_fit(ks, ratios, ratios)
         assert abs(fit.slope - 0.25) <= 1e-12
         assert abs(fit.intercept - 1.5) <= 1e-12
         assert fit.residual <= 1e-12
@@ -449,44 +451,70 @@ class TestScalingFit:
         # equal ends give the least-squares slope; widening any end widens the range
         ks = list(range(3, 9))
         ratios = [2.0 ** (0.25 * k + 1.5 + 0.01 * (-1) ** k) for k in ks]
-        fit = scaling_fit(list(zip(ks, ratios)))
-        lo, hi = slope_range(ks, ratios, ratios)
-        assert abs(lo - fit.slope) <= 1e-12 and abs(hi - fit.slope) <= 1e-12
+        fit = scaling_fit(ks, ratios, ratios)
+        assert fit.slope_range == (fit.slope, fit.slope)
         uppers = [r * 2.0**0.1 for r in ratios]
-        lo, hi = slope_range(ks, ratios, uppers)
+        wide = scaling_fit(ks, ratios, uppers)
+        assert (wide.slope, wide.intercept, wide.residual) == (fit.slope, fit.intercept,
+                                                               fit.residual)
+        lo, hi = wide.slope_range
         # each extreme raises log2 R_k by 0.1 on one side of the mean k, which
         # moves the slope by 0.1 * sum |c_k| / 2, c_k the slope's weights
         weights = sum(abs(k - 5.5) for k in ks) / sum((k - 5.5) ** 2 for k in ks)
         assert abs((fit.slope - lo) - 0.05 * weights) <= 1e-12
         assert abs((hi - fit.slope) - 0.05 * weights) <= 1e-12
 
+    @given(st.lists(st.tuples(st.integers(-1000, 1000),
+                              st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+                    min_size=3, max_size=12, unique_by=lambda point: point[0]))
+    def test_slope_lies_in_its_range(self, points):
+        # at the range's least end each term c_k log2 R_k is at most its term at
+        # the lower ends, at the largest end at least, and both sums add in one order
+        ks = [k for k, _, _ in points]
+        lower = [min(a, b) for _, a, b in points]
+        upper = [max(a, b) for _, a, b in points]
+        fit = scaling_fit(ks, lower, upper)
+        assert fit.slope_range[0] <= fit.slope <= fit.slope_range[1]
+        plain = scaling_fit(ks, lower, lower)
+        assert plain.slope == fit.slope and plain.slope_range == (fit.slope, fit.slope)
+
+    def test_slope_matches_polyfit(self):
+        rng = np.random.default_rng(29)
+        for ks in (np.arange(3, 9), np.arange(1, 41), np.array([-7, 2, 3, 11, 12])):
+            lower = 2.0 ** (0.25 * ks + rng.normal(scale=5.0, size=ks.size))
+            slope, intercept = np.polyfit(ks, np.log2(lower), 1)
+            fit = scaling_fit(ks, lower, lower)
+            assert abs(fit.slope - slope) <= 1e-12
+            assert abs(fit.intercept - intercept) <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError, match="three"):
-            scaling_fit([(3, 1.0), (4, 2.0)])
+            scaling_fit([3, 4], [1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
-            scaling_fit([(3, 1.0), (4, -2.0), (5, 1.0)])
+            scaling_fit([3, 4, 5], [1.0, -2.0, 1.0], [1.0, -2.0, 1.0])
         with pytest.raises(ValueError, match="degenerate"):
-            scaling_fit([(3, 1.0), (3, 2.0), (3, 4.0)])
+            scaling_fit([3, 3, 3], [1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
         with pytest.raises(ValueError, match="finite"):
-            scaling_fit([(3, 1.0), (4, math.inf), (5, 1.0)])
-        # the ends of slope_range are refused as the ratios are, and ordered
+            scaling_fit([3, 4, 5], [1.0, math.inf, 1.0], [1.0, math.inf, 1.0])
+        # both ends are refused as the ratios are, and ordered
         ks = [3, 4, 5]
         for lower, upper, match in [
             ([1.0, 2.0, 3.0], [1.0, 2.0], "matching lengths"),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], "matching lengths"),
             ([0.0, 2.0, 3.0], [1.0, 2.0, 3.0], "positive"),
             ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "positive"),
             ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf], "finite"),
             ([1.0, 2.0, 3.0], [1.0, 1.5, 3.0], "lower ends must not exceed"),
         ]:
             with pytest.raises(ValueError, match=match):
-                slope_range(ks, lower, upper)
+                scaling_fit(ks, lower, upper)
         with pytest.raises(ValueError, match="three"):
-            slope_range([3], [1.0], [2.0])
+            scaling_fit([3], [1.0], [2.0])
         with pytest.raises(ValueError, match="degenerate"):
-            slope_range([3, 3, 3], [1, 2, 3], [1, 2, 3])
+            scaling_fit([3, 3, 3], [1, 2, 3], [1, 2, 3])
 
     def test_k_outside_the_double_range_refused_without_warning(self):
-        # both fits divide by the centred sum of squares of k: non-finite k,
+        # the weights divide by the centred sum of squares of k: non-finite k,
         # and k whose sum overflows or underflows, are refused before it
         match = "^k values must be finite, with a centred sum of squares inside the normal"
         with warnings.catch_warnings():
@@ -495,12 +523,13 @@ class TestScalingFit:
                        [1e200, 2e200, 3e200], [1e-200, 2e-200, 3e-200],
                        [1e308, 1.5e308, 1.7e308]):
                 with pytest.raises(ValueError, match=match):
-                    slope_range(ks, [1, 1, 1], [1, 1, 2])
+                    scaling_fit(ks, [1, 1, 1], [1, 1, 2])
                 with pytest.raises(ValueError, match=match):
-                    scaling_fit(list(zip(ks, [1, 1, 2])))
+                    scaling_fit(ks, [1, 1, 2], [1, 1, 2])
         # integer k reach the fit as the same doubles
-        points = [(3, 1.0), (4, 2.0), (5, 4.1)]
-        assert scaling_fit(points) == scaling_fit([(float(k), r) for k, r in points])
+        ratios = [1.0, 2.0, 4.1]
+        assert scaling_fit([3, 4, 5], ratios, ratios) == scaling_fit([3.0, 4.0, 5.0], ratios,
+                                                                     ratios)
 
 
 class TestConvergenceTrace:
