@@ -439,8 +439,11 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     the exact products of the grid parameters, so no phase loses digits to
     the size of the index, and the nodes are the exact x_min + m * x_step
     (``grid.points`` rounds each of them to a double).  The chirps and the
-    kernel's FFT come from `_chirp_plan`, built once per grid pair, and the
-    rows are transformed _SYNTHESIS_BLOCK at a time.  Raises
+    kernel's FFT come from `_chirp_plan`, built once per grid pair.  The rows
+    are transformed _SYNTHESIS_BLOCK at a time through one padded buffer per
+    call: each block writes its pre-chirped rows into the buffer's head and
+    zeroes its tail, and the FFT, the kernel product and the inverse FFT then
+    run in place, so a block allocates no transform-sized temporary.  Raises
     ValueError unless |x| * max|xi| <= 2**52 over the grid, and before
     building or allocating anything when the padded transforms would exceed
     MAX_ARRAY_BYTES.
@@ -454,10 +457,18 @@ def _synthesize_rows(p: SpectralProfile, grid: SpaceGrid, rows: np.ndarray) -> n
     pre, post, kernel_fft = _chirp_plan(float(grid.x_min), float(grid.x_step), n_x,
                                         float(p.xi_min), float(p.xi_step), n_xi)
     fields = np.empty((len(rows), n_x), dtype=np.complex128)
+    buffer = np.empty((min(len(rows), _SYNTHESIS_BLOCK), length), dtype=np.complex128)
     for start in range(0, len(rows), _SYNTHESIS_BLOCK):
-        block = slice(start, start + _SYNTHESIS_BLOCK)
-        spectrum = np.fft.fft(rows[block] * pre, n=length, axis=-1) * kernel_fft
-        np.multiply(np.fft.ifft(spectrum, axis=-1)[:, :n_x], post, out=fields[block])
+        block = rows[start:start + _SYNTHESIS_BLOCK]
+        spectrum = buffer[:len(block)]
+        # row by row, so the ufunc writes the strided heads without a buffer
+        for head, row in zip(spectrum, block):
+            np.multiply(row, pre, out=head[:n_xi])
+        spectrum[:, n_xi:] = 0.0
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        spectrum *= kernel_fft
+        np.fft.ifft(spectrum, axis=-1, out=spectrum)
+        np.multiply(spectrum[:, :n_x], post, out=fields[start:start + len(block)])
     return fields
 
 

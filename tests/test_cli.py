@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -823,6 +824,13 @@ def profile_file(tmp_path_factory, corpus_by_id):
     return path
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = str(Path(ostrovsky_lab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _readme_cli_commands():
     """The argv of each command in the shell block of README's CLI section."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -844,14 +852,45 @@ class TestReadmeCommands:
         # f.csv, the profile the commands read, is gauss_low; any numpy or
         # Python warning fails the run
         write_profile(corpus_by_id["gauss_low"].profile, tmp_path / "f.csv")
-        src = str(Path(ostrovsky_lab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-W", "error", "-m", "ostrovsky_lab.cli", *argv[1:]],
-                             cwd=tmp_path, env=env, capture_output=True, text=True)
+                             cwd=tmp_path, env=_child_env(), capture_output=True, text=True)
         assert (run.returncode, run.stderr) == (0, "")
         out = tmp_path / argv[argv.index("--out") + 1]
         assert out.is_file() and Path(f"{out}.meta.json").is_file()
+
+
+class TestProcessEntry:
+    """`main` freezes the collector only as the process entry (argv is None)."""
+
+    # runs the module as `python -m ostrovsky_lab.cli` does; the atexit hook
+    # prints the objects tracked once the package is imported, then the
+    # freeze count as the interpreter exits
+    CHILD = ("import atexit, gc, runpy, sys\n"
+             "import ostrovsky_lab\n"
+             "imported = len(gc.get_objects())\n"
+             "atexit.register(lambda: print(imported, gc.get_freeze_count()))\n"
+             "runpy.run_module('ostrovsky_lab.cli', run_name='__main__')\n")
+
+    def test_in_process_call_leaves_the_collector_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["khinchine", "--p", "2", "--n", "16", "--out", str(tmp_path / "k.csv")]) == 0
+        assert main(["khinchine"]) == 1
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv, code, stderr", [
+        (["khinchine", "--p", "2", "--n", "16", "--out", "k.csv"], 0, ""),
+        (["khinchine", "--p", "2", "--out", "k.csv"], 1,
+         "usage error: missing required parameter --n\n"),
+        (["verify-lemmas", "--corpus", "profiles", "--out", "rep.csv"], 2, ""),
+    ], ids=["success", "usage-error", "failed-check"])
+    def test_module_child_freezes_and_keeps_code_and_stderr(self, tmp_path, argv, code, stderr):
+        (tmp_path / "profiles").mkdir()
+        write_profile(_spike16_profile(), tmp_path / "profiles" / "spike16.csv")
+        run = subprocess.run([sys.executable, "-c", self.CHILD, *argv], cwd=tmp_path,
+                             env=_child_env(), capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (code, stderr)
+        imported, frozen = map(int, run.stdout.split())
+        assert frozen >= imported > 0
 
 
 def _reject_constant(name):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from ostrovsky_lab.spectral import (
     phase_moments,
     _SYNTHESIS_BLOCK,
     _chirp_plan,
+    _fft_length,
     _synthesize_rows,
     propagate,
     quadrature_row,
@@ -576,6 +578,34 @@ class TestChirpSynthesis:
         blocked = _synthesize_rows(p, grid, rows)
         assert batches == [_SYNTHESIS_BLOCK, _SYNTHESIS_BLOCK, 3]
         assert blocked.tobytes() == single.tobytes()
+
+    def test_short_last_block_gives_row_by_row_synthesis_bits(self, corpus):
+        # 13 rows: one full block, then a short one through the same buffer
+        rng = np.random.default_rng(13)
+        for entry in corpus:
+            p = entry.profile
+            grid = observation_grid(p, n=1000)
+            draws = rng.standard_normal((13, p.n)) + 1j * rng.standard_normal((13, p.n))
+            profiles = [p.with_amplitudes(row) for row in draws]
+            single = np.stack([synthesize(q, grid) for q in profiles])
+            blocked = _synthesize_rows(p, grid, np.stack([q.amplitudes for q in profiles]))
+            assert blocked.tobytes() == single.tobytes(), entry.profile_id
+
+    def test_blocks_share_one_transform_buffer(self, corpus_by_id):
+        # the peak is one (_SYNTHESIS_BLOCK, L) buffer plus the output; the
+        # slack holds the loop's Python objects, well below one transform row
+        p = corpus_by_id["band_low_even"].profile
+        grid = observation_grid(p, n=20000)
+        rows = np.random.default_rng(5).standard_normal((13, p.n)) + 0j
+        _synthesize_rows(p, grid, rows[0])  # builds and caches the plan
+        length = _fft_length(grid.n + p.n - 1)
+        tracemalloc.start()
+        try:
+            fields = _synthesize_rows(p, grid, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * _SYNTHESIS_BLOCK * length + fields.nbytes + 16 * 1024
 
     def test_degenerate_sizes(self):
         # one frequency and one observation point: a 1-point transform
