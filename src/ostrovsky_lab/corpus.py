@@ -27,7 +27,7 @@ __all__ = [
     "default_corpus",
     "gaussian_profile",
     "observation_grid",
-    "parseval_grid",
+    "period_grid",
     "profile_from_function",
 ]
 
@@ -132,18 +132,17 @@ def default_corpus() -> list[CorpusEntry]:
     ]
 
 
-def parseval_grid(p: SpectralProfile) -> SpaceGrid:
-    """Spatial grid covering one full alias period of the sampled transform.
+def period_grid(p: SpectralProfile, n: int) -> SpaceGrid:
+    """Closed grid of `n` points over one alias period [-pi/h, pi/h] of the sampled transform.
 
     A profile sampled with step h synthesises to a field that is periodic
-    with period 2*pi/h, so one closed period holds all of its mass.  With
-    n - 1 = p.n segments the trapezoid L2 norm over the period matches the
-    spectral l2 norm to rounding whenever the grid end points carry no
-    amplitude (DFT orthogonality; the duplicated end point is halved).
+    with period 2*pi/h, so one closed period holds all of its mass.  At
+    n = p.n + 1 the trapezoid L2 norm over the period matches the spectral
+    l2 norm to rounding whenever the grid end points carry no amplitude
+    (DFT orthogonality; the duplicated end point is halved).
     """
-    period = 2.0 * math.pi / p.xi_step
-    segments = p.n
-    return SpaceGrid(-0.5 * period, period / segments, segments + 1)
+    half = math.pi / p.xi_step
+    return SpaceGrid.spanning(-half, half, n)
 
 
 #: Points of the coarse probe over one alias period.
@@ -159,12 +158,11 @@ SUPPORT_MARGIN = 0.5
 def observation_grid(p: SpectralProfile, n: int = 4096) -> SpaceGrid:
     """Grid over the numerically supported region of the field, plus margin.
 
-    A coarse probe over one alias period locates where |u| exceeds
+    A coarse probe, period_grid(p, PROBE_POINTS), locates where |u| exceeds
     SUPPORT_FLOOR times its peak; that window is widened by SUPPORT_MARGIN
     of its width on each side.
     """
-    period = 2.0 * math.pi / p.xi_step
-    probe = SpaceGrid.spanning(-0.5 * period, 0.5 * period, PROBE_POINTS)
+    probe = period_grid(p, PROBE_POINTS)
     mag = np.abs(synthesize(p, probe))
     peak = mag.max()
     if peak == 0.0:

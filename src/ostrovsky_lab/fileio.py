@@ -25,8 +25,8 @@ REPORT_HEADER = ["lemma_id", "profile_id", "params", "measured_lhs",
 # relative tolerance for the uniform-spacing test on read
 SPACING_RTOL = 1e-9
 
-# rows write_field and write_profile format at a time, so their memory stays
-# bounded whatever the table size (formatting holds about 0.5 kB a cell)
+# rows _write_columns formats at a time, so its memory stays bounded
+# whatever the table size (formatting holds about 0.5 kB a cell)
 FIELD_ROWS = 2048
 
 
@@ -43,20 +43,18 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> N
         out.writerows(rows)
 
 
-def _write_blocks(path, header: Sequence[str], blocks) -> None:
-    """Write a header and the rows of (rows, columns) blocks of finite doubles."""
+def _write_columns(path, header: Sequence[str], columns) -> None:
+    """Write a header and the rows of equal-length columns of finite doubles."""
     from ._ryu import format_rows  # compiled only by processes that write float tables
 
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            handle.write(format_rows(block))
+        for lo in range(0, len(columns[0]), FIELD_ROWS):
+            handle.write(format_rows(np.stack([c[lo:lo + FIELD_ROWS] for c in columns], axis=1)))
 
 
 def write_profile(p: SpectralProfile, path) -> None:
-    table = np.stack([p.xi, p.amplitudes.real, p.amplitudes.imag], axis=1)
-    _write_blocks(path, PROFILE_HEADER,
-                  (table[lo:lo + FIELD_ROWS] for lo in range(0, p.n, FIELD_ROWS)))
+    _write_columns(path, PROFILE_HEADER, (p.xi, p.amplitudes.real, p.amplitudes.imag))
 
 
 def _read_table(path, header: list[str]) -> tuple[float, float, np.ndarray]:
@@ -126,9 +124,7 @@ def write_field(grid: SpaceGrid, values: np.ndarray, path) -> None:
         modulus = np.hypot(values.real, values.imag)
     if np.isinf(modulus).any():
         raise ValueError(f"{path}: |value| leaves the double range")
-    columns = (x, values.real, values.imag, modulus)
-    _write_blocks(path, FIELD_HEADER, (np.stack([c[lo:lo + FIELD_ROWS] for c in columns], axis=1)
-                                       for lo in range(0, grid.n, FIELD_ROWS)))
+    _write_columns(path, FIELD_HEADER, (x, values.real, values.imag, modulus))
 
 
 def read_field(path) -> tuple[SpaceGrid, np.ndarray]:

@@ -21,7 +21,6 @@ from .spectral import (
     _deviation_multipliers,
     _downscaled,
     _in_range,
-    _require_budget,
     quadrature_row,
 )
 from .windows import wiener_decompose
@@ -33,7 +32,6 @@ __all__ = [
     "khinchine_analytic_ratio",
     "khinchine_check",
     "randomize",
-    "randomized_point_samples",
     "stochastic_continuity",
     "tail_bound_curve",
     "wilson_interval",
@@ -105,16 +103,14 @@ def randomize(p: SpectralProfile, seed: int, draw: int) -> SpectralProfile:
 
 
 def _draw_blocks(seed: int, n_samples: int, ks, table: np.ndarray):
-    """Yield (draws, g @ table) over consecutive blocks of draw indices.
+    """Yield g @ table over consecutive blocks of draw indices.
 
-    ``draws`` is the slice of sample indices in the block and ``g`` their
-    (block, K) coefficients over the windows `ks`, so each row of the
-    product is one draw's linear form.
+    ``g`` holds the block's (block, K) coefficients over the windows `ks`,
+    so each row of the product is one draw's linear form.
     """
     for lo in range(0, n_samples, _BLOCK):
-        draws = slice(lo, min(lo + _BLOCK, n_samples))
-        g = gaussian_coefficients(seed, np.arange(draws.start, draws.stop), ks)
-        yield draws, g @ table
+        g = gaussian_coefficients(seed, np.arange(lo, min(lo + _BLOCK, n_samples)), ks)
+        yield g @ table
 
 
 @dataclass
@@ -154,7 +150,7 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
         for scaled, e in ((c, 0), _downscaled(c)):
             l2 = float(np.linalg.norm(scaled))
             totals = [(0, 0.0, 0.0)] * len(powers)  # (count, mean, M2) of |S|^p per order
-            for _, values in _draw_blocks(seed, n_samples, np.arange(c.size), scaled):
+            for values in _draw_blocks(seed, n_samples, np.arange(c.size), scaled):
                 magnitudes = np.abs(values)
                 size = magnitudes.size
                 for i, power in enumerate(powers):
@@ -181,25 +177,6 @@ def khinchine_check(coefficients, powers, n_samples: int, seed: int = 0) -> list
             ratio_stderr = ratio * stderr_mean / (power * mean)
             results.append(KhinchineResult(power, moment, ratio, ratio_stderr))
     return results
-
-
-def randomized_point_samples(p: SpectralProfile, x: float, n_samples: int,
-                             seed: int = 0) -> np.ndarray:
-    """Values of the window-randomized profile at one point, per draw.
-
-    Sample ``i`` is the synthesis of ``randomize(p, seed, i)`` evaluated at
-    ``x``.  That value is linear in the window coefficients g, so it is
-    formed as ``g @ W`` with ``W[k]`` the point synthesis of window piece
-    k, built once; each draw then costs O(K).
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    _require_budget(16 * n_samples, f"{n_samples} point samples")
-    dec = wiener_decompose(p)
-    out = np.empty(n_samples, dtype=np.complex128)
-    for draws, values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ quadrature_row(p, x)):
-        out[draws] = values
-    return out
 
 
 def khinchine_analytic_ratio(power: float) -> float:
@@ -264,7 +241,7 @@ def stochastic_continuity(p: SpectralProfile, x: float, alpha: float, t_values,
     dec = wiener_decompose(p)
     probe = quadrature_row(p, x) * deviation  # (T, n)
     exceed = np.zeros(ts.size, dtype=np.int64)
-    for _, values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ probe.T):
+    for values in _draw_blocks(seed, n_samples, dec.ks, dec.table @ probe.T):
         exceed += np.sum(np.abs(values) > alpha, axis=0)
 
     probs = exceed / n_samples

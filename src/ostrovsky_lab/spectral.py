@@ -58,8 +58,8 @@ ZERO_EXCLUSION = 2.0**-20
 #: Largest tolerated phase advance per grid cell, in radians.
 MAX_PHASE_INCREMENT = 0.1
 
-#: Largest array a synthesis, a window table, a maximal scan or a set of point samples
-#: may allocate (1 GiB); a call whose sizes ask for more is refused before it allocates.
+#: Largest array a synthesis, a window table or a maximal scan may allocate (1 GiB);
+#: a call whose sizes ask for more is refused before it allocates.
 MAX_ARRAY_BYTES = 2**30
 
 _SIGNS = {"+": 1.0, "-": -1.0}

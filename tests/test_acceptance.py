@@ -11,15 +11,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from ostrovsky_lab.corpus import parseval_grid
+from ostrovsky_lab.corpus import period_grid
 from ostrovsky_lab.randomized import (
+    gaussian_coefficients,
     khinchine_analytic_ratio,
     khinchine_check,
-    randomized_point_samples,
     stochastic_continuity,
 )
 from ostrovsky_lab.rough import CounterexampleSpec, counterexample_ratio, scaling_fit
-from ostrovsky_lab.spectral import evolve_spectral, hs_norm, lp_norm_space, phase, synthesize
+from ostrovsky_lab.spectral import (evolve_spectral, hs_norm, lp_norm_space, phase,
+                                    quadrature_row, synthesize)
 from ostrovsky_lab.windows import wiener_decompose, wiener_window
 
 EPS = np.finfo(np.float64).eps
@@ -54,7 +55,7 @@ def test_propagator_is_unitary_parseval_consistent_and_a_group(corpus):
     for entry in corpus:
         p = entry.profile
         norm = hs_norm(p, 0.0)
-        grid = parseval_grid(p)
+        grid = period_grid(p, p.n + 1)
         for t in times:
             evolved = evolve_spectral(p, t, "+")
             worst_unitary = max(worst_unitary,
@@ -203,7 +204,10 @@ def test_tail_decay_is_gaussian_in_threshold(corpus_by_id):
     range (correlation at most -0.99)."""
     p = corpus_by_id["gauss_low"].profile
     n = 100_000
-    samples = np.abs(randomized_point_samples(p, 0.0, n, seed=0))
+    # draw i's value at x = 0 is linear in its window coefficients g_k
+    dec = wiener_decompose(p)
+    g = gaussian_coefficients(0, np.arange(n), dec.ks)
+    samples = np.abs(g @ (dec.table @ quadrature_row(p, 0.0)))
     alphas = np.quantile(samples, np.linspace(0.5, 1.0 - 2e-4, 12))
     probs = np.array([np.mean(samples > a) for a in alphas])
     keep = probs >= 10.0 / n

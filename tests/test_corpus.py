@@ -1,6 +1,7 @@
 """The twelve-profile corpus and its purpose-built spatial grids."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ostrovsky_lab.corpus import (
     band_profile,
     gaussian_profile,
     observation_grid,
-    parseval_grid,
+    period_grid,
     profile_from_function,
 )
 from ostrovsky_lab.spectral import (
@@ -114,11 +115,17 @@ class TestBuilders:
 
 class TestParsevalGrid:
     def test_covers_one_alias_period(self, corpus):
-        p = corpus[0].profile
-        g = parseval_grid(p)
-        period = 2.0 * np.pi / p.xi_step
-        assert g.n == p.n + 1
-        assert abs((g.points[-1] - g.points[0]) - period) <= 1e-9 * period
+        # the grid the Parseval identity is taken on is period_grid at n = p.n + 1;
+        # the last point is x_min + (n - 1) * x_step, so exact only to its rounding
+        for e in corpus:
+            p = e.profile
+            half = math.pi / p.xi_step
+            for n in (2, 512, p.n + 1):
+                g = period_grid(p, n)
+                points = g.points
+                assert g.n == n == points.size
+                assert points[0] == -half, (e.profile_id, n)
+                assert abs(points[-1] - half) <= 4.0 * math.ulp(half), (e.profile_id, n)
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 1.0])
     def test_trapezoid_l2_matches_spectral_l2(self, corpus, t):
@@ -126,7 +133,7 @@ class TestParsevalGrid:
         # the evolved amplitudes are still just amplitudes on the same grid
         for e in corpus:
             p = evolve_spectral(e.profile, t, "+")
-            grid = parseval_grid(p)
+            grid = period_grid(p, p.n + 1)
             field_l2 = lp_norm_space(synthesize(p, grid), grid.x_step, 2.0)
             spectral_l2 = hs_norm(e.profile, 0.0)
             assert abs(field_l2 - spectral_l2) <= 1e-12 * spectral_l2, e.profile_id

@@ -67,6 +67,45 @@ def test_unused_import_check_finds_a_dropped_name():
     assert _unused_imports(source) == ["line 1: SpectralProfile"]
 
 
+def _read_names(source: str) -> set[str]:
+    """Names a module loads, as a name or an attribute, outside their own top-level def or class."""
+    read = set()
+    for statement in ast.parse(source).body:
+        found = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(statement)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.discard(statement.name)
+        read |= found
+    return read
+
+
+#: Exported names that nothing in the package reads, each with why it stays public.
+UNREAD_EXPORTS = {
+    "randomize": "the per-draw reference the samplers' linear forms are tested against",
+    "tail_bound_curve": "the Gaussian tail majorant, to be compared with the tail curves",
+    "wiener_project": ("a benchmark tracer target, and the per-window reference that "
+                       "wiener_decompose rows are pinned to"),
+}
+
+
+def test_every_exported_name_is_read_in_the_package():
+    # a name that gains a reader must leave UNREAD_EXPORTS too, so the map cannot go stale
+    sources = Path(ostrovsky_lab.__file__).parent.glob("*.py")
+    read = set().union(*(_read_names(path.read_text(encoding="utf-8")) for path in sources))
+    assert sorted(set(ostrovsky_lab.__all__) - read) == sorted(UNREAD_EXPORTS)
+
+
+def test_read_name_check_finds_an_uncalled_export():
+    planted = ('"""Calls dropped() nowhere."""\n__all__ = ["dropped", "kept"]\n'
+               "def dropped(n): return dropped(n - 1) if n else 0\ndef kept(): pass\n")
+    caller = "from .planted import kept\ndef use(): return kept()\n"
+    # a def, a call inside that def, __all__ and a docstring mention are not readers
+    assert not {"dropped", "kept"} & _read_names(planted)
+    read = _read_names(planted) | _read_names(caller)
+    assert "kept" in read and "dropped" not in read
+
+
 def test_readme_layout_names_each_module_once():
     # adding, renaming or deleting a module fails here until README's module map follows
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

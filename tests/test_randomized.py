@@ -19,19 +19,16 @@ from ostrovsky_lab.randomized import (
     khinchine_analytic_ratio,
     khinchine_check,
     randomize,
-    randomized_point_samples,
     stochastic_continuity,
     tail_bound_curve,
     wilson_interval,
 )
 from ostrovsky_lab.spectral import (
     MAX_ARRAY_BYTES,
-    SQRT_2PI,
     ResolutionError,
     SpectralProfile,
     evolve_spectral,
     quadrature_row,
-    trapezoid_weights,
 )
 from ostrovsky_lab.windows import wiener_decompose
 
@@ -49,6 +46,12 @@ def _draws(p, seed, n):
     for i in (0, 4095, 4096, n - 1):
         assert np.all(np.abs(randomize(p, seed, i).amplitudes - draws[i]) <= bound[i]), i
     return draws
+
+
+def _point_values(p, x, n, seed):
+    """Values at `x` of draws 0 .. n - 1 of `seed`, each draw's linear form g @ (table @ row)."""
+    dec = wiener_decompose(p)
+    return gaussian_coefficients(seed, np.arange(n), dec.ks) @ (dec.table @ quadrature_row(p, x))
 
 
 class TestGaussianCoefficients:
@@ -127,12 +130,13 @@ class TestRandomize:
 
     @pytest.mark.parametrize("x", [0.0, -1.3])
     def test_point_values_match_the_samplers_draws(self, corpus, x):
-        # draws on both sides of the 4096-draw block boundary of the samplers
+        # the samplers' batched linear form, at draws on both sides of their
+        # 4096-draw block boundary
         n, seed = 4098, 5
         for entry in corpus:
             p = entry.profile
             row = quadrature_row(p, x)
-            samples = randomized_point_samples(p, x, n, seed)
+            samples = _point_values(p, x, n, seed)
             for i in (0, 4095, 4096, 4097):
                 a = randomize(p, seed, i).amplitudes
                 assert abs(row @ a - samples[i]) <= 1e-12 * np.sum(np.abs(row * a)), \
@@ -147,39 +151,6 @@ class TestRandomize:
         values = np.sum(np.abs(_draws(p, 3, n)) ** 2, axis=1) * p.xi_step  # hs_norm(draw, 0) ** 2
         sigma = np.std(values, ddof=1) / math.sqrt(n)
         assert abs(np.mean(values) - expected) <= 3.0 * sigma
-
-
-class TestRandomizedPointSamples:
-    def test_matches_randomize_then_synthesize(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile
-        x = 0.7
-        fast = randomized_point_samples(p, x, 5, seed=4)
-        probe = trapezoid_weights(p.n) * np.exp(1j * x * p.xi) * (p.xi_step / SQRT_2PI)
-        for i in range(5):
-            q = randomize(p, 4, i)
-            direct = np.sum(probe * q.amplitudes)
-            assert abs(fast[i] - direct) <= 1e-12 * max(1.0, abs(direct))
-
-    def test_zero_profile_gives_zeros(self):
-        p = SpectralProfile(1.0, 0.5, np.zeros(5))
-        np.testing.assert_array_equal(
-            randomized_point_samples(p, 0.3, 4), np.zeros(4, dtype=complex))
-
-    def test_sample_budget_refused_before_allocating(self, corpus_by_id, monkeypatch):
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("allocated before the budget check")
-
-        monkeypatch.setattr(randomized.np, "empty", no_allocation)
-        with pytest.raises(ValueError, match="above the budget"):
-            randomized_point_samples(corpus_by_id["gauss_low"].profile, 0.1, 10**12)
-
-    def test_validation_and_determinism(self, corpus_by_id):
-        p = corpus_by_id["gauss_low"].profile
-        with pytest.raises(ValueError):
-            randomized_point_samples(p, 0.0, 0)
-        a = randomized_point_samples(p, 0.0, 9, seed=12)
-        b = randomized_point_samples(p, 0.0, 9, seed=12)
-        np.testing.assert_array_equal(a, b)
 
 
 def _dense_point_values(p, x, ts, n, seed, sign):
@@ -221,16 +192,13 @@ class TestLinearFormsAgainstDenseReference:
         assert curve.empirical_probs[-1] == 0.0
 
         scale = np.sum(np.abs(quadrature_row(p, x) * p.amplitudes))
-        fast = randomized_point_samples(p, x, n, seed=seed)
-        assert np.max(np.abs(fast - base)) <= 1e-12 * scale
+        assert np.max(np.abs(_point_values(p, x, n, seed) - base)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, corpus_by_id, x):
         p = corpus_by_id["gauss_low"].profile
         with pytest.raises(ValueError, match="non-finite"):
             stochastic_continuity(p, x, 0.1, [1e-3, 0.0], 8)
-        with pytest.raises(ValueError, match="non-finite"):
-            randomized_point_samples(p, x, 8)
 
 
 class TestKhinchine:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import czt
 
-from ostrovsky_lab.corpus import PROBE_POINTS, observation_grid
+from ostrovsky_lab.corpus import PROBE_POINTS, observation_grid, period_grid
 from ostrovsky_lab.lemmas import HIGH_TIMES, T_LOW
 from ostrovsky_lab.rough import maximal_scan
 from ostrovsky_lab.spectral import (
@@ -661,8 +661,7 @@ class TestChirpSynthesis:
     def test_cold_and_warm_plans_give_the_same_bits(self, corpus):
         for entry in corpus:
             p = entry.profile
-            period = 2.0 * math.pi / p.xi_step
-            probe = SpaceGrid.spanning(-0.5 * period, 0.5 * period, PROBE_POINTS)
+            probe = period_grid(p, PROBE_POINTS)
             for grid in (probe, observation_grid(p)):
                 _chirp_plan.cache_clear()
                 cold = _synthesize_rows(p, grid, p.amplitudes)
