@@ -36,7 +36,6 @@ from .spectral import (
     hs_norm,
     lp_norm_space,
     phase_moments,
-    synthesize,
     validate_resolution,
 )
 from .windows import _run_ends, project_low, square_function, wiener_decompose
@@ -347,14 +346,16 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
     Unit-width frequency support bounds every such ratio by an absolute
     constant; the empirical corpus maximum is recorded and compared to
-    BERNSTEIN_CONSTANT.  Each piece's field is its own `synthesize`.
+    BERNSTEIN_CONSTANT.  The window fields are one batched synthesis of the
+    window table; they are linear in it, so they follow spectral._rescaled.
     """
     if grid is None:
         grid = observation_grid(p)
+    fields = _rescaled(lambda a: _synthesize_rows(p, grid, a), wiener_decompose(p).table, 1.0,
+                       "the window fields")
     worst = 0.0
     measured = 0
-    for piece in wiener_decompose(p).table:
-        fld = synthesize(p.with_amplitudes(piece), grid)
+    for fld in fields:
         norms = {q: lp_norm_space(fld, grid.x_step, q) for q in (2.0, 4.0, math.inf)}
         if norms[2.0] == 0.0:
             continue

@@ -55,8 +55,9 @@ BAND_CELLS = 256
 #: Points of the spatial grid on |x| <= 2^-k in counterexample_ratio.
 WINDOW_POINTS = 257
 
-#: Times per coarse-scan block: bounds memory whatever n_t.
-_BLOCK = 256
+#: Times per scan block: a scan holds its point rows and one block's factors and
+#: product, whatever n_t; a time's value does not depend on its block.
+_BLOCK = 64
 
 
 @dataclass
@@ -138,7 +139,8 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     xi > 0 support columns of quadrature_row and takes the real rows
     [Re q, -Im q] once.  Each block of _BLOCK times is one real product of
     the rows with the block from evolution_multipliers, whose [cos, sin] of
-    t * phase viewed as doubles is the product's operand as it stands.  The
+    t * phase viewed as doubles is the product's operand as it stands.  A
+    scan holds the point rows and one block, never a table over all times.  The
     sup between the nodes is not sampled; see counterexample_ratio for its
     certified bound.  Returns float64 of shape (grid.n,).  A scan whose time
     vector, point rows or block products would exceed MAX_ARRAY_BYTES is

@@ -616,8 +616,8 @@ class TestRunCorpus:
         assert len(builds) == len(corpus) == 12
         assert max(builds) <= 2
         # the parent's contiguous window range synthesized 581 rows, 174 of them zero;
-        # bernstein_report synthesizes its 74 pieces one at a time, the other checks batch
-        assert counts == {"syntheses": 150, "decompositions": 72, "rows": 407, "zero_rows": 0}
+        # every check batches its rows, bernstein_report its 74 pieces in one call per profile
+        assert counts == {"syntheses": 88, "decompositions": 72, "rows": 407, "zero_rows": 0}
 
     def test_in_range_values_are_not_retaken(self, corpus, monkeypatch):
         # every value of the built-in audit is a normal double; the exact zero

@@ -183,7 +183,7 @@ class TestMaximalScan:
     @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("setup", ["scan_setup", "family_k5"])
     def test_matches_literal_per_time_scan(self, request, setup, sign):
-        # 600 times cross two coarse-block boundaries; over 40 times the
+        # 600 times cross several block boundaries; over 40 times the
         # family's window most points peak inside it
         spec, p, grid = request.getfixturevalue(setup)
         t_max = 40.0 * spec.t_max
@@ -194,7 +194,7 @@ class TestMaximalScan:
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_matches_literal_per_time_scan_at_production_shape(self, sign):
         # counterexample_ratio's grids at k = 8 (257 x 1025, 257 support
-        # columns per sign of xi), with 300 times crossing a block boundary
+        # columns per sign of xi), with 300 times crossing block boundaries
         spec = CounterexampleSpec(8, 0.1)
         p = counterexample_profile(spec)
         grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
@@ -202,7 +202,7 @@ class TestMaximalScan:
         literal = _literal_scan(p, sign, spec.t_max, grid, 300)
         assert np.max(np.abs(scan - literal)) <= 1e-13 * np.max(literal)
 
-    @pytest.mark.parametrize("cells, widest", [(64, "block products"), (256, "point rows")])
+    @pytest.mark.parametrize("cells, widest", [(16, "block products"), (256, "point rows")])
     def test_budget_refused_before_allocating(self, monkeypatch, cells, widest):
         # the time vector, the point rows (n_x x 2m doubles for m support
         # columns) and the block products (n_x x _BLOCK doubles) are sized
@@ -271,7 +271,7 @@ class TestMaximalScan:
             maximal_scan(p, "+", spec.t_max, grid, n_t=8)
 
     @pytest.mark.filterwarnings("error")
-    def test_sup_beyond_the_double_range_refused_by_name(self):
+    def test_sup_beyond_the_double_range_refused_by_name(self, monkeypatch):
         # two Hermitian bands of 50 amplitudes A on a 1/16 grid: at A = 1.7e308
         # the block products overflow, at A = 1e307 the sup (about 2.4e307) does not
         grid = SpaceGrid.spanning(-0.1, 0.1, 9)
@@ -282,13 +282,23 @@ class TestMaximalScan:
         amps[57:107] = amps[150:200] = 1e307
         scan = maximal_scan(SpectralProfile(-8.0, 1 / 16, amps), "+", 1e-4, grid, n_t=4)
         assert np.all(np.isfinite(scan)) and 2e307 < np.max(scan) < 3e307
-        # 128 columns of 1.7e308, then 128 of -1.7e308: a product that sums them in
-        # two parts overflows each way and meets inf - inf, which is nan
+        # 128 columns of 1.7e308, then 128 of -1.7e308: the sup is about 2.1e306, but
+        # a product that sums them in two parts overflows each way and meets
+        # inf - inf, which is nan.  OpenBLAS splits the sum so for 256-time
+        # blocks, and sums 64-time blocks in range: bit for bit 2^1000 times
+        # the scan of the amplitudes over 2^1000
         half = np.zeros(513)
         half[257:] = np.where(np.arange(256) < 128, 1.7e308, -1.7e308)
-        with pytest.raises(ValueError, match="^the maximal scan leaves the double range$"):
-            maximal_scan(SpectralProfile(-8.0, 1 / 32, half + half[::-1]), "+", 1e-9,
-                         SpaceGrid.spanning(-1e-3, 1e-3, 5), n_t=4)
+        p = SpectralProfile(-8.0, 1 / 32, half + half[::-1])
+        grid = SpaceGrid.spanning(-1e-3, 1e-3, 5)
+        with monkeypatch.context() as patched:
+            patched.setattr(rough, "_BLOCK", 256)
+            with pytest.raises(ValueError, match="^the maximal scan leaves the double range$"):
+                maximal_scan(p, "+", 1e-9, grid, n_t=4)
+        scaled = maximal_scan(p.with_amplitudes(p.amplitudes * 2.0**-1000), "+", 1e-9,
+                              grid, n_t=4)
+        scan = maximal_scan(p, "+", 1e-9, grid, n_t=4)
+        assert scan.tobytes() == (scaled * 2.0**1000).tobytes()
 
     def test_resolution_gate(self, scan_setup):
         spec, p, grid = scan_setup
@@ -318,7 +328,7 @@ class TestMaximalScan:
         # the scan's cos/sin tables, real point rows and direct block
         # operands keep every counterexample byte: the scan written with
         # complex exponentials and one padded block buffer is its reference.
-        # 1000 times give three full blocks and a padded one
+        # 1000 times give full blocks and a padded one
         for k in range(3, 9):
             spec = CounterexampleSpec(k, s)
             p = counterexample_profile(spec)
@@ -326,6 +336,19 @@ class TestMaximalScan:
             scan = maximal_scan(p, sign, spec.t_max, grid, n_t=1000)
             reference = _exp_scan(p, sign, spec.t_max, grid, 1000)
             assert scan.tobytes() == reference.tobytes(), k
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_block_size_keeps_every_bit(self, monkeypatch, k, sign):
+        # the same scan in 256-time and 64-time blocks, at counterexample_ratio's grids
+        spec = CounterexampleSpec(k, 0.1)
+        p = counterexample_profile(spec)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+        scans = []
+        for block in (256, 64):
+            monkeypatch.setattr(rough, "_BLOCK", block)
+            scans.append(maximal_scan(p, sign, spec.t_max, grid, n_t=1024).tobytes())
+        assert scans[0] == scans[1]
 
     def test_field_view(self, scan_setup):
         # the scan is the array of the sups on the scanned grid, one per point
@@ -340,7 +363,8 @@ class TestPointRowTable:
         # each scan builds its point rows from quadrature_row and drops them
         # on return: a scan on a grid pair no other test uses leaves the
         # traced memory where it found it, and the time blocks keep its peak
-        # from growing with n_t (the rows are 826 kB here, a block 411 kB)
+        # from growing with n_t (the rows are 826 kB here, a block's factors
+        # 263 kB and its product 103 kB)
         spec = CounterexampleSpec(4, 0.1)
         p = counterexample_profile(spec)
         maximal_scan(p, "+", spec.t_max, SpaceGrid.spanning(-0.1, 0.1, 33), n_t=300)
@@ -358,6 +382,22 @@ class TestPointRowTable:
         finally:
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.1e6
+
+    def test_production_scan_peak(self):
+        # one k = 8 scan at counterexample_ratio's grids and n_t = 1024 holds
+        # its point rows (1.06 MB) and one 64-time block, 1.7 MB in all
+        spec = CounterexampleSpec(8, 0.1)
+        p = counterexample_profile(spec)
+        grid = SpaceGrid.spanning(-spec.x_window, spec.x_window, WINDOW_POINTS)
+        maximal_scan(p, "+", spec.t_max, grid, n_t=8)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            maximal_scan(p, "+", spec.t_max, grid, n_t=1024)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_builds_the_table_once(self, tmp_path, monkeypatch, threads):
