@@ -28,6 +28,7 @@ from .spectral import (
     ZERO_EXCLUSION,
     SpaceGrid,
     SpectralProfile,
+    _downscaled,
     _in_range,
     _rescaled,
     _synthesize_rows,
@@ -346,25 +347,27 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
     Unit-width frequency support bounds every such ratio by an absolute
     constant; the empirical corpus maximum is recorded and compared to
-    BERNSTEIN_CONSTANT.  The window fields are one batched synthesis of the
-    window table; they are linear in it, so they follow spectral._rescaled.
+    BERNSTEIN_CONSTANT.  A piece's ratios do not depend on its scale, so
+    each row of the window table is divided in place by the power of two
+    above its largest part, which is exact, and the fields are one batched
+    synthesis of that table; every piece is measured, however small or
+    large its amplitudes.  A zero profile, which has no piece, is skipped.
     """
     if grid is None:
         grid = observation_grid(p)
-    fields = _rescaled(lambda a: _synthesize_rows(p, grid, a), wiener_decompose(p).table, 1.0,
-                       "the window fields")
+    table = wiener_decompose(p).table
+    if not len(table):
+        return _skip_report("BERNSTEIN", profile_id, "zero_profile")
+    for row in table:
+        row[:] = _downscaled(row)[0]
+    fields = _synthesize_rows(p, grid, table)
     worst = 0.0
-    measured = 0
     for fld in fields:
         norms = {q: lp_norm_space(fld, grid.x_step, q) for q in (2.0, 4.0, math.inf)}
-        if norms[2.0] == 0.0:
-            continue
-        measured += 1
         for low_p, high_p in ((2.0, 4.0), (2.0, math.inf), (4.0, math.inf)):
             worst = max(worst, norms[high_p] / norms[low_p])
-    if measured == 0:
-        return _skip_report("BERNSTEIN", profile_id, "zero_profile")
-    return _report("BERNSTEIN", profile_id, {"pieces": measured}, worst, BERNSTEIN_CONSTANT, worst)
+    return _report("BERNSTEIN", profile_id, {"pieces": len(fields)}, worst, BERNSTEIN_CONSTANT,
+                   worst)
 
 
 def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:

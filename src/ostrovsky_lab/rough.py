@@ -161,11 +161,11 @@ def maximal_scan(p: SpectralProfile, sign: str, t_max: float, grid: SpaceGrid,
     # conj(q) viewed as doubles interleaves [Re q, -Im q], and exp(i t phi)
     # interleaves [cos, sin]: their real product is Re(q exp(i t phi))
     rows = quadrature_row(p, grid.points, support)
-    rows *= amps[support]
-    rows = np.conj(rows, out=rows).view(np.float64)
     sup = np.full(grid.n, -np.inf)
-    # an overflowed sum of opposite signs is nan, so invalid is ignored too
+    # rows and sums may overflow, and an overflowed sum of opposite signs is nan
     with np.errstate(over="ignore", invalid="ignore"):
+        rows *= amps[support]
+        rows = np.conj(rows, out=rows).view(np.float64)
         for lo in range(0, n_t, _BLOCK):
             block = evolution_multipliers(p, ts[lo:lo + _BLOCK], sign, support)
             sup = np.maximum(sup, _block_sup(rows, block))
@@ -210,7 +210,8 @@ def _window_bound(p: SpectralProfile, sign: str, sup: np.ndarray, t_max: float,
         return sup + phase_moments(p, sign, (1,), (1.0 - TIME_SPAN) * t_max)[0]
     gap = float(np.max(np.diff(maximal_time_grid(t_max, n_t))))
     total, curvature = phase_moments(p, sign, (0, 2), gap)
-    return np.hypot(sup, math.sqrt(total * curvature) / 2.0)
+    # two roots, so a product S * L2 beyond the double range keeps an in-range bound
+    return np.hypot(sup, math.sqrt(total) * math.sqrt(curvature) / 2.0)
 
 
 def counterexample_ratio(spec: CounterexampleSpec, n_t: int,
@@ -229,8 +230,7 @@ def counterexample_ratio(spec: CounterexampleSpec, n_t: int,
     sup = maximal_scan(p, sign, spec.t_max, grid, n_t)
     norm = hs_norm(p, spec.s)
     upper = _window_bound(p, sign, sup, spec.t_max, n_t)
-    ratios = tuple(lp_norm_space(field, grid.x_step, 4.0) / norm if norm > 0.0 else math.nan
-                   for field in (sup, upper))
+    ratios = tuple(lp_norm_space(field, grid.x_step, 4.0) / norm for field in (sup, upper))
     for ratio in ratios:
         if not 0.0 < ratio < math.inf:
             raise ValueError(f"R_k = {ratio} at k = {spec.k}, s = {spec.s!r}: "

@@ -31,7 +31,6 @@ __all__ = [
     "MAX_PHASE_INCREMENT",
     "SQRT_2PI",
     "ZERO_EXCLUSION",
-    "ResolutionError",
     "ResolutionReport",
     "SpaceGrid",
     "SpectralProfile",
@@ -185,17 +184,6 @@ class ResolutionReport:
     @property
     def ok(self) -> bool:
         return self.max_phase_increment <= MAX_PHASE_INCREMENT
-
-
-class ResolutionError(ValueError):
-    """A propagation request failed the phase-resolution rule."""
-
-    def __init__(self, report: ResolutionReport):
-        super().__init__(
-            f"phase advance {report.max_phase_increment:.3g} rad per cell exceeds "
-            f"{MAX_PHASE_INCREMENT}; refine xi_step or reduce |t|"
-        )
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +487,12 @@ def validate_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionRe
     return ResolutionReport(increment)
 
 
-def require_resolution(p: SpectralProfile, t: float, sign: str) -> ResolutionReport:
-    """The resolution report for (p, t, sign); raises ResolutionError carrying it on refusal."""
+def require_resolution(p: SpectralProfile, t: float, sign: str) -> None:
+    """Raise ValueError, naming the phase advance per cell, unless (p, t, sign) is resolved."""
     report = validate_resolution(p, t, sign)
     if not report.ok:
-        raise ResolutionError(report)
-    return report
+        raise ValueError(f"phase advance {report.max_phase_increment:.3g} rad per cell exceeds "
+                         f"{MAX_PHASE_INCREMENT}; refine xi_step or reduce |t|")
 
 
 def _deviation_multipliers(p: SpectralProfile, t_values, sign: str) -> tuple[np.ndarray, np.ndarray]:
@@ -521,7 +509,7 @@ def _deviation_multipliers(p: SpectralProfile, t_values, sign: str) -> tuple[np.
 def propagate(p: SpectralProfile, t: float, sign: str, grid: SpaceGrid) -> np.ndarray:
     """Evolve by the propagator and synthesise on `grid`: complex128 of shape (grid.n,).
 
-    Refuses (raising ResolutionError with the report attached) when the
+    Raises ValueError, naming the phase advance per cell, when the
     phase-increment rule fails; at t = 0 the output is bit-identical to
     `synthesize(p, grid)`.
     """
@@ -533,16 +521,20 @@ def hs_norm(p: SpectralProfile, s: float) -> float:
     """Discrete Sobolev norm: sqrt(sum (1+xi^2)^s |amp|^2 * xi_step).
 
     Raises ValueError, naming s and the frequency reach, when the weight
-    (1+xi^2)^s leaves the double range on p's grid, and naming s when the
-    norm itself does; a weighted sum that leaves the range alone is retaken
-    by _rescaled.
+    (1+xi^2)^s overflows on p's grid, and naming s when the norm itself
+    leaves the double range: above it, or at 0 for a non-zero profile (say,
+    where every weight underflows); a weighted sum that leaves the range
+    alone is retaken by _rescaled.
     """
     if not math.isfinite(s):
         raise ValueError("s must be finite")
     weight = _of_xi(lambda xi: (1.0 + xi * xi) ** s, p.xi,
                     f"H^s weight (1+xi^2)^s overflows at s = {s!r},")
-    return float(_rescaled(lambda a: np.sqrt(np.sum(weight * np.abs(a) ** 2) * p.xi_step),
+    norm = float(_rescaled(lambda a: np.sqrt(np.sum(weight * np.abs(a) ** 2) * p.xi_step),
                            p.amplitudes, 2.0, f"H^s norm at s = {s!r}"))
+    if norm == 0.0 and np.any(p.amplitudes != 0.0):
+        raise ValueError(f"H^s norm at s = {s!r} of a non-zero profile underflows to 0")
+    return norm
 
 
 def lp_norm_space(values: np.ndarray, x_step: float, power: float) -> float:

@@ -494,6 +494,12 @@ class TestMainVerifyLemmas:
                     worst[r.lemma_id] = {"fitted_c": r.fitted_c, "profile_id": r.profile_id}
         assert summary["worst_fitted_c"] == worst
 
+    def test_built_in_corpus_writes_the_run_corpus_reports(self, tmp_path, lemma_reports):
+        out = tmp_path / "rep.csv"
+        rc = main(["verify-lemmas", "--threads", "2", "--out", str(out)])
+        assert rc == (0 if all(r.passed for r in lemma_reports) else 2)
+        assert read_reports(out) == lemma_reports
+
     def test_refused_gates_become_skip_rows(self, tmp_path):
         # low part, high part and window 8 of this band fail the resolution gate
         directory = tmp_path / "refused"
@@ -666,6 +672,11 @@ class TestNonFiniteInput:
          "leaves the positive double range"),
         (["counterexample", "--s", "150", "--k-min", "3", "--k-max", "3"],
          "H^s weight (1+xi^2)^s overflows at s = 150.0, frequency reach |xi| = 16"),
+        (["counterexample", "--s", "-100", "--k-min", "6", "--k-max", "6"],
+         "H^s norm at s = -100.0 of a non-zero profile underflows to 0"),
+        # |f(0)| is about 2^1037: the point rows overflow, and the scan is refused
+        (["counterexample", "--s", "-30", "--k-min", "34", "--k-max", "34", "--nt", "2"],
+         "error: the maximal scan leaves the double range"),
         # xi**3 overflows in the phase while the tiny t_max still passes the gate
         (["counterexample", "--s", "0", "--k-min", "345", "--k-max", "345"],
          "phase xi**3 + sign/xi overflows at frequency reach |xi| = 1.43344e+104"),
@@ -679,7 +690,8 @@ class TestNonFiniteInput:
     ], ids=["continuity-x-nan", "trace-x-inf", "khinchine-coeffs-nan", "khinchine-p-inf",
             "continuity-x-1e300", "trace-x-1e300", "counterexample-k-1100",
             "counterexample-k-600", "counterexample-s-neg100", "counterexample-s-400",
-            "counterexample-s-150", "counterexample-k-345", "khinchine-p-1e308",
+            "counterexample-s-150", "counterexample-hs-underflow", "counterexample-scan-k-34",
+            "counterexample-k-345", "khinchine-p-1e308",
             "propagate-t-1e308", "trace-t-1e308", "trace-x-t-1e308", "continuity-t-1e308"])
     def test_rejected_naming_the_flag(self, tmp_path, gauss_low_csv, capsys, argv, message):
         if argv[0] not in ("khinchine", "counterexample"):
@@ -694,9 +706,12 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("argv", [
         ["--s", "-10", "--k-min", "30", "--k-max", "30", "--nt", "4"],
         ["--s", "-64", "--k-min", "2", "--k-max", "4", "--nt", "1"],
-    ], ids=["counterexample-l4-k-30", "counterexample-l4-nt-1"])
+        ["--s", "-260", "--k-min", "2", "--k-max", "2", "--nt", "2"],
+    ], ids=["counterexample-l4-k-30", "counterexample-l4-nt-1", "counterexample-bound-k-2"])
     def test_in_range_ratio_with_overflowing_l4_sum(self, tmp_path, argv):
-        # the sum of |sup|^4 leaves the double range, R_k does not.  Both norms
+        # the sum of |sup|^4 leaves the double range, R_k does not; at k = 2,
+        # s = -260 so does the window bound's moment product S L2 (2^520.7 times
+        # 2^511.6), while its root and R_k_upper do not.  Both norms
         # are linear in the family amplitude, so against the s = -0.5 run (unit
         # amplitude f) R_k(s) / R_k(-0.5) = ||f||_{H^-0.5} / ||f||_{H^s}
         ratios = {}

@@ -431,6 +431,13 @@ class TestReportsRoundTrip:
         assert all(line.rsplit(",", 1)[1] in {"true", "false"}
                    for line in lines[1:])
 
+    def test_blank_rows_are_skipped(self, tmp_path, lemma_reports):
+        target = tmp_path / "reports.csv"
+        write_reports(lemma_reports[:2], target)
+        header, first, second = target.read_text().splitlines()
+        target.write_text("\n".join([header, "", first, "", second, ""]) + "\n")
+        assert read_reports(target) == lemma_reports[:2]
+
     def test_header_rejected(self, tmp_path):
         target = tmp_path / "bad.csv"
         target.write_text("id,who,what\n")

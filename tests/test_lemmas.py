@@ -516,12 +516,27 @@ class TestBernstein:
         assert report.passed
 
     def test_huge_amplitudes_give_the_unit_ratio(self):
-        # the window fields follow the range rule, and the ratio is scale-free
+        # each window row is brought to unit size, and the ratio is scale-free
         unit = SpectralProfile(1.0, 0.125, np.ones(9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = bernstein_report(unit.with_amplitudes(np.full(9, 1.7e308)))
         assert huge.measured_lhs == pytest.approx(bernstein_report(unit).measured_lhs, rel=1e-14)
+
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+    def test_subnormal_window_is_measured_as_if_alone(self, tiny):
+        # windows 1 and 4 each carry one amplitude, window 4 a subnormal one;
+        # its ratio is that of the same amplitude times 2**1074, a normal double
+        def report(amplitudes):
+            a = np.zeros(33, dtype=np.complex128)
+            for index, value in amplitudes.items():
+                a[index] = value
+            return bernstein_report(SpectralProfile(0.5, 0.25, a))
+
+        both = report({2: 1.0, 14: tiny})
+        alone = [report({2: 1.0}), report({14: math.ldexp(tiny, 1074)})]
+        assert both.params == {"pieces": 2}
+        assert both.fitted_c == max(r.fitted_c for r in alone)
 
     def test_zero_profile_skips(self):
         report = bernstein_report(SpectralProfile(1.0, 0.5, np.zeros(5)))

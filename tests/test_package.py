@@ -106,6 +106,27 @@ def test_read_name_check_finds_an_uncalled_export():
     assert "kept" in read and "dropped" not in read
 
 
+def _exception_classes(source: str) -> list[str]:
+    """Classes a module defines with a base whose name ends in Error or Exception."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any((base.id if isinstance(base, ast.Name) else getattr(base, "attr", ""))
+                    .endswith(("Error", "Exception")) for base in node.bases)]
+
+
+def test_only_cli_defines_an_exception_class():
+    # the library refuses with a plain ValueError naming the value; cli keeps its UsageError
+    found = {path.stem: names for path in Path(ostrovsky_lab.__file__).parent.glob("*.py")
+             if (names := _exception_classes(path.read_text(encoding="utf-8")))}
+    assert found == {"cli": ["UsageError"]}
+
+
+def test_exception_class_check_finds_a_planted_error():
+    planted = ("import builtins\nclass Report:\n    pass\n"
+               "class RefusedError(ValueError):\n    pass\n"
+               "def f():\n    class Inner(builtins.Exception):\n        pass\n")
+    assert _exception_classes(planted) == ["RefusedError", "Inner"]
+
+
 def test_readme_layout_names_each_module_once():
     # adding, renaming or deleting a module fails here until README's module map follows
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -25,7 +25,6 @@ from ostrovsky_lab.randomized import (
 )
 from ostrovsky_lab.spectral import (
     MAX_ARRAY_BYTES,
-    ResolutionError,
     SpectralProfile,
     evolve_spectral,
     quadrature_row,
@@ -414,7 +413,7 @@ class TestStochasticContinuity:
             stochastic_continuity(p, 0.0, 0.0, [1e-3], 16)
         with pytest.raises(ValueError):
             stochastic_continuity(p, 0.0, 0.5, [1e-3], 0)
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ValueError, match="phase advance"):
             stochastic_continuity(p, 0.0, 0.5, [100.0, 1e-3], 16)
 
     def test_small_threshold_curve(self, corpus_by_id):

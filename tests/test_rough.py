@@ -26,7 +26,6 @@ from ostrovsky_lab.rough import (
 from ostrovsky_lab.spectral import (
     MAX_ARRAY_BYTES,
     SQRT_2PI,
-    ResolutionError,
     SpaceGrid,
     SpectralProfile,
     evolve_spectral,
@@ -302,7 +301,7 @@ class TestMaximalScan:
 
     def test_resolution_gate(self, scan_setup):
         spec, p, grid = scan_setup
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ValueError, match="phase advance"):
             maximal_scan(p, "+", 1.0, grid, n_t=8)
 
     def test_sup_monotone_under_time_refinement(self, scan_setup):
@@ -469,6 +468,15 @@ class TestCounterexampleRatio:
         assert ratios[0] < ratios[1] < ratios[2]
         assert all(r < u < 1.01 * r for r, u in zip(ratios, uppers))
 
+    @pytest.mark.parametrize("norm,ratio", [(1e-320, "inf"), (math.inf, "0.0")])
+    def test_ratio_beyond_the_double_range_refused(self, monkeypatch, norm, ratio):
+        # hs_norm refuses a norm that leaves the range itself; a ratio that
+        # still did would be refused here rather than reported
+        monkeypatch.setattr(rough, "hs_norm", lambda p, s: norm)
+        with pytest.raises(ValueError, match=f"^R_k = {ratio} at k = 3, s = 0.0: the norms "
+                                             "leave the double range$"):
+            counterexample_ratio(CounterexampleSpec(3, 0.0), n_t=4)
+
     def test_bound_stays_in_range_at_large_k(self):
         # the unscaled phase moment L2 overflows from k = 147 at s = 0; the
         # bound takes the moments per time step, so it stays finite at k = 340,
@@ -610,7 +618,7 @@ class TestConvergenceTrace:
 
     def test_resolution_gate(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ValueError, match="phase advance"):
             convergence_trace(p, 0.0, [1e3, 1.0])
 
     def test_smooth_profile_converges(self, corpus_by_id):

@@ -20,7 +20,6 @@ from ostrovsky_lab.spectral import (
     MAX_PHASE_INCREMENT,
     SQRT_2PI,
     ZERO_EXCLUSION,
-    ResolutionError,
     ResolutionReport,
     SpaceGrid,
     SpectralProfile,
@@ -171,6 +170,8 @@ class TestGrids:
             SpaceGrid(0.0, -1.0, 4)
         with pytest.raises(ValueError):
             SpaceGrid(math.inf, 1.0, 4)
+        with pytest.raises(ValueError, match="^grid needs at least one point$"):
+            SpaceGrid(0.0, 1.0, 0)
 
     def test_overflowing_last_point_refused_without_warning(self):
         # origin, step and size are each fine; origin + step * (n - 1) is not
@@ -751,7 +752,7 @@ class TestResolution:
             for t in (1e308, np.float64(-1e308)):
                 report = validate_resolution(p, t, "+")
                 assert report.max_phase_increment == math.inf and not report.ok
-            with pytest.raises(ResolutionError, match="phase advance inf rad per cell"):
+            with pytest.raises(ValueError, match="phase advance inf rad per cell"):
                 propagate(p, 1e308, "+", grid)
 
     def test_gate_threshold(self, corpus_by_id, design_t):
@@ -759,21 +760,24 @@ class TestResolution:
         assert validate_resolution(entry.profile, design_t["gauss_mid"], "+").ok
         assert not validate_resolution(entry.profile, 1.0, "+").ok
 
-    def test_require_resolution_returns_or_raises_the_report(self, corpus_by_id):
+    def test_require_resolution_returns_none_or_names_the_increment(self, corpus_by_id):
         p = corpus_by_id["gauss_mid"].profile
-        ok = require_resolution(p, 1e-3, "+")
-        assert ok == validate_resolution(p, 1e-3, "+") and ok.ok
-        with pytest.raises(ResolutionError) as err:
+        assert validate_resolution(p, 1e-3, "+").ok
+        assert require_resolution(p, 1e-3, "+") is None
+        increment = validate_resolution(p, 1.0, "-").max_phase_increment
+        with pytest.raises(ValueError) as err:
             require_resolution(p, 1.0, "-")
-        assert err.value.report == validate_resolution(p, 1.0, "-")
-        assert not err.value.report.ok
+        assert type(err.value) is ValueError
+        assert str(err.value) == (f"phase advance {increment:.3g} rad per cell exceeds "
+                                  f"{MAX_PHASE_INCREMENT}; refine xi_step or reduce |t|")
 
-    def test_propagate_refuses_with_report_attached(self, corpus_by_id):
-        entry = corpus_by_id["gauss_mid"]
+    def test_propagate_refusal_names_the_increment(self, corpus_by_id):
+        p = corpus_by_id["gauss_mid"].profile
         grid = SpaceGrid.spanning(-1.0, 1.0, 8)
-        with pytest.raises(ResolutionError, match="phase advance") as err:
-            propagate(entry.profile, 1.0, "+", grid)
-        assert err.value.report.max_phase_increment > MAX_PHASE_INCREMENT
+        increment = validate_resolution(p, 1.0, "+").max_phase_increment
+        assert increment > MAX_PHASE_INCREMENT
+        with pytest.raises(ValueError, match=f"^phase advance {increment:.3g} rad per cell "):
+            propagate(p, 1.0, "+", grid)
 
     def test_propagate_at_t_zero_matches_synthesize_bitwise(self, corpus):
         p = corpus[0].profile
