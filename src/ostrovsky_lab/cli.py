@@ -1,14 +1,9 @@
 """Command-line entry point: config parsing, dispatch, CSV/JSON reports.
 
 Every subcommand writes one CSV (LF endings, shortest-roundtrip floats)
-plus a JSON sidecar ``<out>.meta.json``: ``version``, ``subcommand``, the
-resolved ``config`` and ``wall_clock_s``, so a run is reproducible from its
-artifacts alone, and the derived values its CSV does not hold: ``resolution``
-(propagate), ``rk_upper`` and ``fit`` (counterexample), ``fit.l2_norm``
-(stochastic-continuity), ``summary`` (verify-lemmas); none for khinchine, trace.
-
-Exit codes: 0 success, 2 when a verification check ran fine but failed
-its inequality, 1 for usage or runtime errors.
+plus a JSON sidecar ``<out>.meta.json``, so a run is reproducible from its
+artifacts alone.  README's CLI section lists each subcommand's sidecar
+blocks and the exit codes.
 """
 
 from __future__ import annotations

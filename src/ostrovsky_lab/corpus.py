@@ -155,7 +155,7 @@ SUPPORT_FLOOR = 1e-6
 SUPPORT_MARGIN = 0.5
 
 
-def observation_grid(p: SpectralProfile, n: int = 4096) -> SpaceGrid:
+def observation_grid(p: SpectralProfile, n: int) -> SpaceGrid:
     """Grid over the numerically supported region of the field, plus margin.
 
     A coarse probe, period_grid(p, PROBE_POINTS), locates where |u| exceeds

@@ -107,7 +107,7 @@ def read_profile(path) -> SpectralProfile:
 
 
 def write_field(grid: SpaceGrid, values: np.ndarray, path) -> None:
-    """Write complex `values`, one per point of `grid`, as the x,re,im,abs rows of `write_table`.
+    """Write complex `values`, one per point of `grid`, as x,re,im,abs rows by `_write_columns`.
 
     The modulus is ``np.hypot`` of the parts, the libm ``hypot`` that
     Python's ``abs`` of a complex calls (numpy's array ``abs`` is not).

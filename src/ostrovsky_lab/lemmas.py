@@ -6,12 +6,13 @@ from the two sides (``measured_lhs <= bound_rhs``) and never stored, so a
 report file audits itself: ``fileio.read_reports`` refuses a row whose
 ``pass`` cell disagrees with its sides.
 
-Suprema over x are maxima over a finite observation grid.  For the
-upper-bound checks (square function, Bernstein) a coarse grid can only
-under-estimate the left side, never produce a false failure; but that
-under-read can turn a failure into a pass (the observation grid reads the
-L2_2 deviation of band_low_even 5.44% low).  For the deviation checks the
-grid spans the numerically supported region plus a margin.
+Suprema over x are maxima over the finite grid each check is passed; the
+corpus run passes each profile's observation grid.  For the upper-bound
+checks (square function, Bernstein) a coarse grid can only under-estimate
+the left side, never produce a false failure; but that under-read can turn
+a failure into a pass (the observation grid reads the L2_2 deviation of
+band_low_even 5.44% low).  For the deviation checks the observation grid
+spans the numerically supported region plus a margin.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ MAX_WINDOW_INDEX = 8
 # Harness calibration of the corpus run.
 EPSILON = 1e-2            # low-frequency mass budget
 T_LOW = 1e-3              # evaluation time for the low/window checks
+OBSERVATION_POINTS = 4096 # points of each profile's observation grid
 WINDOW_EPSILON = 1e-1     # epsilon in the eps + t/eps window bound
 HIGH_TIMES = tuple(float(t) for t in np.geomspace(1e-6, 1e-3, 7))  # linearity sweep
 SQUARE_TIMES = (0.1, 1.0)
@@ -177,7 +179,7 @@ def delta_epsilon(p: SpectralProfile, epsilon: float) -> float:
 
 def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
                         sign: str = "+", profile_id: str = "profile",
-                        grid: SpaceGrid | None = None) -> list[LemmaReport]:
+                        grid: SpaceGrid) -> list[LemmaReport]:
     """Deviation of the low-frequency part against eps + C*|t|/delta * ||p||.
 
     Returns the rows [L2_2, L2_4] from one synthesis: both measure the same
@@ -192,8 +194,6 @@ def check_low_frequency(p: SpectralProfile, t: float, epsilon: float, *,
     if not validate_resolution(low, t, sign).ok:
         return [_skip_report(lemma_id, profile_id, "resolution_refused", {"t": t})
                 for lemma_id in ("L2_2", "L2_4")]
-    if grid is None:
-        grid = observation_grid(p)
     lhs = float(_sup_deviations(p, low.amplitudes, [t], sign, grid)[0])
     norm = hs_norm(p, 0.0)
     params = {"epsilon": epsilon, "t": t}
@@ -218,7 +218,7 @@ def high_frequency_part(p: SpectralProfile) -> SpectralProfile:
 
 def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
                          profile_id: str = "profile",
-                         grid: SpaceGrid | None = None) -> list[LemmaReport]:
+                         grid: SpaceGrid) -> list[LemmaReport]:
     """Linear-in-t deviation of the high-frequency part.
 
     Emits two rows: the fitted constant max_t(sup dev / t) against the
@@ -237,8 +237,6 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
         return [_skip_report("L2_3", profile_id, "zero_high_frequency_part")]
     if not validate_resolution(high, float(np.max(ts)), sign).ok:
         return [_skip_report("L2_3", profile_id, "resolution_refused")]
-    if grid is None:
-        grid = observation_grid(p)
 
     deviations = _sup_deviations(p, high.amplitudes, ts, sign, grid)
     with np.errstate(over="ignore"):  # an overflowing constant is refused below
@@ -261,7 +259,7 @@ def check_high_frequency(p: SpectralProfile, t_values, *, sign: str = "+",
 
 def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
                      sign: str = "+", profile_id: str = "profile",
-                     grid: SpaceGrid | None = None) -> list[LemmaReport]:
+                     grid: SpaceGrid) -> list[LemmaReport]:
     """Deviation of each unit window piece against CORPUS_CONSTANT*(eps + |t|/eps).
 
     One row per piece of wiener_decompose(p) with |k| <= MAX_WINDOW_INDEX
@@ -278,8 +276,6 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
                       for row in pieces], dtype=bool)
     lhs = np.zeros(len(ks))
     if np.any(gated):
-        if grid is None:
-            grid = observation_grid(p)
         lhs[gated] = _sup_deviations(p, pieces[gated], [t], sign, grid)
     scale = epsilon + abs(t) / epsilon
     l1_mass = float(_rescaled(lambda a: np.sum(np.abs(a)) * p.xi_step, p.amplitudes, 1.0,
@@ -292,7 +288,7 @@ def check_wiener_low(p: SpectralProfile, t: float, epsilon: float, *,
 
 def check_square_function(p: SpectralProfile, t: float | None = None, *,
                           sign: str = "+", profile_id: str = "profile",
-                          grid: SpaceGrid | None = None) -> LemmaReport:
+                          grid: SpaceGrid) -> LemmaReport:
     """Grid max of the window square function against the L2 norm.
 
     ``t=None`` checks the profile itself (lemma id L2_6); a time value
@@ -300,8 +296,6 @@ def check_square_function(p: SpectralProfile, t: float | None = None, *,
     grid max of the exact discrete sum only under-estimates a continuum
     sup, so no resolution gate applies to this upper-bound check.
     """
-    if grid is None:
-        grid = observation_grid(p)
     if t is None:
         values = square_function(p, grid)
         lemma_id, params = "L2_6", {}
@@ -342,7 +336,7 @@ def norm_equivalence_reports(p: SpectralProfile, *,
 
 
 def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
-                     grid: SpaceGrid | None = None) -> LemmaReport:
+                     grid: SpaceGrid) -> LemmaReport:
     """Largest norm ratio ||piece||_q / ||piece||_r over windows and 2<=r<q<=inf.
 
     Unit-width frequency support bounds every such ratio by an absolute
@@ -353,8 +347,6 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
     synthesis of that table; every piece is measured, however small or
     large its amplitudes.  A zero profile, which has no piece, is skipped.
     """
-    if grid is None:
-        grid = observation_grid(p)
     table = wiener_decompose(p).table
     if not len(table):
         return _skip_report("BERNSTEIN", profile_id, "zero_profile")
@@ -371,13 +363,13 @@ def bernstein_report(p: SpectralProfile, *, profile_id: str = "profile",
 
 
 def _profile_reports(entry: CorpusEntry, sign: str) -> list[LemmaReport]:
-    """Every check on one profile, sharing its observation grid.
+    """Every check on one profile, each passed its observation grid, which is chosen here alone.
 
     A refusal names the profile it came from.
     """
     p, pid = entry.profile, entry.profile_id
     try:
-        grid = observation_grid(p)
+        grid = observation_grid(p, OBSERVATION_POINTS)
         low, uniform = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id=pid, grid=grid)
         return [
             low,

@@ -27,6 +27,7 @@ from .spectral import (
     SpectralProfile,
     _deviation_multipliers,
     _require_budget,
+    _rescaled,
     evolution_multipliers,
     hs_norm,
     lp_norm_space,
@@ -290,7 +291,9 @@ def convergence_trace(p: SpectralProfile, x: float, t_sequence, sign: str = "+")
 
     Each deviation is the point synthesis of (U(t) - I) f, whose amplitude
     multiplier ``M - 1`` is exactly zero in a t = 0 row, so a t = 0 entry
-    is exactly 0.0.
+    is exactly 0.0.  The deviations are linear in the amplitudes, so they
+    follow spectral._rescaled.
     """
     _, deviation = _deviation_multipliers(p, t_sequence, sign)
-    return np.abs(p.amplitudes * deviation @ quadrature_row(p, x))
+    row = quadrature_row(p, x)
+    return _rescaled(lambda a: np.abs(a * deviation @ row), p.amplitudes, 1.0, "a trace deviation")

@@ -751,6 +751,19 @@ class TestNonFiniteInput:
             for key in ("ratio", "stderr"):
                 assert float(huge[key]) == pytest.approx(float(unit[key]), rel=1e-12, abs=0.0)
 
+    def test_ratios_whose_moments_leave_the_double_range_are_reported(self, tmp_path):
+        # the order-1 moment of 1e308,1e308 overflows but is written nowhere;
+        # the run used to exit 1 on it
+        out = tmp_path / "kh.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["khinchine", "--p", "1,2", "--n", "3", "--coeffs", "1e308,1e308",
+                         "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["p"] for row in rows] == ["1.0", "2.0"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
     def test_in_range_norm_of_a_huge_profile_is_reported(self, tmp_path):
         # the sum of squares overflows, the L2 norm sqrt(9/8) * 1e300 does not
         profile, out = tmp_path / "huge.csv", tmp_path / "o.csv"

@@ -17,6 +17,7 @@ from ostrovsky_lab.lemmas import (
     HIGH_TIMES,
     LEMMA_IDS,
     MAX_WINDOW_INDEX,
+    OBSERVATION_POINTS,
     SPLIT_SCALE,
     SQUARE_TIMES,
     T_LOW,
@@ -68,6 +69,11 @@ def _spike(xi0=20.0, h=0.5):
     return SpectralProfile(xi0 - h, h, np.array([0.0, 1.0, 0.0]))
 
 
+def _grid(p):
+    """The grid the corpus run reads p's sups on."""
+    return observation_grid(p, OBSERVATION_POINTS)
+
+
 class TestLemmaReport:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown lemma id"):
@@ -106,8 +112,8 @@ class TestDeltaEpsilon:
         # a nan budget used to give the capped radius, and nan L2_5 bounds
         p = corpus_by_id["gauss_low"].profile
         for check in (lambda: delta_epsilon(p, epsilon),
-                      lambda: check_low_frequency(p, 1e-3, epsilon),
-                      lambda: check_wiener_low(p, 1e-3, epsilon)):
+                      lambda: check_low_frequency(p, 1e-3, epsilon, grid=_grid(p)),
+                      lambda: check_wiener_low(p, 1e-3, epsilon, grid=_grid(p))):
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 check()
 
@@ -197,23 +203,23 @@ class TestDeltaEpsilon:
 class TestLowFrequency:
     def test_t_zero_deviation_vanishes(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        for report in check_low_frequency(p, 0.0, 1e-2, profile_id="gauss_low"):
+        for report in check_low_frequency(p, 0.0, 1e-2, profile_id="gauss_low", grid=_grid(p)):
             assert report.measured_lhs == 0.0
             assert report.fitted_c == 0.0
             assert report.passed
 
     def test_uniform_variant_records_epsilon_radius(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
-        low, uniform = check_low_frequency(p, 1e-3, 1e-2, profile_id="gauss_low")
+        low, uniform = check_low_frequency(p, 1e-3, 1e-2, profile_id="gauss_low", grid=_grid(p))
         assert (low.lemma_id, uniform.lemma_id) == ("L2_2", "L2_4")
         assert low.params["delta"] == delta_epsilon(p, 1e-2)
         assert uniform.params["delta"] == 1e-2
 
     def test_lhs_matches_direct_synthesis(self, corpus_by_id):
         p = corpus_by_id["band_high_even"].profile
-        report, _ = check_low_frequency(p, 1e-3, 1e-2, profile_id="band_high_even")
+        grid = _grid(p)
+        report, _ = check_low_frequency(p, 1e-3, 1e-2, profile_id="band_high_even", grid=grid)
         low = project_low(p, SPLIT_SCALE)
-        grid = observation_grid(p)
         evolved = synthesize(evolve_spectral(low, 1e-3, "+"), grid)
         still = synthesize(low, grid)
         lhs = float(np.max(np.abs(evolved - still)))
@@ -225,7 +231,7 @@ class TestLowFrequency:
     def test_epsilon_validated_before_the_gate(self, corpus_by_id):
         p = corpus_by_id["band_high_even"].profile
         with pytest.raises(ValueError, match="positive"):
-            check_low_frequency(p, 1e3, 0.0)  # t = 1e3 would be refused
+            check_low_frequency(p, 1e3, 0.0, grid=_grid(p))  # t = 1e3 would be refused
 
     @pytest.mark.parametrize("xi_min", [-2**-7, 2**-8], ids=["through-zero", "off-zero"])
     def test_heavy_grid_near_zero_gets_a_measured_row(self, xi_min):
@@ -234,7 +240,8 @@ class TestLowFrequency:
         # back to ZERO_EXCLUSION and both rows are measured
         p = SpectralProfile(xi_min, 2**-8, np.full(299, 1e3))
         assert delta_epsilon(p, 1e-2) == ZERO_EXCLUSION
-        low, uniform = check_low_frequency(p, 1e-5, 1e-2, profile_id="dense_low")
+        low, uniform = check_low_frequency(p, 1e-5, 1e-2, profile_id="dense_low",
+                                            grid=_grid(p))
         assert low.params == {"epsilon": 1e-2, "t": 1e-5, "delta": ZERO_EXCLUSION}
         assert uniform.params == {"epsilon": 1e-2, "t": 1e-5, "delta": 1e-2}
         assert low.measured_lhs == uniform.measured_lhs > 0.0
@@ -258,7 +265,7 @@ class TestHighFrequency:
         p = SpectralProfile(9.0, 0.125, np.full(9, 1e305))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            constant, slope = check_high_frequency(p, HIGH_TIMES)
+            constant, slope = check_high_frequency(p, HIGH_TIMES, grid=_grid(p))
         assert constant.passed and slope.passed
         assert 1.88e306 < constant.bound_rhs < 1.89e306
 
@@ -271,20 +278,20 @@ class TestHighFrequency:
     def test_validation(self, corpus_by_id):
         p = corpus_by_id["gauss_high"].profile
         with pytest.raises(ValueError, match="positive times"):
-            check_high_frequency(p, [1e-3, 1e-4])
+            check_high_frequency(p, [1e-3, 1e-4], grid=_grid(p))
         with pytest.raises(ValueError, match="positive times"):
-            check_high_frequency(p, [1e-3, 1e-4, 0.0])
+            check_high_frequency(p, [1e-3, 1e-4, 0.0], grid=_grid(p))
 
     def test_repeated_times_refused(self, corpus_by_id):
         # one distinct time is a one-point fit, which np.polyfit warns about
         p = corpus_by_id["gauss_high"].profile
         for times in ([1e-4, 1e-4, 1e-4], [1e-4, 1e-3, 1e-4, 1e-3]):
             with pytest.raises(ValueError, match="3 distinct positive times"):
-                check_high_frequency(p, times)
+                check_high_frequency(p, times, grid=_grid(p))
 
     def test_zero_high_part_skips(self, corpus_by_id):
-        rows = check_high_frequency(corpus_by_id["gauss_low"].profile,
-                                    [1e-5, 1e-4, 1e-3], profile_id="gauss_low")
+        p = corpus_by_id["gauss_low"].profile
+        rows = check_high_frequency(p, [1e-5, 1e-4, 1e-3], profile_id="gauss_low", grid=_grid(p))
         assert len(rows) == 1
         assert rows[0].params["skip"] == "zero_high_frequency_part"
         assert rows[0].passed
@@ -295,7 +302,7 @@ class TestHighFrequency:
         # sweep slope sits within O((t_max phi)^2) of 1
         p = _spike()
         ts = np.geomspace(1e-7, 1e-4, 7)
-        const, slope = check_high_frequency(p, ts, profile_id="spike20")
+        const, slope = check_high_frequency(p, ts, profile_id="spike20", grid=_grid(p))
         phi = phase(20.0)
         closed = max(2.0 * abs(math.sin(t * phi / 2.0)) / t for t in ts) * 0.5 / SQRT_2PI
         assert abs(const.measured_lhs - closed) <= 1e-12 * closed
@@ -312,10 +319,10 @@ class TestWienerLow:
         # gauss_high's windows run past MAX_WINDOW_INDEX; only those inside get rows
         p = corpus_by_id["gauss_high"].profile
         assert wiener_decompose(p).ks.max() > MAX_WINDOW_INDEX
-        rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_high")
+        rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_high", grid=_grid(p))
         assert rows and all(abs(r.params["k"]) <= MAX_WINDOW_INDEX for r in rows)
         with pytest.raises(ValueError, match="positive"):
-            check_wiener_low(p, 1e-3, 0.0)
+            check_wiener_low(p, 1e-3, 0.0, grid=_grid(p))
 
     def test_disjoint_window_gives_zero(self, corpus_by_id):
         # a window disjoint from the support (k = 8 for gauss_low) has a zero
@@ -323,7 +330,7 @@ class TestWienerLow:
         p = corpus_by_id["gauss_low"].profile
         dec = wiener_decompose(p)
         nonzero = [int(k) for k, row in zip(dec.ks, dec.table) if np.any(row != 0.0)]
-        rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_low")
+        rows = check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_low", grid=_grid(p))
         assert [r.params["k"] for r in rows] == nonzero
         assert 8 not in nonzero
         assert all(r.measured_lhs > 0.0 and r.passed for r in rows)
@@ -331,7 +338,7 @@ class TestWienerLow:
     def test_l1_mass_recorded(self, corpus_by_id):
         p = corpus_by_id["gauss_low"].profile
         expected = float(np.sum(np.abs(p.amplitudes)) * p.xi_step)
-        for report in check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_low"):
+        for report in check_wiener_low(p, 1e-3, 1e-1, profile_id="gauss_low", grid=_grid(p)):
             assert report.params["l1_mass"] == expected
             assert report.lemma_id == "L2_5"
 
@@ -341,10 +348,12 @@ class TestWienerLow:
         unit = SpectralProfile(1.0, 0.125, np.ones(9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plain = check_wiener_low(unit, 1e-3, 0.5)
-            big = check_wiener_low(unit.with_amplitudes(np.full(9, 1e300)), 1e-3, 0.5)
+            plain = check_wiener_low(unit, 1e-3, 0.5, grid=_grid(unit))
+            p = unit.with_amplitudes(np.full(9, 1e300))
+            big = check_wiener_low(p, 1e-3, 0.5, grid=_grid(p))
+            p = unit.with_amplitudes(np.full(9, 1.7e308))
             with pytest.raises(ValueError, match="^the l1 mass leaves the double range$"):
-                check_wiener_low(unit.with_amplitudes(np.full(9, 1.7e308)), 1e-3, 0.5)
+                check_wiener_low(p, 1e-3, 0.5, grid=_grid(p))
         assert [r.params["k"] for r in big] == [r.params["k"] for r in plain]
         for a, b in zip(plain, big):
             assert b.measured_lhs == pytest.approx(1e300 * a.measured_lhs, rel=1e-14)
@@ -360,7 +369,7 @@ class TestWienerLow:
             rows = [r for r in reports if r.profile_id == pid]
             low, uniform = [r for r in rows if r.lemma_id in ("L2_2", "L2_4")]
             assert low.measured_lhs == uniform.measured_lhs, pid
-            grid = observation_grid(p)
+            grid = _grid(p)
             for report in (r for r in rows if r.lemma_id == "L2_5"):
                 piece = wiener_project(p, report.params["k"])
                 evolved = evolve_spectral(piece, T_LOW, sign)
@@ -380,12 +389,13 @@ class TestRefusedGates:
     def test_checks_return_skip_rows(self, sign):
         p = self._profile()
         refused = {"skip": "resolution_refused"}
-        low = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id="b")
+        low = check_low_frequency(p, T_LOW, EPSILON, sign=sign, profile_id="b", grid=_grid(p))
         assert [(r.lemma_id, r.params) for r in low] == [
             ("L2_2", {**refused, "t": T_LOW}), ("L2_4", {**refused, "t": T_LOW})]
-        (high,) = check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id="b")
+        (high,) = check_high_frequency(p, HIGH_TIMES, sign=sign, profile_id="b", grid=_grid(p))
         assert (high.lemma_id, high.params) == ("L2_3", refused)
-        windows = check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id="b")
+        windows = check_wiener_low(p, T_LOW, WINDOW_EPSILON, sign=sign, profile_id="b",
+                                   grid=_grid(p))
         assert [r.params["k"] for r in windows] == list(range(9))
         assert windows[-1].params == {**refused, "k": 8, "t": T_LOW}
         assert all("skip" not in r.params and r.measured_lhs > 0.0 for r in windows[:-1])
@@ -406,8 +416,8 @@ class TestRefusedGates:
 class TestSquareFunction:
     def test_static_and_evolved_ids(self, corpus_by_id):
         p = corpus_by_id["band_unit"].profile
-        static = check_square_function(p, profile_id="band_unit")
-        evolved = check_square_function(p, 0.5, profile_id="band_unit")
+        static = check_square_function(p, profile_id="band_unit", grid=_grid(p))
+        evolved = check_square_function(p, 0.5, profile_id="band_unit", grid=_grid(p))
         assert static.lemma_id == "L2_6" and static.params == {}
         assert evolved.lemma_id == "L2_7" and evolved.params == {"t": 0.5}
         assert static.passed and evolved.passed
@@ -416,18 +426,20 @@ class TestSquareFunction:
         # the sums of squares overflow, the sup and the norm do not: both are
         # retaken on rescaled magnitudes, exactly 2^531 times the unit case
         unit = SpectralProfile(1.0, 0.125, np.ones(9))
-        small = check_square_function(unit)
-        big = check_square_function(unit.with_amplitudes(np.full(9, 2.0**531)))
+        small = check_square_function(unit, grid=_grid(unit))
+        p = unit.with_amplitudes(np.full(9, 2.0**531))
+        big = check_square_function(p, grid=_grid(p))
         assert big.measured_lhs == 2.0**531 * small.measured_lhs
         assert big.bound_rhs == 2.0**531 * small.bound_rhs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = check_square_function(unit.with_amplitudes(np.full(9, 1e160)))
+            p = unit.with_amplitudes(np.full(9, 1e160))
+            found = check_square_function(p, grid=_grid(p))
         assert found.measured_lhs == pytest.approx(2.8209449e159, rel=1e-7) and found.passed
 
     def test_zero_profile_passes_vacuously(self):
         p = SpectralProfile(1.0, 0.5, np.zeros(5))
-        report = check_square_function(p)
+        report = check_square_function(p, grid=_grid(p))
         assert report.measured_lhs == 0.0 and report.bound_rhs == 0.0
         assert report.passed and report.fitted_c == 0.0
 
@@ -435,7 +447,7 @@ class TestSquareFunction:
         # the grid max of the exact discrete square sum stays below the
         # norm bound at times far beyond the synthesis resolution limit
         p = corpus_by_id["band_high_even"].profile
-        report = check_square_function(p, 1.0, profile_id="band_high_even")
+        report = check_square_function(p, 1.0, profile_id="band_high_even", grid=_grid(p))
         assert report.passed
         assert report.bound_rhs == hs_norm(p, 0.0) * (1.0 + 1e-6)
 
@@ -489,7 +501,7 @@ class TestCarryingWindowTable:
     def test_square_function_bits(self, corpus, sign):
         for entry in corpus:
             p = entry.profile
-            grid = observation_grid(p)
+            grid = _grid(p)
             for q in (p, *(evolve_spectral(p, t, sign) for t in SQUARE_TIMES)):
                 fields = spectral._synthesize_rows(q, grid, self._contiguous_table(q))
                 reference = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
@@ -508,8 +520,8 @@ class TestCarryingWindowTable:
 
 class TestBernstein:
     def test_corpus_ratios_capped(self, corpus_by_id):
-        report = bernstein_report(corpus_by_id["band_unit"].profile,
-                                  profile_id="band_unit")
+        p = corpus_by_id["band_unit"].profile
+        report = bernstein_report(p, profile_id="band_unit", grid=_grid(p))
         assert report.lemma_id == "BERNSTEIN"
         assert 0.0 < report.measured_lhs <= 2.0
         assert report.params["pieces"] >= 1
@@ -520,8 +532,10 @@ class TestBernstein:
         unit = SpectralProfile(1.0, 0.125, np.ones(9))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            huge = bernstein_report(unit.with_amplitudes(np.full(9, 1.7e308)))
-        assert huge.measured_lhs == pytest.approx(bernstein_report(unit).measured_lhs, rel=1e-14)
+            p = unit.with_amplitudes(np.full(9, 1.7e308))
+            huge = bernstein_report(p, grid=_grid(p))
+        plain = bernstein_report(unit, grid=_grid(unit))
+        assert huge.measured_lhs == pytest.approx(plain.measured_lhs, rel=1e-14)
 
     @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
     def test_subnormal_window_is_measured_as_if_alone(self, tiny):
@@ -531,7 +545,8 @@ class TestBernstein:
             a = np.zeros(33, dtype=np.complex128)
             for index, value in amplitudes.items():
                 a[index] = value
-            return bernstein_report(SpectralProfile(0.5, 0.25, a))
+            p = SpectralProfile(0.5, 0.25, a)
+            return bernstein_report(p, grid=_grid(p))
 
         both = report({2: 1.0, 14: tiny})
         alone = [report({2: 1.0}), report({14: math.ldexp(tiny, 1074)})]
@@ -539,7 +554,8 @@ class TestBernstein:
         assert both.fitted_c == max(r.fitted_c for r in alone)
 
     def test_zero_profile_skips(self):
-        report = bernstein_report(SpectralProfile(1.0, 0.5, np.zeros(5)))
+        p = SpectralProfile(1.0, 0.5, np.zeros(5))
+        report = bernstein_report(p, grid=_grid(p))
         assert report.params["skip"] == "zero_profile"
         assert report.passed
 

@@ -106,6 +106,54 @@ def test_read_name_check_finds_an_uncalled_export():
     assert "kept" in read and "dropped" not in read
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class is decorated with ``dataclass`` or ``dataclasses.dataclass``, called or not."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any((getattr(t, "id", None) or getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
+def _unread_fields(sources) -> list[str]:
+    """Dataclass fields, as ``Class.field``, that no attribute load outside their own class reads."""
+    fields, reads = {}, []  # reads: (top-level class holding the load, or None; attribute)
+    for source in sources:
+        for statement in ast.parse(source).body:
+            owner = statement.name if isinstance(statement, ast.ClassDef) else None
+            if owner and _is_dataclass(statement):
+                fields[owner] = [item.target.id for item in statement.body
+                                 if isinstance(item, ast.AnnAssign)
+                                 and isinstance(item.target, ast.Name)]
+            reads += [(owner, node.attr) for node in ast.walk(statement)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    return [f"{cls}.{name}" for cls, names in fields.items() for name in names
+            if not any(attr == name and owner != cls for owner, attr in reads)]
+
+
+#: Record fields that nothing in the package reads, each with why it stays.
+UNREAD_FIELDS = {
+    "TailCurve.wilson_halfwidth": ("the Wilson half-width the exceedance acceptance test "
+                                   "bounds each step of the curve by"),
+}
+
+
+def test_every_record_field_is_read_in_the_package():
+    # a field no caller reads is computed for nothing; one that gains a reader leaves the map
+    sources = Path(ostrovsky_lab.__file__).parent.glob("*.py")
+    unread = _unread_fields(path.read_text(encoding="utf-8") for path in sources)
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_unread_field_check_finds_a_planted_field():
+    planted = ("from dataclasses import dataclass\nimport dataclasses\n"
+               "@dataclass\nclass Result:\n    kept: float\n    own: float\n    dropped: float\n"
+               "    def twice(self):\n        return 2 * self.own\n"
+               "@dataclasses.dataclass(frozen=True)\nclass Spec:\n    k: int\n"
+               "class Plain:\n    note: str\n")
+    caller = "def use(r, s, dropped):\n    r.dropped = dropped\n    return r.kept, s.k\n"
+    # a read inside the own class, a store and a bare name are not readers
+    assert _unread_fields([planted, caller]) == ["Result.own", "Result.dropped"]
+    assert _unread_fields([planted]) == ["Result.kept", "Result.own", "Result.dropped", "Spec.k"]
+
+
 def _exception_classes(source: str) -> list[str]:
     """Classes a module defines with a base whose name ends in Error or Exception."""
     return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)

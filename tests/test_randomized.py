@@ -265,12 +265,12 @@ class TestKhinchine:
 
     def test_in_range_moment_with_an_overflowing_mean_retaken(self):
         # the mean of |S|^2000 over two draws of [1.0] overflows, that of [0.5]
-        # does not: the run is retaken on [0.5] and its moment scaled back by 2
+        # does not: the run is retaken on [0.5], whose scale-free ratio it gives
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             [big] = khinchine_check([1.0], [2000.0], 2)
         [half] = khinchine_check([0.5], [2000.0], 2)
-        assert big.moment == 2.0 * half.moment and big.ratio == half.ratio
+        assert big.ratio == half.ratio
         assert big.ratio_stderr == half.ratio_stderr > 0.0
 
     @pytest.mark.parametrize("scale", [1e-45, 1e-80, 1e-170, 1e300])
@@ -286,7 +286,6 @@ class TestKhinchine:
             assert res.ratio == pytest.approx(ref.ratio, rel=1e-12, abs=0.0)
             assert res.ratio_stderr == pytest.approx(ref.ratio_stderr, rel=1e-12, abs=0.0)
             assert res.ratio_stderr > 0.0
-            assert res.moment == pytest.approx(scale * ref.moment, rel=1e-12, abs=0.0)
 
     @given(e=st.integers(-1000, 1000))
     def test_ratio_and_stderr_are_scale_free(self, e):
@@ -297,12 +296,13 @@ class TestKhinchine:
             assert res.ratio_stderr == pytest.approx(ref.ratio_stderr, rel=1e-12, abs=0.0)
             assert res.ratio_stderr > 0.0
 
-    def test_overflowing_moment_refused_without_warning(self):
-        # the ratios are in range, the order-1 moment about 2.2e308 is not
+    def test_overflowing_moment_gives_the_unit_ratios(self):
+        # the order-1 moment, about 2.2e308, is out of range and written nowhere;
+        # the retake on the rescaled coefficients gives the ratios of [1.0, 1.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape("order 1 leave")):
-                khinchine_check([1.7e308, 1.7e308], [1], 64)
+            [huge] = khinchine_check([1.7e308, 1.7e308], [1], 64)
+        assert huge == khinchine_check([1.0, 1.0], [1], 64)[0]
 
     def test_second_moment_matches_l2(self):
         [res] = khinchine_check([1.0, 0.8, 0.6, 0.4, 0.2], [2.0], 20_000)
@@ -315,9 +315,12 @@ class TestKhinchine:
         assert abs(res.ratio - khinchine_analytic_ratio(4.0)) <= 3.0 * res.ratio_stderr
 
     def test_ratio_consistent_with_moment(self):
+        # one block of draws: the streamed mean is the block's mean, bit for bit
         c = np.array([0.3, 1.2, 0.5])
         [res] = khinchine_check(c, [4.0], 256, seed=8)
-        assert res.ratio == res.moment / (2.0 * float(np.linalg.norm(c)))
+        sums = gaussian_coefficients(8, np.arange(256), np.arange(c.size)) @ c
+        moment = (float(np.sum(np.abs(sums) ** 4.0)) / 256) ** 0.25
+        assert res.ratio == moment / (2.0 * float(np.linalg.norm(c)))
         assert res.power == 4.0
 
     def test_deterministic(self):
@@ -356,7 +359,6 @@ class TestKhinchine:
                     stderr = ratio * stderr_mean / (power * mean)
                     case = f"n={n} seed={seed} p={power}"
                     assert res.power == power, case
-                    assert abs(res.moment - moment) <= 1e-12 * moment, case
                     assert abs(res.ratio - ratio) <= 1e-12 * ratio, case
                     assert abs(res.ratio_stderr - stderr) <= 1e-12 * stderr, case
 
@@ -449,6 +451,39 @@ class TestStochasticContinuity:
         monkeypatch.setattr(randomized, "gaussian_coefficients", recorded)
         stochastic_continuity(corpus_by_id["band_mid_even"].profile, 0.0, 0.05, [1e-3, 0.0], 16)
         assert requested == [[-6, -5, -4, -3, 3, 4, 5, 6]]
+
+    def test_subnormal_profile_keeps_the_unit_counts(self, corpus_by_id):
+        # at 2**-1070 the deviations g @ D underflowed to 0, and no draw exceeded
+        # alpha; the window table and alpha are now divided by one power of two
+        # first.  The subnormal amplitudes keep few bits, so a few draws may flip
+        p = corpus_by_id["gauss_low"].profile
+        ts = [1.0, 0.5, 1e-2, 0.0]
+        unit = stochastic_continuity(p, 0.0, 0.25, ts, 4000, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = stochastic_continuity(p.with_amplitudes(p.amplitudes * 2.0**-1070), 0.0,
+                                         0.25 * 2.0**-1070, ts, 4000, seed=1)
+        assert unit.empirical_probs[0] > 0.5
+        np.testing.assert_allclose(tiny.empirical_probs, unit.empirical_probs, rtol=0.0, atol=0.01)
+        assert tiny.empirical_probs[-1] == 0.0
+
+    @given(e=st.integers(-1000, 1000))
+    def test_counts_are_scale_free(self, corpus_by_id, e):
+        p = corpus_by_id["gauss_low"].profile
+        ts = [1.0, 0.5, 1e-2, 0.0]
+        unit = stochastic_continuity(p, 0.0, 0.25, ts, 500, seed=2)
+        scaled = stochastic_continuity(p.with_amplitudes(p.amplitudes * 2.0**e), 0.0,
+                                       0.25 * 2.0**e, ts, 500, seed=2)
+        np.testing.assert_array_equal(scaled.empirical_probs, unit.empirical_probs)
+
+    def test_level_beyond_the_double_range_is_exceeded_by_no_draw(self, corpus_by_id):
+        # alpha over the table's power of two, 2**-1070, overflows to inf
+        p = corpus_by_id["gauss_low"].profile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = stochastic_continuity(p.with_amplitudes(p.amplitudes * 2.0**-1070), 0.0,
+                                          1e300, [1.0, 0.0], 64)
+        assert curve.empirical_probs.tolist() == [0.0, 0.0]
 
 
 class TestTailBound:

@@ -621,6 +621,29 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="phase advance"):
             convergence_trace(p, 0.0, [1e3, 1.0])
 
+    def test_subnormal_profile_is_traced_as_if_normal(self, corpus_by_id):
+        # at 1e-320 the plain product read 3% low at t = 1 and 0.0 at t = 1e-3;
+        # times 2**1074 the same amplitudes are normal and exact, and their
+        # trace scaled back rounds once.  Only the t = 0 entry is 0
+        unit = corpus_by_id["gauss_low"].profile
+        a = unit.amplitudes * 1e-320
+        p = unit.with_amplitudes(a)
+        ts = [1.0, 0.5, 1e-3, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            devs = convergence_trace(p, 0.0, ts)
+        normal = convergence_trace(p.with_amplitudes(a * 2.0**537 * 2.0**537), 0.0, ts)
+        assert devs.tolist() == np.ldexp(normal, -1074).tolist()
+        assert np.all(devs[:-1] > 0.0) and devs[-1] == 0.0
+
+    @given(e=st.integers(-1000, 1000))
+    def test_scale_covariant(self, corpus_by_id, e):
+        p = corpus_by_id["gauss_low"].profile
+        ts = [1.0, 0.5, 1e-3, 0.0]
+        unit = convergence_trace(p, 0.0, ts)
+        scaled = convergence_trace(p.with_amplitudes(p.amplitudes * 2.0**e), 0.0, ts)
+        assert scaled == pytest.approx(np.ldexp(unit, e), rel=1e-12, abs=0.0)
+
     def test_smooth_profile_converges(self, corpus_by_id):
         p = corpus_by_id["gauss_mid"].profile
         devs = convergence_trace(p, 0.3, [1e-3, 1e-4, 1e-5, 1e-6])

@@ -663,7 +663,7 @@ class TestChirpSynthesis:
         for entry in corpus:
             p = entry.profile
             probe = period_grid(p, PROBE_POINTS)
-            for grid in (probe, observation_grid(p)):
+            for grid in (probe, observation_grid(p, n=4096)):
                 _chirp_plan.cache_clear()
                 cold = _synthesize_rows(p, grid, p.amplitudes)
                 hits = _chirp_plan.cache_info().hits
@@ -934,7 +934,7 @@ class TestNorms:
                 weight = (1.0 + p.xi * p.xi) ** s
                 plain = float(np.sqrt(np.sum(weight * np.abs(p.amplitudes) ** 2) * p.xi_step))
                 assert hs_norm(p, s) == plain
-            grid = observation_grid(p)
+            grid = observation_grid(p, n=4096)
             u = synthesize(p, grid)
             w = trapezoid_weights(grid.n)
             for power in (1.0, 2.0, 4.0, 7.5):
